@@ -149,18 +149,6 @@ def _find_iso(nbrs, ca, cb):
     return None
 
 
-def _orbit(point, gens, V):
-    orb = {point}
-    queue = [point]
-    for x in queue:
-        for g in gens:
-            y = g[x]
-            if y not in orb:
-                orb.add(y)
-                queue.append(y)
-    return orb
-
-
 def _aut_search(nbrs, colors):
     """Generators and order of the color-preserving automorphism group, by
     the orbit-stabilizer recursion: fix the first vertex of the first
@@ -174,14 +162,14 @@ def _aut_search(nbrs, colors):
     iv = _individualize(colors, v)
     stab_colors, _ = _refine_pair(nbrs, iv, iv)
     gens, stab_order = _aut_search(nbrs, stab_colors)
-    orbit = _orbit(v, gens, len(nbrs))
+    orbit = PermutationGroup(len(nbrs), tuple(gens)).orbit(v)
     for w in members[1:]:
         if w in orbit:
             continue
         phi = _find_iso(nbrs, iv, _individualize(colors, w))
         if phi is not None:
             gens.append(phi)
-            orbit = _orbit(v, gens, len(nbrs))
+            orbit = PermutationGroup(len(nbrs), tuple(gens)).orbit(v)
     return gens, stab_order * len(orbit)
 
 
@@ -197,7 +185,13 @@ def graph_automorphism_group(neighbors: list[list[int]]) -> PermutationGroup:
     uniform = (0,) * V
     colors, _ = _refine_pair(neighbors, uniform, uniform)
     gens, order = _aut_search(neighbors, colors)
-    group = PermutationGroup(V, tuple(gens))
+    return _checked_group(V, gens, order)
+
+
+def _checked_group(degree, gens, order) -> PermutationGroup:
+    """The group generated by a search's generators, cross-checked against
+    the orbit-stabilizer order the search computed."""
+    group = PermutationGroup(degree, tuple(gens))
     if group.order() != order:
         raise AssertionError(
             f"search order {order} disagrees with generated group order {group.order()}"
@@ -279,13 +273,12 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
     poset alone: backtracking over dimension-preserving assignments of
     ray images, pruned by per-ray cell-membership signatures and by
     2-cell preservation, with every candidate verified to map the whole
-    cell system to itself.  Slower than the graph route; capped at
-    n <= 6."""
+    cell system to itself.  Only one verified completion per orbit of
+    the stabilizer of the rays already fixed is searched for.  Slower
+    than the graph route; capped at n <= 6."""
     if cx.n > POSET_MAX_N:
         raise EnvelopeError(f"poset search supports n <= {POSET_MAX_N}, got n={cx.n}")
     R = len(cx.rays)
-    if R == 0:
-        return PermutationGroup(0)
     cell_sets = cx.cell_ray_sets()
     max_dim = cx.max_dimension
     cells_per_dim: list[set[frozenset[int]]] = [set() for _ in range(max_dim + 1)]
@@ -303,7 +296,6 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
         pair_rows[a] |= 1 << b
         pair_rows[b] |= 1 << a
 
-    found: list[tuple[int, ...]] = []
     assignment = [-1] * R
     used = [False] * R
 
@@ -314,29 +306,46 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
                     return False
         return True
 
-    def extend(k):
-        if k == R:
-            perm = tuple(assignment)
-            if verify(perm):
-                found.append(perm)
-            return
-        for w in range(R):
-            if used[w] or signature[w] != signature[k]:
-                continue
-            ok = True
-            for j in range(k):
-                if (pair_rows[k] >> j & 1) != (pair_rows[w] >> assignment[j] & 1):
-                    ok = False
-                    break
-            if ok:
-                assignment[k] = w
-                used[w] = True
-                extend(k + 1)
-                used[w] = False
-        assignment[k] = -1
+    def candidates(k):
+        """Unused images for ray k consistent with assignment[:k]."""
+        return [
+            w
+            for w in range(R)
+            if not used[w]
+            and signature[w] == signature[k]
+            and all(
+                (pair_rows[k] >> j & 1) == (pair_rows[w] >> assignment[j] & 1)
+                for j in range(k)
+            )
+        ]
 
-    extend(0)
-    return PermutationGroup(R, tuple(found))
+    def complete(k, w):
+        """The first verified completion of assignment[:k] that sends ray
+        k to w, or None."""
+        assignment[k] = w
+        used[w] = True
+        if k + 1 == R:
+            found = tuple(assignment) if verify(assignment) else None
+        else:
+            found = next(filter(None, (complete(k + 1, v) for v in candidates(k + 1))), None)
+        used[w] = False
+        return found
+
+    # Sims-style search: with rays 0..k-1 fixed, the generators found so
+    # far fix them too, so only one image of ray k per orbit needs a
+    # completion; |G| is the product of these orbit sizes.
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    for k in reversed(range(R)):
+        assignment[:k] = range(k)
+        used[:] = [r < k for r in range(R)]
+        orbit = PermutationGroup(R, tuple(gens)).orbit(k)
+        for w in candidates(k):
+            if w not in orbit and (g := complete(k, w)) is not None:
+                gens.append(g)
+                orbit = PermutationGroup(R, tuple(gens)).orbit(k)
+        order *= len(orbit)
+    return _checked_group(R, gens, order)
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,23 @@ from . import __version__
 from .automorphisms import (
     DEFAULT_SEED,
     POSET_MAX_N,
+    VERIFY_MAX_N,
+    VERIFY_MIN_N,
     aut_via_compat_graph,
     aut_via_poset,
     verify_main_theorem,
 )
 from .cones import build_complex, star_count
 from .counting import expansion_count_formula, lemma_power_sweep
-from .enumeration import EnvelopeError, count_maximal, enumerate_strata, expansions
+from .enumeration import (
+    ENVELOPE_MAX_N,
+    EnvelopeError,
+    count_maximal,
+    enumerate_strata,
+    expansions,
+)
 from .genus2 import aut_m2, bridge_loop_swap_violation, build_m2_complex
 from .groups import format_cycles
-
-_THREADS_HELP = "accepted for interface stability; execution is sequential and results do not depend on it"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,37 +57,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=0, help=_THREADS_HELP)
 
     p = sub.add_parser("complex", help="face poset and compatibility graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dot", choices=("hasse", "compat"), default=None)
     p.add_argument("--format", choices=("json",), default="json")
-    p.add_argument("--threads", type=int, default=0, help=_THREADS_HELP)
 
     p = sub.add_parser("aut", help="automorphism group of the complex")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("graph", "poset", "both"), default="graph")
     p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=0, help=_THREADS_HELP)
 
     p = sub.add_parser("count", help="closed-form counting checks")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--check", choices=("formula", "lemma"), required=True)
     p.add_argument("--bound", type=int, default=20)
     p.add_argument("--format", choices=("json",), default="json")
-    p.add_argument("--threads", type=int, default=0, help=_THREADS_HELP)
 
     p = sub.add_parser("genus2", help="the 7-cell genus-2 fixture")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--format", choices=("json",), default="json")
-    p.add_argument("--threads", type=int, default=0, help=_THREADS_HELP)
 
     p = sub.add_parser("report", help="full verification battery")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=0, help=_THREADS_HELP)
     return parser
 
 
@@ -122,8 +122,10 @@ def _cmd_aut(args) -> tuple[str, dict, None]:
         raise EnvelopeError(
             f"poset method supports n <= {POSET_MAX_N}, got n={args.n}"
         )
-    if args.n > 7:
-        raise EnvelopeError(f"theorem verification supports n <= 7, got n={args.n}")
+    if args.n > VERIFY_MAX_N:
+        raise EnvelopeError(
+            f"theorem verification supports n <= {VERIFY_MAX_N}, got n={args.n}"
+        )
     if args.n < 4:
         cx = build_complex(args.n)
         group = aut_via_compat_graph(cx)
@@ -168,31 +170,37 @@ def _cmd_count(args) -> tuple[str, dict, None]:
     if args.n is None:
         raise ValueError("--check formula requires --n")
     catalog = enumerate_strata(args.n)
-    mismatches = []
-    strata = 0
-    for form in catalog.all_forms():
-        strata += 1
-        tree = form.to_tree()
-        if expansion_count_formula(tree) != len(expansions(tree)):
-            mismatches.append(form.sides_json())
+    mismatches, star_bad = _formula_mismatches(args.n, catalog)
     payload = {
         "check": "formula",
         "n": args.n,
-        "strata": strata,
+        "strata": catalog.total(),
         "mismatches": mismatches,
-        "verdict": "PASS" if not mismatches else "FAIL",
+        "verdict": "PASS" if not mismatches and not star_bad else "FAIL",
     }
-    if args.n <= POSET_MAX_N:
-        cx = build_complex(args.n, catalog)
-        star_bad = [
-            i
-            for i, form in enumerate(cx.cells)
-            if star_count(cx, i) != expansion_count_formula(form.to_tree())
-        ]
+    if star_bad is not None:
         payload["star_mismatches"] = star_bad
-        if star_bad:
-            payload["verdict"] = "FAIL"
     return payload["verdict"], payload, None
+
+
+def _formula_mismatches(n, catalog) -> tuple[list, list[int] | None]:
+    """Strata whose expansion-count formula disagrees with brute-force
+    expansion, and cells whose star count disagrees with the formula
+    (None above POSET_MAX_N, where the star check is skipped)."""
+    mismatches = []
+    for form in catalog.all_forms():
+        tree = form.to_tree()
+        if expansion_count_formula(tree) != len(expansions(tree)):
+            mismatches.append(form.sides_json())
+    if n > POSET_MAX_N:
+        return mismatches, None
+    cx = build_complex(n, catalog)
+    star_bad = [
+        i
+        for i, form in enumerate(cx.cells)
+        if star_count(cx, i) != expansion_count_formula(form.to_tree())
+    ]
+    return mismatches, star_bad
 
 
 def _cmd_genus2(args) -> tuple[str, dict, None]:
@@ -219,6 +227,12 @@ def _cmd_genus2(args) -> tuple[str, dict, None]:
 
 
 def _battery(max_n: int, seed: int, log) -> dict:
+    if max_n < VERIFY_MIN_N:
+        raise ValueError(
+            f"--max-n must be >= {VERIFY_MIN_N}: smaller runs check no automorphism group"
+        )
+    if max_n > ENVELOPE_MAX_N:
+        raise EnvelopeError(f"report supports --max-n <= {ENVELOPE_MAX_N}, got {max_n}")
     checks = []
 
     def add(name, ok, **details):
@@ -236,29 +250,16 @@ def _battery(max_n: int, seed: int, log) -> dict:
 
     log("expansion formula against brute force and star counts")
     for n in range(4, max_n + 1):
-        catalog = enumerate_strata(n)
-        bad = sum(
-            1
-            for form in catalog.all_forms()
-            if expansion_count_formula(form.to_tree())
-            != len(expansions(form.to_tree()))
-        )
-        star_bad = 0
-        if n <= POSET_MAX_N:
-            cx = build_complex(n, catalog)
-            star_bad = sum(
-                1
-                for i, form in enumerate(cx.cells)
-                if star_count(cx, i) != expansion_count_formula(form.to_tree())
-            )
-        add(f"counting formula n={n}", bad == 0 and star_bad == 0, mismatches=bad + star_bad)
+        mismatches, star_bad = _formula_mismatches(n, enumerate_strata(n))
+        bad = len(mismatches) + len(star_bad or ())
+        add(f"counting formula n={n}", bad == 0, mismatches=bad)
 
     log("power-of-two lemma sweep")
     checked, violations = lemma_power_sweep(20)
     add("lemma sweep bound=20", not violations, pairs_checked=checked)
 
     log("automorphism groups")
-    for n in range(4, min(max_n, 7) + 1):
+    for n in range(VERIFY_MIN_N, min(max_n, VERIFY_MAX_N) + 1):
         samples = 100 if n in (5, 6) else 0
         rep = verify_main_theorem(n, seed=seed, samples=samples)
         add(

@@ -12,6 +12,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
+from .enumeration import EnvelopeError
 from .trees import LeggedTree
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "expansion_count_formula",
     "lemma_power_check",
     "lemma_power_sweep",
+    "LEMMA_MAX_BOUND",
     "brute_force_partition_count",
 ]
 
@@ -85,6 +87,10 @@ def expansion_count_formula(t: LeggedTree) -> int:
     )
 
 
+LEMMA_MIN_BOUND = 2  # the first equal-sum pair: (0, 0, 2) and (0, 1, 1)
+LEMMA_MAX_BOUND = 100
+
+
 def _power_sum(triple) -> int:
     return sum(2 ** a for a in triple)
 
@@ -113,8 +119,16 @@ def lemma_power_sweep(bound: int) -> tuple[int, list[tuple[tuple, tuple]]]:
     Both statistics are symmetric, so sweeping sorted triples covers every
     pair.  Within each sum class, pairs with different 2-power sums are
     vacuously consistent; the remaining pairs (equal sum and equal power
-    sum) each go through :func:`lemma_power_check`.
+    sum) each go through :func:`lemma_power_check`.  Bounds below
+    LEMMA_MIN_BOUND cover no pair and raise ValueError; cost grows about
+    cubically, so bounds above LEMMA_MAX_BOUND raise EnvelopeError.
     """
+    if bound < LEMMA_MIN_BOUND:
+        raise ValueError(
+            f"bound must be >= {LEMMA_MIN_BOUND}: smaller bounds cover no pair, got {bound}"
+        )
+    if bound > LEMMA_MAX_BOUND:
+        raise EnvelopeError(f"lemma sweep supports bound <= {LEMMA_MAX_BOUND}, got {bound}")
     by_sum: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
     for triple in itertools.combinations_with_replacement(range(bound + 1), 3):
         by_sum[sum(triple)].append(triple)

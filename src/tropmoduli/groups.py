@@ -1,15 +1,16 @@
 """Finite permutation groups on {0, ..., degree-1} given by generators.
 
-Order and membership go through a full element closure while the group
-stays small (<= 10^4 elements) and through a base/strong-generating-set
-chain beyond that, so the arithmetic is exact at every scale this
-package reaches.
+Order, membership, equality and element enumeration all go through one
+base/strong-generating-set (Schreier-Sims) chain, so the arithmetic is
+exact at every scale this package reaches without listing the elements
+of large groups.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -20,8 +21,6 @@ __all__ = [
     "format_cycles",
     "PermutationGroup",
 ]
-
-CLOSURE_CAP = 10_000
 
 
 def identity_perm(degree: int) -> tuple[int, ...]:
@@ -118,31 +117,23 @@ class _StabilizerChain:
             for i in range(len(self.base))
         ]
 
+    def _schreier_generators(self):
+        for i, trans in enumerate(self.transversals):
+            for x, rep in trans.items():
+                for s in self._level_gens(i):
+                    yield compose_perms(invert_perm(trans[s[x]]), compose_perms(s, rep))
+
     def _build(self):
         for g in self.strong:
             self._extend_base_for(g)
-        changed = True
-        while changed:
-            changed = False
+        while True:
             self._recompute_transversals()
-            for i in range(len(self.base)):
-                trans = self.transversals[i]
-                for x, rep in trans.items():
-                    for s in self._level_gens(i):
-                        u = trans[s[x]]
-                        schreier = compose_perms(
-                            invert_perm(u), compose_perms(s, rep)
-                        )
-                        residue = self._sift(schreier)
-                        if residue is not None:
-                            self.strong.append(residue)
-                            self._extend_base_for(residue)
-                            changed = True
-                            break
-                    if changed:
-                        break
-                if changed:
-                    break
+            residues = map(self._sift, self._schreier_generators())
+            residue = next((r for r in residues if r is not None), None)
+            if residue is None:
+                return
+            self.strong.append(residue)
+            self._extend_base_for(residue)
 
     def _sift(self, g):
         """Strip g through the chain; the non-identity residue when g is
@@ -174,8 +165,6 @@ class PermutationGroup:
 
     degree: int
     generators: tuple[tuple[int, ...], ...] = ()
-    _closure: frozenset | None = field(default=None, repr=False, compare=False)
-    _chain: _StabilizerChain | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         ident = identity_perm(self.degree)
@@ -186,49 +175,23 @@ class PermutationGroup:
                 gens.append(g)
         self.generators = tuple(gens)
 
-    def _get_closure(self):
-        """Full element set, or None once it exceeds the closure cap."""
-        if self._closure is None and not hasattr(self, "_closure_failed"):
-            ident = identity_perm(self.degree)
-            elements = {ident}
-            queue = [ident]
-            for p in queue:
-                for g in self.generators:
-                    q = compose_perms(g, p)
-                    if q not in elements:
-                        if len(elements) >= CLOSURE_CAP:
-                            self._closure_failed = True
-                            return None
-                        elements.add(q)
-                        queue.append(q)
-            self._closure = frozenset(elements)
-        return self._closure
-
-    def _get_chain(self):
-        if self._chain is None:
-            self._chain = _StabilizerChain(self.degree, self.generators)
-        return self._chain
+    @cached_property
+    def _chain(self) -> _StabilizerChain:
+        return _StabilizerChain(self.degree, self.generators)
 
     def order(self) -> int:
-        closure = self._get_closure()
-        if closure is not None:
-            return len(closure)
-        return self._get_chain().order()
+        return self._chain.order()
 
     def elements(self) -> frozenset:
-        closure = self._get_closure()
-        if closure is None:
-            raise RuntimeError(
-                f"group has more than {CLOSURE_CAP} elements; enumerate via the chain instead"
-            )
-        return closure
+        """Every element, as the products of one coset representative per
+        chain level; meant for small groups."""
+        out = [identity_perm(self.degree)]
+        for trans in reversed(self._chain.transversals):
+            out = [compose_perms(rep, g) for rep in trans.values() for g in out]
+        return frozenset(out)
 
     def __contains__(self, p) -> bool:
-        p = check_perm(self.degree, p)
-        closure = self._get_closure()
-        if closure is not None:
-            return p in closure
-        return self._get_chain().contains(p)
+        return self._chain.contains(check_perm(self.degree, p))
 
     def is_trivial(self) -> bool:
         return not self.generators

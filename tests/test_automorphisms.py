@@ -98,7 +98,9 @@ def test_poset_method_orders(n, order):
 def test_methods_agree_as_groups():
     for n in (4, 5, 6):
         cx = complex_for(n)
-        assert aut_via_compat_graph(cx).equals(aut_via_poset(cx))
+        poset_group = aut_via_poset(cx)
+        assert len(poset_group.generators) <= 10
+        assert aut_via_compat_graph(cx).equals(poset_group)
 
 
 def test_poset_envelope():

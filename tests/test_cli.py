@@ -4,6 +4,8 @@ import io
 import json
 
 from tropmoduli.cli import EXIT_ENVELOPE, EXIT_OK, EXIT_USAGE, run
+from tropmoduli.counting import LEMMA_MAX_BOUND
+from tropmoduli.enumeration import ENVELOPE_MAX_N
 
 
 def invoke(*argv):
@@ -157,3 +159,26 @@ def test_report_small():
     assert "aut n=4" in names and "genus2" in names
     assert all(c["verdict"] == "PASS" for c in report["payload"]["checks"])
     assert "PASS" in err
+
+
+def test_empty_runs_are_usage_errors():
+    for argv in (
+        ("count", "--check", "lemma", "--bound", "-1"),
+        ("count", "--check", "lemma", "--bound", "1"),
+        ("report", "--max-n", "2"),
+        ("report", "--max-n", "3"),
+    ):
+        code, out, err = invoke(*argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and "error" in err
+
+
+def test_oversized_runs_exit_before_work():
+    for argv in (
+        ("count", "--check", "lemma", "--bound", str(LEMMA_MAX_BOUND + 1)),
+        ("report", "--max-n", str(ENVELOPE_MAX_N + 1)),
+    ):
+        code, out, err = invoke(*argv)
+        assert code == EXIT_ENVELOPE, argv
+        assert out == "" and "envelope" in err
+        assert "PASS" not in err
