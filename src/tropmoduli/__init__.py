@@ -25,6 +25,7 @@ from .enumeration import (
     enumerate_strata,
     expansions,
     count_maximal,
+    count_f_vector,
     all_splits,
 )
 from .cones import ConeComplex, build_complex, star_count
@@ -75,6 +76,7 @@ __all__ = [
     "enumerate_strata",
     "expansions",
     "count_maximal",
+    "count_f_vector",
     "all_splits",
     "ConeComplex",
     "build_complex",

@@ -28,7 +28,6 @@ from .groups import (
     invert_perm,
 )
 from .trees import (
-    CanonicalForm,
     LeggedTree,
     Split,
     check_marking_perm,
@@ -223,9 +222,8 @@ class ComplexAutomorphism:
         a cell (then the ray permutation is no automorphism at all)."""
         cx = self.cx
         out = []
-        for i, form in enumerate(cx.cells):
-            image = CanonicalForm.from_splits(cx.n, (self.split_image(s) for s in form.splits))
-            j = cx.index.get(image)
+        for i, cell in enumerate(cx.cell_rays):
+            j = cx.index.get(tuple(sorted(self.ray_perm[r] for r in cell)))
             if j is None or cx.dims[j] != cx.dims[i]:
                 raise ValueError(f"ray permutation does not map cell {i} to a cell")
             out.append(j)
@@ -279,32 +277,25 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
     if cx.n > POSET_MAX_N:
         raise EnvelopeError(f"poset search supports n <= {POSET_MAX_N}, got n={cx.n}")
     R = len(cx.rays)
-    cell_sets = cx.cell_ray_sets()
-    max_dim = cx.max_dimension
-    cells_per_dim: list[set[frozenset[int]]] = [set() for _ in range(max_dim + 1)]
-    for s, d in zip(cell_sets, cx.dims):
-        cells_per_dim[d].add(s)
-
-    signature = {}
-    for r in range(R):
-        signature[r] = tuple(
-            sum(1 for s in cells_per_dim[d] if r in s) for d in range(max_dim + 1)
-        )
+    cells = set(cx.cell_rays)
+    counts = [[0] * (cx.max_dimension + 1) for _ in range(R)]
     pair_rows = [0] * R
-    for s in cells_per_dim[2] if max_dim >= 2 else []:
-        a, b = sorted(s)
-        pair_rows[a] |= 1 << b
-        pair_rows[b] |= 1 << a
+    for c in cells:
+        for r in c:
+            counts[r][len(c)] += 1
+        if len(c) == 2:
+            a, b = c
+            pair_rows[a] |= 1 << b
+            pair_rows[b] |= 1 << a
+    signature = [tuple(row) for row in counts]
 
     assignment = [-1] * R
     used = [False] * R
 
     def verify(perm):
-        for d in range(2, max_dim + 1):
-            for s in cells_per_dim[d]:
-                if frozenset(perm[r] for r in s) not in cells_per_dim[d]:
-                    return False
-        return True
+        return all(
+            tuple(sorted(perm[r] for r in c)) in cells for c in cells if len(c) >= 2
+        )
 
     def candidates(k):
         """Unused images for ray k consistent with assignment[:k]."""

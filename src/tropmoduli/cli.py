@@ -31,6 +31,7 @@ from .counting import expansion_count_formula, lemma_power_sweep
 from .enumeration import (
     ENVELOPE_MAX_N,
     EnvelopeError,
+    count_f_vector,
     count_maximal,
     enumerate_strata,
     expansions,
@@ -243,9 +244,7 @@ def _battery(max_n: int, seed: int, log) -> dict:
     for n in range(3, max_n + 1):
         catalog = enumerate_strata(n)
         fv = catalog.f_vector()
-        ok = fv[-1] == count_maximal(n) and len(fv) == max(n - 2, 1)
-        if n >= 4:
-            ok = ok and fv[1] == 2 ** (n - 1) - n - 1
+        ok = fv == count_f_vector(n) and fv[-1] == count_maximal(n)
         add(f"enumeration n={n}", ok, f_vector=fv)
 
     log("expansion formula against brute force and star counts")

@@ -1,12 +1,14 @@
 """The moduli space as a combinatorial cone complex.
 
-Cells are the canonical forms of the stratum catalog, indexed by
-(dimension, canonical order).  Edges of a cell are its splits, so the
-face obtained by contracting a subset of edges is literally the cell
-with those splits removed, and the retained-edge injection is the
-identity on splits.  Construction recomputes every codimension-1 face
-through tree-level contraction and asserts it agrees with split removal,
-turning the rigidity of stable trees into a runtime check.
+Cells are the strata of the catalog, indexed by (dimension, canonical
+order), each held as the sorted tuple of its ray indices.  Edges of a
+cell are its splits, so the face obtained by contracting a subset of
+edges is literally the cell with those rays removed, found by looking
+the shorter tuple up, and the retained-edge injection is the identity
+on splits.  :func:`build_complex` also contracts every edge of every
+cell's representative tree and asserts that the result is the face
+found by index removal, turning the rigidity of stable trees into a
+runtime check.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .enumeration import StratumCatalog, enumerate_strata
-from .trees import CanonicalForm, Split, contract, splits_compatible
+from .trees import CanonicalForm, Split, contract
 
 __all__ = ["ConeComplex", "build_complex", "star_count"]
 
@@ -27,13 +29,27 @@ class ConeComplex:
     rays (the dimension-1 cells)."""
 
     n: int
+    rays: tuple[Split, ...]  # ray r is cell dim_ranges[1][r]
+    compat_masks: tuple[int, ...]  # adjacency rows of the ray-compatibility graph
+    cell_rays: tuple[tuple[int, ...], ...]  # per cell: its sorted ray indices
     cells: tuple[CanonicalForm, ...]
-    dims: tuple[int, ...]
-    codim1: tuple[tuple[tuple[Split, int], ...], ...]  # per cell: (dropped split, face index)
 
     @cached_property
-    def index(self) -> dict[CanonicalForm, int]:
-        return {c: i for i, c in enumerate(self.cells)}
+    def dims(self) -> tuple[int, ...]:
+        return tuple(map(len, self.cell_rays))
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {c: i for i, c in enumerate(self.cell_rays)}
+
+    @cached_property
+    def codim1(self) -> tuple[tuple[tuple[Split, int], ...], ...]:
+        """Per cell: (dropped split, face index), one entry per ray."""
+        index = self.index
+        return tuple(
+            tuple((self.rays[r], index[c[:k] + c[k + 1:]]) for k, r in enumerate(c))
+            for c in self.cell_rays
+        )
 
     @cached_property
     def dim_ranges(self) -> dict[int, range]:
@@ -53,14 +69,6 @@ class ConeComplex:
         return [len(self.dim_ranges[d]) for d in sorted(self.dim_ranges)]
 
     @cached_property
-    def rays(self) -> tuple[Split, ...]:
-        """Splits of the dimension-1 cells, in cell order; ray r is cell
-        ``dim_ranges[1][r]``."""
-        if 1 not in self.dim_ranges:
-            return ()
-        return tuple(self.cells[i].splits[0] for i in self.dim_ranges[1])
-
-    @cached_property
     def ray_index(self) -> dict[Split, int]:
         return {s: r for r, s in enumerate(self.rays)}
 
@@ -68,19 +76,6 @@ class ConeComplex:
         if self.dims[cell_idx] != 1:
             raise ValueError(f"cell {cell_idx} is not a ray")
         return cell_idx - self.dim_ranges[1].start
-
-    @cached_property
-    def compat_masks(self) -> tuple[int, ...]:
-        """Adjacency rows of the ray-compatibility graph as bitmasks."""
-        rays = self.rays
-        rows = []
-        for i, a in enumerate(rays):
-            row = 0
-            for j, b in enumerate(rays):
-                if i != j and splits_compatible(a, b):
-                    row |= 1 << j
-            rows.append(row)
-        return tuple(rows)
 
     def compat_neighbors(self) -> list[list[int]]:
         return [
@@ -91,11 +86,13 @@ class ConeComplex:
     def face(self, cell_idx: int, drop: Iterable[Split]) -> tuple[int, dict[int, int]]:
         """Face reached by contracting the given splits of a cell; returns
         (target index, retained-split injection by position)."""
-        form = self.cells[cell_idx]
-        target = form.without(drop)
-        kept = [s for s in form.splits if s in set(target.splits)]
-        pos = {s: i for i, s in enumerate(target.splits)}
-        retained = {form.splits.index(s): pos[s] for s in kept}
+        cell = self.cell_rays[cell_idx]
+        dropped = {self.ray_index.get(s) for s in drop}
+        if not dropped <= set(cell):
+            raise ValueError(f"some split to drop is not in cell {cell_idx}")
+        target = tuple(r for r in cell if r not in dropped)
+        pos = {r: k for k, r in enumerate(target)}
+        retained = {k: pos[r] for k, r in enumerate(cell) if r in pos}
         return self.index[target], retained
 
     @cached_property
@@ -108,8 +105,7 @@ class ConeComplex:
 
     def cell_ray_sets(self) -> list[frozenset[int]]:
         """Each cell as the set of its rays (by ray index)."""
-        ri = self.ray_index
-        return [frozenset(ri[s] for s in c.splits) for c in self.cells]
+        return [frozenset(c) for c in self.cell_rays]
 
     def to_json_obj(self) -> dict:
         cells = [
@@ -165,42 +161,33 @@ class ConeComplex:
 
 def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
     """Materialize the cone complex: all cells in (dimension, canonical)
-    order plus the codimension-1 face maps, computed by contracting each
-    edge of a representative tree and checked against split removal."""
+    order plus the codimension-1 face maps by index removal, each checked
+    against contracting that edge of a representative tree."""
     if catalog is None:
         catalog = enumerate_strata(n)
-    cells = []
-    dims = []
-    for d in sorted(catalog.by_dimension):
-        for form in catalog.by_dimension[d]:
-            cells.append(form)
-            dims.append(d)
-    index = {c: i for i, c in enumerate(cells)}
-
-    codim1 = []
-    for form in cells:
+    cx = ConeComplex(
+        n,
+        catalog.rays,
+        catalog.compat_rows,
+        tuple(c for d in sorted(catalog.cell_rays) for c in catalog.cell_rays[d]),
+        tuple(catalog.all_forms()),
+    )
+    for form, faces in zip(cx.cells, cx.codim1):
         tree = form.to_tree()
-        split_at = tree.splits
-        entries = []
+        face_of = dict(faces)
         targets = set()
-        for e in range(len(tree.edges)):
-            contracted = contract(tree, [e]).tree
-            got = contracted.canonical_form
-            expected = form.without([split_at[e]])
-            if got != expected:
+        for e, s in enumerate(tree.splits):
+            tgt = face_of.get(s)
+            if tgt is None or contract(tree, [e]).tree.canonical_form != cx.cells[tgt]:
                 raise AssertionError(
                     f"contraction of edge {e} disagrees with split removal on {form}"
                 )
-            tgt = index[got]
             if tgt in targets:
                 raise AssertionError(
                     f"two one-edge contractions of {form} hit the same face"
                 )
             targets.add(tgt)
-            entries.append((split_at[e], tgt))
-        codim1.append(tuple(entries))
-
-    return ConeComplex(n, tuple(cells), tuple(dims), tuple(codim1))
+    return cx
 
 
 def star_count(cx: ConeComplex, cell_idx: int) -> int:

@@ -1,23 +1,27 @@
 """Isomorph-free enumeration of all stable n-legged trees by edge count.
 
-Generation proceeds breadth-first: the single-vertex tree is the unique
-0-edge stratum, and every (m+1)-edge stratum arises by splitting one
-vertex of an m-edge stratum into two, with canonical forms deduplicating
-across parents.  A direct enumerator over pairwise-compatible split sets
-serves as an independent cross-check at small n.
+A stable tree is determined by its split set, and the split sets that
+occur are exactly the pairwise-compatible ones, so the strata are the
+cliques of the compatibility graph on the rays (the splits, in (size,
+mask) order).  Each stratum is the sorted tuple of its ray indices, and
+cliques are grown level by level from bitmask rows of that graph.  The
+one-edge expansion route (:func:`expansions`, with canonical-form
+deduplication) is kept as a brute-force count for the expansion formula
+and as a test oracle; :func:`count_f_vector` is an independent closed
+count of every dimension.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .trees import (
     CanonicalForm,
     LeggedTree,
     MIN_MARKINGS,
     Split,
-    single_vertex_tree,
     splits_compatible,
 )
 
@@ -28,8 +32,8 @@ __all__ = [
     "enumerate_strata",
     "expansions",
     "count_maximal",
+    "count_f_vector",
     "all_splits",
-    "enumerate_by_compatibility",
 ]
 
 ENVELOPE_MAX_N = 8
@@ -52,17 +56,30 @@ def _check_n(n: int) -> None:
 @dataclass(frozen=True)
 class StratumCatalog:
     """All strata of the moduli space for one n, keyed by dimension
-    (= edge count), each dimension sorted by canonical form."""
+    (= edge count).  A stratum is the sorted tuple of its indices into
+    ``rays``; each dimension is in lexicographic order, which is
+    canonical-form order because the rays are in (size, mask) order.
+    ``compat_rows[r]`` is the bitmask of the rays compatible with ray r."""
 
     n: int
-    by_dimension: dict[int, tuple[CanonicalForm, ...]]
+    rays: tuple[Split, ...]
+    compat_rows: tuple[int, ...]
+    cell_rays: dict[int, tuple[tuple[int, ...], ...]]
+
+    @cached_property
+    def by_dimension(self) -> dict[int, tuple[CanonicalForm, ...]]:
+        """The strata as canonical forms, in the same order."""
+        return {
+            m: tuple(CanonicalForm(self.n, tuple(self.rays[r] for r in c)) for c in cells)
+            for m, cells in self.cell_rays.items()
+        }
 
     @property
     def max_dimension(self) -> int:
-        return max(self.by_dimension)
+        return max(self.cell_rays)
 
     def f_vector(self) -> list[int]:
-        return [len(self.by_dimension[m]) for m in sorted(self.by_dimension)]
+        return [len(self.cell_rays[m]) for m in sorted(self.cell_rays)]
 
     def total(self) -> int:
         return sum(self.f_vector())
@@ -78,7 +95,6 @@ def expansions(t: LeggedTree) -> list[tuple[LeggedTree, int]]:
     of size >= 2.  Each result comes with the index of the new edge;
     contracting it recovers the input tree."""
     out = []
-    full = (1 << t.n) - 1
     new_edge_idx = len(t.edges)
     for v in range(t.num_vertices):
         legs_here = sorted(t.leg_sets[v])
@@ -107,61 +123,34 @@ def expansions(t: LeggedTree) -> list[tuple[LeggedTree, int]]:
     return out
 
 
-def _expansion_masks(t: LeggedTree):
-    """Bitmasks of the new split produced by each one-edge expansion of a
-    stable tree, normalized away from marking 1.  Same iteration order as
-    :func:`expansions`, but without building the expanded trees."""
-    full = (1 << t.n) - 1
-    for v in range(t.num_vertices):
-        masks = [1 << (j - 1) for j in sorted(t.leg_sets[v])] + [
-            t.far_marking_mask(v, idx)
-            for idx in sorted(i for _, i in t.adjacency[v])
-        ]
-        k = len(masks)
-        if k < 4:
-            continue
-        rest = masks[1:]
-        for size in range(2, k - 1):
-            for moved in itertools.combinations(rest, size):
-                new = 0
-                for m in moved:
-                    new |= m
-                yield new ^ full if new & 1 else new
-
-
 def enumerate_strata(n: int) -> StratumCatalog:
-    """Complete, duplicate-free catalog of stable trees for n markings,
-    generated by iterated one-edge expansions from the single-vertex
-    tree with canonical-form deduplication.
+    """Complete, duplicate-free catalog of stable trees for n markings:
+    the cliques of the ray-compatibility graph, grown one ray at a time.
 
-    Children are deduplicated at the split-set level: an expansion adds
-    exactly one split to the parent's canonical form, so the child form
-    is the parent's masks plus the new edge's mask.  Representative trees
-    are only materialized once per new form.
+    Each clique carries the bitmask of the rays above its largest one
+    that are compatible with all of its rays; extending by those rays in
+    increasing order, from parents in lexicographic order, yields every
+    clique exactly once and each level already sorted.
     """
     _check_n(n)
-    start = single_vertex_tree(n)
-    level: list[CanonicalForm] = [start.canonical_form]
-    by_dim: dict[int, tuple[CanonicalForm, ...]] = {}
-    # stable trees have at most n-3 edges: summing valence + legs >= 3
-    # over V vertices gives 2(V-1) + n >= 3V, so edges = V-1 <= n-3
-    max_dim = n - 3
-    for dim in range(max_dim + 1):
-        by_dim[dim] = tuple(sorted(level, key=CanonicalForm.sort_key))
-        if dim == max_dim:
-            break
-        seen: set[tuple[int, ...]] = set()
-        for form in by_dim[dim]:
-            parent_masks = tuple(s.mask for s in form.splits)
-            for new_mask in _expansion_masks(form.to_tree()):
-                key = tuple(
-                    sorted(parent_masks + (new_mask,), key=lambda m: (m.bit_count(), m))
-                )
-                seen.add(key)
-        level = [
-            CanonicalForm(n, tuple(Split(n, m) for m in key)) for key in sorted(seen)
-        ]
-    return StratumCatalog(n, by_dim)
+    rays = tuple(all_splits(n))
+    rows = tuple(
+        sum(1 << j for j, b in enumerate(rays) if j != i and splits_compatible(a, b))
+        for i, a in enumerate(rays)
+    )
+    cell_rays: dict[int, tuple[tuple[int, ...], ...]] = {}
+    level: list[tuple[tuple[int, ...], int]] = [((), (1 << len(rays)) - 1)]
+    while level:
+        cell_rays[len(cell_rays)] = tuple(cell for cell, _ in level)
+        grown = []
+        for cell, candidates in level:
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                r = low.bit_length() - 1
+                grown.append((cell + (r,), candidates & rows[r]))
+        level = grown
+    return StratumCatalog(n, rays, rows, cell_rays)
 
 
 def count_maximal(n: int) -> int:
@@ -175,6 +164,24 @@ def count_maximal(n: int) -> int:
     return c
 
 
+def count_f_vector(n: int) -> list[int]:
+    """Strata per dimension by leaf insertion, used as the whole-f-vector
+    oracle.  Deleting leg n+1 from a stable (n+1)-legged tree with m edges
+    leaves an n-legged tree in which the leg was attached either at one
+    of its m+1 vertices (m edges) or by subdividing one of its n legs or
+    m-1 edges (m-1 edges); so T(3, 0) = 1 and
+    T(n+1, m) = (m+1) T(n, m) + (n+m-1) T(n, m-1)."""
+    if n < MIN_MARKINGS:
+        raise ValueError(f"need n >= {MIN_MARKINGS}, got {n}")
+    t = [1]
+    for k in range(MIN_MARKINGS, n):
+        t = [
+            (m + 1) * (t[m] if m < len(t) else 0) + (k + m - 1) * (t[m - 1] if m else 0)
+            for m in range(len(t) + 1)
+        ]
+    return t
+
+
 def all_splits(n: int) -> list[Split]:
     """Every split of {1..n}, in canonical (size, mask) order."""
     out = []
@@ -182,30 +189,3 @@ def all_splits(n: int) -> list[Split]:
         for side in itertools.combinations(range(2, n + 1), size):
             out.append(Split.from_side(n, side))
     return sorted(out, key=Split.sort_key)
-
-
-def enumerate_by_compatibility(n: int) -> dict[int, tuple[CanonicalForm, ...]]:
-    """Independent cross-check of :func:`enumerate_strata`: enumerate all
-    pairwise-compatible split sets directly (cliques in the compatibility
-    relation), without going through tree expansions.  Intended for
-    n <= 6; it is exact but slower at the top of the envelope."""
-    _check_n(n)
-    splits = all_splits(n)
-    compat = [
-        [splits_compatible(a, b) for b in splits] for a in splits
-    ]
-    found: dict[int, list[CanonicalForm]] = {0: [CanonicalForm(n, ())]}
-
-    def extend(chosen: list[int], candidates: list[int]):
-        for pos, i in enumerate(candidates):
-            chosen.append(i)
-            form = CanonicalForm(n, tuple(splits[j] for j in chosen))
-            found.setdefault(len(chosen), []).append(form)
-            extend(chosen, [j for j in candidates[pos + 1:] if compat[i][j]])
-            chosen.pop()
-
-    extend([], list(range(len(splits))))
-    return {
-        m: tuple(sorted(forms, key=CanonicalForm.sort_key))
-        for m, forms in found.items()
-    }

@@ -217,6 +217,25 @@ def test_reconstruct_rejects_non_automorphism():
         reconstruct_sigma(f)
 
 
+def test_cell_map_rejects_non_automorphism():
+    # the same transposition of a 2-side ray with a 3-side ray: some cell
+    # holding one of them maps to a ray set that is no cell, and the
+    # error names the first such cell
+    cx = complex_for(6)
+    a = cx.ray_index[Split.from_side(6, [2, 3])]
+    b = cx.ray_index[Split.from_side(6, [2, 3, 4])]
+    perm = list(range(len(cx.rays)))
+    perm[a], perm[b] = perm[b], perm[a]
+    cells = set(cx.cell_ray_sets())
+    bad = next(
+        i
+        for i, s in enumerate(cx.cell_ray_sets())
+        if frozenset(perm[r] for r in s) not in cells
+    )
+    with pytest.raises(ValueError, match=rf"\bcell {bad}\b"):
+        ComplexAutomorphism(cx, tuple(perm)).cell_map
+
+
 def test_surjectivity_n5_n6():
     for n in (5, 6):
         report = verify_sn_surjectivity(complex_for(n), samples=100)

@@ -1,5 +1,6 @@
 """CLI: payload shapes, exit codes, and determinism."""
 
+import hashlib
 import io
 import json
 
@@ -136,6 +137,24 @@ def test_payload_determinism():
     a, b = json.loads(first), json.loads(second)
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+
+
+def payload_sha256(*argv):
+    code, report, _ = invoke_json(*argv)
+    assert code == EXIT_OK
+    text = json.dumps(report["payload"], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_payload_bytes_are_pinned():
+    # pins cell order, face targets and retained injections (complex) and
+    # the stratum order per dimension (enumerate)
+    assert payload_sha256("complex", "--n", "5") == (
+        "483fffa69596b0a2a7dcfea2e7926c6b68b29c33936c3df19ff9b0d75cb48d22"
+    )
+    assert payload_sha256("enumerate", "--n", "6") == (
+        "b3f515e4d91369799b3edb8c1f276fafdb8d6445a90fe05a5476eb9301bf3cbe"
+    )
 
 
 def test_module_execution():

@@ -1,27 +1,30 @@
-"""Stratum enumeration: frozen counts, the independent clique-level
-cross-check, expansion/contraction duality, and envelope behavior."""
+"""Stratum enumeration: frozen counts, the leaf-insertion f-vector
+oracle, the expansion-route cross-check, expansion/contraction duality,
+and envelope behavior."""
 
 import itertools
 
 import pytest
 
 from tropmoduli import (
+    CanonicalForm,
     EnvelopeError,
     apply_marking_permutation,
     contract,
+    count_f_vector,
     count_maximal,
     enumerate_strata,
     expansions,
     single_vertex_tree,
     two_vertex_tree,
 )
-from tropmoduli.enumeration import all_splits, enumerate_by_compatibility
+from tropmoduli.enumeration import all_splits
 
 from shared import catalog
 
 # dimension 0..n-3 counts; n=4 and the n=5 line are forced by the ray
 # count 2^(n-1)-n-1 and the double factorial, the rest cross-checked by
-# the clique enumerator below and by hand via leg-distribution counting
+# the expansion BFS below and by hand via leg-distribution counting
 F_VECTORS = {
     3: [1],
     4: [1, 3],
@@ -36,11 +39,43 @@ def test_f_vectors(n, expected):
     assert catalog(n).f_vector() == expected
 
 
-def test_catalogs_match_compatibility_enumeration():
-    # the BFS over one-edge expansions against the direct enumeration of
-    # pairwise-compatible split sets
-    for n in (4, 5, 6):
-        assert dict(enumerate_by_compatibility(n)) == dict(catalog(n).by_dimension)
+def expansion_catalog(n):
+    """Strata by dimension through the tree route: breadth-first one-edge
+    expansions from the single-vertex tree, deduplicated by canonical
+    form."""
+    level = {single_vertex_tree(n).canonical_form}
+    out = {}
+    while level:
+        out[len(out)] = tuple(sorted(level, key=CanonicalForm.sort_key))
+        level = {
+            child.canonical_form
+            for form in level
+            for child, _ in expansions(form.to_tree())
+        }
+    return out
+
+
+def test_catalog_matches_expansion_bfs():
+    # the clique enumeration against the expansion route, forms and order
+    for n in (4, 5, 6, 7):
+        assert catalog(n).by_dimension == expansion_catalog(n), n
+
+
+def test_f_vector_recurrence_matches_frozen_counts():
+    for n, expected in F_VECTORS.items():
+        assert count_f_vector(n) == expected
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_f_vector_recurrence_matches_enumeration(n):
+    fv = count_f_vector(n)
+    assert catalog(n).f_vector() == fv
+    assert fv[-1] == count_maximal(n)
+
+
+def test_f_vector_recurrence_rejects_small_n():
+    with pytest.raises(ValueError):
+        count_f_vector(2)
 
 
 def test_ray_counts():
