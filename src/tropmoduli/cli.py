@@ -24,9 +24,10 @@ from .automorphisms import (
     VERIFY_MIN_N,
     aut_via_compat_graph,
     aut_via_poset,
+    main_theorem_report,
     verify_main_theorem,
 )
-from .cones import build_complex, star_count
+from .cones import ConeComplex, build_complex, star_count
 from .counting import expansion_count_formula, lemma_power_sweep
 from .enumeration import (
     ENVELOPE_MAX_N,
@@ -171,7 +172,7 @@ def _cmd_count(args) -> tuple[str, dict, None]:
     if args.n is None:
         raise ValueError("--check formula requires --n")
     catalog = enumerate_strata(args.n)
-    mismatches, star_bad = _formula_mismatches(args.n, catalog)
+    mismatches, star_bad, _ = _formula_mismatches(args.n, catalog)
     payload = {
         "check": "formula",
         "n": args.n,
@@ -184,24 +185,26 @@ def _cmd_count(args) -> tuple[str, dict, None]:
     return payload["verdict"], payload, None
 
 
-def _formula_mismatches(n, catalog) -> tuple[list, list[int] | None]:
+def _formula_mismatches(
+    n, catalog
+) -> tuple[list, list[int] | None, ConeComplex | None]:
     """Strata whose expansion-count formula disagrees with brute-force
-    expansion, and cells whose star count disagrees with the formula
-    (None above POSET_MAX_N, where the star check is skipped)."""
+    expansion, cells whose star count disagrees with the formula, and the
+    complex built for the star check.  Above POSET_MAX_N the star check is
+    skipped, and both of the latter are None."""
     mismatches = []
+    formula = []
     for form in catalog.all_forms():
         tree = form.to_tree()
-        if expansion_count_formula(tree) != len(expansions(tree)):
+        formula.append(expansion_count_formula(tree))
+        if formula[-1] != len(expansions(tree)):
             mismatches.append(form.sides_json())
     if n > POSET_MAX_N:
-        return mismatches, None
+        return mismatches, None, None
+    # cx.cells is catalog.all_forms() in the same order
     cx = build_complex(n, catalog)
-    star_bad = [
-        i
-        for i, form in enumerate(cx.cells)
-        if star_count(cx, i) != expansion_count_formula(form.to_tree())
-    ]
-    return mismatches, star_bad
+    star_bad = [i for i, count in enumerate(formula) if star_count(cx, i) != count]
+    return mismatches, star_bad, cx
 
 
 def _cmd_genus2(args) -> tuple[str, dict, None]:
@@ -240,16 +243,25 @@ def _battery(max_n: int, seed: int, log) -> dict:
         checks.append({"name": name, "verdict": "PASS" if ok else "FAIL", **details})
         log(f"  {'PASS' if ok else 'FAIL'} {name}")
 
+    # Each n is enumerated once and its complex built once: the aut checks
+    # take the complexes the star check built (n = 7 is built for them).
+    aut_range = range(VERIFY_MIN_N, min(max_n, VERIFY_MAX_N) + 1)
+    catalogs = {}
+    complexes = {}
+
     log(f"enumeration counts up to n={max_n}")
     for n in range(3, max_n + 1):
-        catalog = enumerate_strata(n)
+        catalogs[n] = catalog = enumerate_strata(n)
         fv = catalog.f_vector()
         ok = fv == count_f_vector(n) and fv[-1] == count_maximal(n)
         add(f"enumeration n={n}", ok, f_vector=fv)
 
     log("expansion formula against brute force and star counts")
     for n in range(4, max_n + 1):
-        mismatches, star_bad = _formula_mismatches(n, enumerate_strata(n))
+        catalog = catalogs.pop(n)
+        mismatches, star_bad, cx = _formula_mismatches(n, catalog)
+        if n in aut_range:
+            complexes[n] = cx or build_complex(n, catalog)
         bad = len(mismatches) + len(star_bad or ())
         add(f"counting formula n={n}", bad == 0, mismatches=bad)
 
@@ -258,9 +270,9 @@ def _battery(max_n: int, seed: int, log) -> dict:
     add("lemma sweep bound=20", not violations, pairs_checked=checked)
 
     log("automorphism groups")
-    for n in range(VERIFY_MIN_N, min(max_n, VERIFY_MAX_N) + 1):
+    for n in aut_range:
         samples = 100 if n in (5, 6) else 0
-        rep = verify_main_theorem(n, seed=seed, samples=samples)
+        rep = main_theorem_report(complexes.pop(n), seed, samples)
         add(
             f"aut n={n}",
             rep["verdict"] == "PASS",

@@ -72,11 +72,6 @@ class ConeComplex:
     def ray_index(self) -> dict[Split, int]:
         return {s: r for r, s in enumerate(self.rays)}
 
-    def ray_of_cell(self, cell_idx: int) -> int:
-        if self.dims[cell_idx] != 1:
-            raise ValueError(f"cell {cell_idx} is not a ray")
-        return cell_idx - self.dim_ranges[1].start
-
     def compat_neighbors(self) -> list[list[int]]:
         return [
             [j for j in range(len(self.rays)) if row >> j & 1]

@@ -35,7 +35,6 @@ __all__ = [
     "two_vertex_tree",
     "identity_marking_perm",
     "compose_marking_perms",
-    "invert_marking_perm",
     "check_marking_perm",
     "tree_to_json_obj",
     "tree_from_json_obj",
@@ -59,13 +58,6 @@ def identity_marking_perm(n: int) -> tuple[int, ...]:
 def compose_marking_perms(sigma, tau):
     """Composition acting as sigma after tau: (sigma*tau)(i) = sigma(tau(i))."""
     return tuple(sigma[t - 1] for t in tau)
-
-
-def invert_marking_perm(sigma):
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s - 1] = i + 1
-    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -307,15 +299,6 @@ class LeggedTree:
             Split(self.n, mask ^ (((1 << self.n) - 1) if mask & 1 else 0))
             for _, mask in self._edge_child_masks
         )
-
-    def far_marking_mask(self, v: int, edge_idx: int) -> int:
-        """Bitmask of the markings in the component on the far side of the
-        given incident edge, seen from vertex v."""
-        child, mask = self._edge_child_masks[edge_idx]
-        u, w = self.edges[edge_idx]
-        if v not in (u, w):
-            raise ValueError(f"edge {edge_idx} not incident to vertex {v}")
-        return mask if v != child else mask ^ ((1 << self.n) - 1)
 
     @cached_property
     def canonical_form(self) -> CanonicalForm:

@@ -27,7 +27,7 @@ from tropmoduli.automorphisms import (
     sn_image_group,
 )
 from tropmoduli.enumeration import EnvelopeError
-from tropmoduli.groups import compose_perms, identity_perm
+from tropmoduli.groups import PermutationGroup, compose_perms, identity_perm
 from tropmoduli.trees import compose_marking_perms
 
 from shared import complex_for
@@ -203,29 +203,28 @@ def test_reconstruct_refuses_n4():
         reconstruct_sigma(sn_action(cx, (2, 1, 3, 4)))
 
 
-def test_reconstruct_rejects_non_automorphism():
-    # a ray transposition of incompatible type cannot extend to the
-    # complex; build one that swaps a 2-side ray with a 3-side ray
-    cx = complex_for(6)
-    rays = cx.rays
+def _type_breaking_swap(cx):
+    """The ray transposition of {2,3} with {2,3,4} at n = 6: a 2-side
+    ray with a 3-side ray, which cannot extend to the complex."""
     a = cx.ray_index[Split.from_side(6, [2, 3])]
     b = cx.ray_index[Split.from_side(6, [2, 3, 4])]
-    perm = list(range(len(rays)))
+    perm = list(range(len(cx.rays)))
     perm[a], perm[b] = perm[b], perm[a]
-    f = ComplexAutomorphism(cx, tuple(perm))
+    return tuple(perm)
+
+
+def test_reconstruct_rejects_non_automorphism():
+    cx = complex_for(6)
+    f = ComplexAutomorphism(cx, _type_breaking_swap(cx))
     with pytest.raises((ReconstructionError, ValueError)):
         reconstruct_sigma(f)
 
 
 def test_cell_map_rejects_non_automorphism():
-    # the same transposition of a 2-side ray with a 3-side ray: some cell
-    # holding one of them maps to a ray set that is no cell, and the
-    # error names the first such cell
+    # some cell holding one of the swapped rays maps to a ray set that is
+    # no cell, and the error names the first such cell
     cx = complex_for(6)
-    a = cx.ray_index[Split.from_side(6, [2, 3])]
-    b = cx.ray_index[Split.from_side(6, [2, 3, 4])]
-    perm = list(range(len(cx.rays)))
-    perm[a], perm[b] = perm[b], perm[a]
+    perm = _type_breaking_swap(cx)
     cells = set(cx.cell_ray_sets())
     bad = next(
         i
@@ -233,7 +232,27 @@ def test_cell_map_rejects_non_automorphism():
         if frozenset(perm[r] for r in s) not in cells
     )
     with pytest.raises(ValueError, match=rf"\bcell {bad}\b"):
-        ComplexAutomorphism(cx, tuple(perm)).cell_map
+        ComplexAutomorphism(cx, perm).cell_map
+
+
+def test_list_given_automorphism_is_normalised():
+    cx = complex_for(5)
+    sigma = (2, 1, 3, 4, 5)
+    perm = marking_ray_permutation(cx, sigma)
+    f = ComplexAutomorphism(cx, list(perm))
+    assert reconstruct_sigma(f) == sigma
+    assert f == ComplexAutomorphism(cx, perm)
+    assert hash(f) == hash(ComplexAutomorphism(cx, perm))
+
+
+def test_surjectivity_reports_a_failing_generator():
+    cx = complex_for(6)
+    swap = _type_breaking_swap(cx)
+    report = verify_sn_surjectivity(cx, PermutationGroup(len(cx.rays), (swap,)), samples=0)
+    assert report["verdict"] == "FAIL"
+    assert (report["checked"], report["ok"]) == (1, 0)
+    assert len(report["failures"]) == 1
+    assert report["failures"][0].startswith("generator:")
 
 
 def test_surjectivity_n5_n6():

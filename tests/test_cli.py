@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+from collections import Counter
 
 from tropmoduli.cli import EXIT_ENVELOPE, EXIT_OK, EXIT_USAGE, run
 from tropmoduli.counting import LEMMA_MAX_BOUND
@@ -155,6 +156,36 @@ def test_payload_bytes_are_pinned():
     assert payload_sha256("enumerate", "--n", "6") == (
         "b3f515e4d91369799b3edb8c1f276fafdb8d6445a90fe05a5476eb9301bf3cbe"
     )
+    # the battery and the theorem report, which share catalogs and complexes
+    assert payload_sha256("report", "--max-n", "5") == (
+        "7a160fb6c3cc37cae9412abd23eb2f920e72ae76bc26737c1262c028c7d144e2"
+    )
+    assert payload_sha256("aut", "--n", "6", "--method", "both") == (
+        "5df35d94717cfb7b242e45454cff136205d74beea75c9516fb33d093ede39079"
+    )
+
+
+def test_report_enumerates_and_builds_each_n_once(monkeypatch):
+    from tropmoduli import automorphisms, cli, cones
+
+    builds, enumerations = Counter(), Counter()
+
+    def counted(counter, fn):
+        def wrapper(n, *args, **kwargs):
+            counter[n] += 1
+            return fn(n, *args, **kwargs)
+
+        return wrapper
+
+    build, enumerate_ = cones.build_complex, cones.enumerate_strata
+    for module in (cli, automorphisms):
+        monkeypatch.setattr(module, "build_complex", counted(builds, build))
+    for module in (cli, cones):
+        monkeypatch.setattr(module, "enumerate_strata", counted(enumerations, enumerate_))
+    code, _, _ = invoke("report", "--max-n", "6")
+    assert code == EXIT_OK
+    assert builds == {4: 1, 5: 1, 6: 1}
+    assert enumerations == {3: 1, 4: 1, 5: 1, 6: 1}
 
 
 def test_module_execution():
