@@ -228,10 +228,6 @@ class ComplexAutomorphism:
     def split_image(self, s: Split) -> Split:
         return self.cx.rays[self.ray_perm[self.cx.ray_index[s]]]
 
-    def edge_map(self, cell_idx: int) -> dict[Split, Split]:
-        """The bijection between a cell's splits and its image's splits."""
-        return {s: self.split_image(s) for s in self.cx.cells[cell_idx].splits}
-
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.ray_perm))
 
@@ -419,12 +415,14 @@ def image_marking_side(f: ComplexAutomorphism, markings) -> frozenset[int]:
 def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
     """Recover the marking permutation inducing an automorphism (n >= 5).
 
-    Constructive: the images of the 2-leg strata on {1,2}, {1,3} overlap
-    in a single marking i1, which determines i2 and i3; each further
-    {1,j} must contain i1 and yields ij.  The candidate sigma(j) = ij is
-    then verified against the image of every 2-leg stratum and, in one
-    comparison of ray permutations, against every ray.  Any failed step
-    raises :class:`ReconstructionError`, as it would falsify the
+    Constructive, from the images of the n - 1 two-leg strata on
+    {1,j}: those on {1,2} and {1,3} overlap in a single marking, which is
+    sigma(1); each {1,j} must contain it and yields sigma(j) as its other
+    marking.  The candidate sigma is then verified in one comparison of
+    ray permutations against every ray; for n >= 5 a ray's two-marking
+    side is unique, so this also covers every other two-leg stratum.  Any
+    failed step raises :class:`ReconstructionError`, naming the first ray
+    on which sigma and the automorphism differ, as it would falsify the
     description of the automorphism group.  Last, ``f.cell_map`` checks
     that every cell maps to a cell of its dimension, raising
     ``ValueError`` naming the first cell that does not.  The cell map is
@@ -438,44 +436,40 @@ def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
             "reconstruction needs n >= 5; at n = 4 compare against the "
             "marking action directly"
         )
-    two_sets = {
-        frozenset(p): _two_set_image(f, frozenset(p))
-        for p in itertools.combinations(range(1, n + 1), 2)
-    }
-    common = two_sets[frozenset((1, 2))] & two_sets[frozenset((1, 3))]
+    two_sets = {j: _two_set_image(f, frozenset((1, j))) for j in range(2, n + 1)}
+    common = two_sets[2] & two_sets[3]
     if len(common) != 1:
         raise ReconstructionError(
             "images of the 2-leg strata on {1,2} and {1,3} do not overlap "
-            f"in exactly one marking: {sorted(two_sets[frozenset((1, 2))])} vs "
-            f"{sorted(two_sets[frozenset((1, 3))])}"
+            f"in exactly one marking: {sorted(two_sets[2])} vs {sorted(two_sets[3])}"
         )
-    images = {1: next(iter(common))}
-    images[2] = next(iter(two_sets[frozenset((1, 2))] - common))
-    images[3] = next(iter(two_sets[frozenset((1, 3))] - common))
-    for j in range(4, n + 1):
-        t = two_sets[frozenset((1, j))]
-        if images[1] not in t:
+    (image_of_1,) = common
+    images = [image_of_1]
+    for j, t in two_sets.items():
+        if image_of_1 not in t:
             raise ReconstructionError(
                 f"image of the 2-leg stratum on {{1,{j}}} misses the image of 1"
             )
-        images[j] = next(iter(t - {images[1]}))
+        (image,) = t - {image_of_1}
+        images.append(image)
 
-    sigma = tuple(images[j] for j in range(1, n + 1))
+    sigma = tuple(images)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ReconstructionError(f"recovered images are not a permutation: {sigma}")
-    for pair, t in two_sets.items():
-        j, k = sorted(pair)
-        if {images[j], images[k]} != set(t):
+    action = marking_ray_permutation(cx, sigma)
+    for r, (want, got) in enumerate(zip(action, f.ray_perm)):
+        if want != got:
             raise ReconstructionError(
-                f"2-leg stratum on {{{j},{k}}} maps to {sorted(t)}, "
-                f"not to {{{images[j]},{images[k]}}}"
+                f"recovered permutation {sigma} sends ray {_ray_name(cx, r)} to "
+                f"{_ray_name(cx, want)}, the automorphism to {_ray_name(cx, got)}"
             )
-    if marking_ray_permutation(cx, sigma) != f.ray_perm:
-        raise ReconstructionError(
-            "recovered permutation acts differently on some ray"
-        )
     f.cell_map  # every cell maps to a cell; raises naming the first that does not
     return sigma
+
+
+def _ray_name(cx: ConeComplex, r: int) -> str:
+    """A ray by its marking-1-free side, as in ``{2,3}``."""
+    return "{" + ",".join(map(str, cx.rays[r].side())) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +586,15 @@ def check_cellwise_permutation(f: ComplexAutomorphism, cell_idx: int) -> Cellwis
 # verification reports
 
 
+def _reconstructed(cx: ConeComplex, perm) -> tuple[int, ...] | None:
+    """The marking permutation inducing a ray permutation, or None when
+    :func:`reconstruct_sigma` rejects it."""
+    try:
+        return reconstruct_sigma(ComplexAutomorphism(cx, perm))
+    except (ReconstructionError, ValueError):
+        return None
+
+
 def verify_sn_surjectivity(
     cx: ConeComplex,
     group: PermutationGroup | None = None,
@@ -606,27 +609,36 @@ def verify_sn_surjectivity(
     reconstruction returns."""
     if group is None:
         group = aut_via_compat_graph(cx)
-    checked = ok = 0
-    failures = []
-    for kind, perm in itertools.chain(
-        (("generator", g) for g in group.generators),
-        (("sample", p) for p in group.random_elements(samples, seed)),
-    ):
-        checked += 1
-        try:
-            reconstruct_sigma(ComplexAutomorphism(cx, perm))
-            ok += 1
-        except (ReconstructionError, ValueError):
-            failures.append((kind, perm))
+    sigmas = [_reconstructed(cx, g) for g in group.generators]
+    return _surjectivity_report(cx, group, sigmas, samples, seed)
+
+
+def _surjectivity_report(cx, group, generator_sigmas, samples, seed) -> dict:
+    """The :func:`verify_sn_surjectivity` report, given the generators'
+    reconstructions (None where one failed)."""
+    sample = group.random_elements(samples, seed)
+    failures = [
+        f"generator:{format_cycles(g)}"
+        for g, sigma in zip(group.generators, generator_sigmas)
+        if sigma is None
+    ]
+    failures += [f"sample:{format_cycles(p)}" for p in sample if _reconstructed(cx, p) is None]
+    checked = len(generator_sigmas) + len(sample)
     return {
         "n": cx.n,
         "generators": len(group.generators),
         "samples": samples,
         "checked": checked,
-        "ok": ok,
-        "failures": [f"{kind}:{format_cycles(perm)}" for kind, perm in failures],
+        "ok": checked - len(failures),
+        "failures": failures,
         "verdict": "PASS" if not failures else "FAIL",
     }
+
+
+def expected_order(n: int) -> int:
+    """|Aut| by the theorem: trivial below n = 4, S_3 at n = 4 (the marking
+    action has the Klein four-group as kernel), S_n from n = 5 on."""
+    return 1 if n < 4 else 6 if n == 4 else math.factorial(n)
 
 
 def verify_main_theorem(n: int, seed: int = DEFAULT_SEED, samples: int = 0) -> dict:
@@ -642,14 +654,17 @@ def verify_main_theorem(n: int, seed: int = DEFAULT_SEED, samples: int = 0) -> d
     return main_theorem_report(build_complex(n), seed, samples)
 
 
-def main_theorem_report(cx: ConeComplex, seed: int, samples: int) -> dict:
+def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = True) -> dict:
     """The :func:`verify_main_theorem` report for an already built
     complex, so that a caller holding the complex does not build it
-    again."""
+    again.  ``poset=False`` leaves out the poset search and its
+    agreement check; otherwise it runs for n <= POSET_MAX_N.  Each
+    generator is reconstructed once, for both ``sigma_of_generator`` and
+    the surjectivity check."""
     n = cx.n
     group = aut_via_compat_graph(cx)
     order = group.order()
-    expected = 6 if n == 4 else math.factorial(n)
+    expected = expected_order(n)
     report: dict = {
         "n": n,
         "order": order,
@@ -659,7 +674,7 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int) -> dict:
     }
     checks = [order == expected]
 
-    if n <= POSET_MAX_N:
+    if poset and n <= POSET_MAX_N:
         poset_group = aut_via_poset(cx)
         agree = group.equals(poset_group)
         report["methods_agree"] = agree
@@ -667,20 +682,13 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int) -> dict:
         checks.append(agree)
 
     if n >= 5:
-        sigmas = []
-        recon_ok = True
-        for g in group.generators:
-            try:
-                sigma = reconstruct_sigma(ComplexAutomorphism(cx, g))
-                sigmas.append(list(sigma))
-            except ReconstructionError:
-                sigmas.append(None)
-                recon_ok = False
-        report["sigma_of_generator"] = sigmas
+        sigmas = [_reconstructed(cx, g) for g in group.generators]
+        recon_ok = None not in sigmas
+        report["sigma_of_generator"] = [None if s is None else list(s) for s in sigmas]
         report["reconstruction_ok"] = recon_ok
         checks.append(recon_ok)
         if samples:
-            surj = verify_sn_surjectivity(cx, group, samples=samples, seed=seed)
+            surj = _surjectivity_report(cx, group, sigmas, samples, seed)
             report["surjectivity"] = surj
             checks.append(surj["verdict"] == "PASS")
     else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -24,8 +23,8 @@ from .automorphisms import (
     VERIFY_MIN_N,
     aut_via_compat_graph,
     aut_via_poset,
+    expected_order,
     main_theorem_report,
-    verify_main_theorem,
 )
 from .cones import ConeComplex, build_complex, star_count
 from .counting import expansion_count_formula, lemma_power_sweep
@@ -63,23 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complex", help="face poset and compatibility graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dot", choices=("hasse", "compat"), default=None)
-    p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("aut", help="automorphism group of the complex")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("graph", "poset", "both"), default="graph")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("count", help="closed-form counting checks")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--check", choices=("formula", "lemma"), required=True)
     p.add_argument("--bound", type=int, default=20)
-    p.add_argument("--format", choices=("json",), default="json")
 
-    p = sub.add_parser("genus2", help="the 7-cell genus-2 fixture")
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--format", choices=("json",), default="json")
+    sub.add_parser("genus2", help="verify the 7-cell genus-2 fixture")
 
     p = sub.add_parser("report", help="full verification battery")
     p.add_argument("--max-n", type=int, default=6)
@@ -128,20 +122,19 @@ def _cmd_aut(args) -> tuple[str, dict, None]:
         raise EnvelopeError(
             f"theorem verification supports n <= {VERIFY_MAX_N}, got n={args.n}"
         )
+    expected = expected_order(args.n)
     if args.n < 4:
-        cx = build_complex(args.n)
-        group = aut_via_compat_graph(cx)
+        group = aut_via_compat_graph(build_complex(args.n))
         payload = {
             "n": args.n,
             "order": group.order(),
-            "expected": 1,
+            "expected": expected,
             "generators": [],
-            "verdict": "PASS" if group.order() == 1 else "FAIL",
+            "verdict": "PASS" if group.order() == expected else "FAIL",
         }
         return payload["verdict"], payload, None
     if args.method == "poset":
         group = aut_via_poset(build_complex(args.n))
-        expected = 6 if args.n == 4 else math.factorial(args.n)
         payload = {
             "n": args.n,
             "method": "poset",
@@ -151,10 +144,9 @@ def _cmd_aut(args) -> tuple[str, dict, None]:
             "verdict": "PASS" if group.order() == expected else "FAIL",
         }
         return payload["verdict"], payload, None
-    payload = verify_main_theorem(args.n, seed=args.seed)
-    if args.method == "graph":
-        payload.pop("methods_agree", None)
-        payload.pop("poset_order", None)
+    payload = main_theorem_report(
+        build_complex(args.n), args.seed, 0, poset=args.method == "both"
+    )
     return payload["verdict"], payload, None
 
 

@@ -174,6 +174,11 @@ class QuotientCell:
     def edge_group(self) -> PermutationGroup:
         return edge_action_group(self.graph)
 
+    @cached_property
+    def edge_group_elements(self) -> tuple[tuple[int, ...], ...]:
+        """The edge group's elements in sorted order, listed once per cell."""
+        return tuple(sorted(self.edge_group.elements()))
+
 
 def m2_cells() -> tuple[QuotientCell, ...]:
     """The seven genus-2 strata, ordered by (dimension, name)."""
@@ -319,15 +324,13 @@ def _check_candidate(
             # the face edge groups, so the square has to commute up to a
             # pre-twist h1 on the face and a post-twist h2 on its image:
             # edge_maps[j](h1(lhs(x))) = h2(rhs(edge_maps[i](x)))
-            pre_group = cx.cells[j].edge_group
-            post_group = cx.cells[j2].edge_group
             matched = any(
                 all(
                     edge_maps[j][h1[lhs[x]]] == h2[rhs[edge_maps[i][x]]]
                     for x in lhs
                 )
-                for h1 in sorted(pre_group.elements())
-                for h2 in sorted(post_group.elements())
+                for h1 in cx.cells[j].edge_group_elements
+                for h2 in cx.cells[j2].edge_group_elements
             )
             if not matched:
                 return M2Violation(
@@ -359,12 +362,10 @@ def _equivalent(cx, cell_map, ems1, ems2) -> bool:
     when each cell's edge bijections differ by pre/post composition with
     the edge groups."""
     for i, cell in enumerate(cx.cells):
-        pre = cell.edge_group
-        post = cx.cells[cell_map[i]].edge_group
         found = any(
             compose_perms(h, compose_perms(ems1[i], g)) == ems2[i]
-            for g in sorted(pre.elements())
-            for h in sorted(post.elements())
+            for g in cell.edge_group_elements
+            for h in cx.cells[cell_map[i]].edge_group_elements
         )
         if not found:
             return False

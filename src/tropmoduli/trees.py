@@ -158,17 +158,6 @@ class CanonicalForm:
     def from_splits(cls, n: int, splits: Iterable[Split]) -> "CanonicalForm":
         return cls(n, tuple(sorted(set(splits), key=Split.sort_key)))
 
-    @property
-    def dimension(self) -> int:
-        return len(self.splits)
-
-    def without(self, drop: Iterable[Split]) -> "CanonicalForm":
-        dropped = set(drop)
-        missing = dropped - set(self.splits)
-        if missing:
-            raise ValueError(f"splits not in form: {missing}")
-        return CanonicalForm(self.n, tuple(s for s in self.splits if s not in dropped))
-
     def to_tree(self) -> "LeggedTree":
         return tree_from_splits(self.n, self.splits)
 

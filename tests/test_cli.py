@@ -121,7 +121,7 @@ def test_count_lemma():
 
 
 def test_genus2_verify():
-    code, report, _ = invoke_json("genus2", "--verify")
+    code, report, _ = invoke_json("genus2")
     assert code == EXIT_OK
     payload = report["payload"]
     assert payload["cells"] == 7
@@ -186,6 +186,50 @@ def test_report_enumerates_and_builds_each_n_once(monkeypatch):
     assert code == EXIT_OK
     assert builds == {4: 1, 5: 1, 6: 1}
     assert enumerations == {3: 1, 4: 1, 5: 1, 6: 1}
+
+
+def test_each_automorphism_fact_is_checked_once(monkeypatch):
+    # one reconstruction per generator (4 + 5 at n = 5, 6) plus one per
+    # sample (100 at n = 5, 6); the poset search runs only when asked for
+    from tropmoduli import automorphisms, cli
+
+    calls = Counter()
+
+    def counted(name, module):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted("reconstruct_sigma", automorphisms)
+    for module in (cli, automorphisms):
+        counted("aut_via_poset", module)
+    assert invoke("report", "--max-n", "6")[0] == EXIT_OK
+    assert calls["reconstruct_sigma"] == 209
+    calls.clear()
+    assert invoke("aut", "--n", "6", "--method", "graph")[0] == EXIT_OK
+    assert calls == {"reconstruct_sigma": 5}
+    assert invoke("aut", "--n", "6", "--method", "both")[0] == EXIT_OK
+    assert calls["aut_via_poset"] == 1
+
+
+def test_genus2_lists_each_edge_group_once(monkeypatch):
+    from tropmoduli.groups import PermutationGroup
+
+    # 7 cells, each listing its edge group's elements at most once
+    calls = Counter()
+    elements = PermutationGroup.elements
+
+    def counted(self):
+        calls["elements"] += 1
+        return elements(self)
+
+    monkeypatch.setattr(PermutationGroup, "elements", counted)
+    assert invoke("genus2")[0] == EXIT_OK
+    assert calls["elements"] <= 7
 
 
 def test_module_execution():
