@@ -221,7 +221,7 @@ class ComplexAutomorphism:
             if j is None or cx.dims[j] != cx.dims[i]:
                 raise ValueError(f"ray permutation does not map cell {i} to a cell")
             out.append(j)
-        if sorted(out) != list(range(len(cx.cells))):
+        if sorted(out) != list(range(len(cx.cell_rays))):
             raise ValueError("cell images do not form a permutation")
         return tuple(out)
 
@@ -244,10 +244,20 @@ def aut_via_compat_graph(cx: ConeComplex) -> PermutationGroup:
     """The automorphism group of the ray-compatibility graph; every
     generator is checked to extend to a genuine complex automorphism
     (cells map to cells, dimensionwise)."""
+    return _checked_generators(cx)[0]
+
+
+def _checked_generators(
+    cx: ConeComplex,
+) -> tuple[PermutationGroup, list[ComplexAutomorphism]]:
+    """:func:`aut_via_compat_graph`'s group together with its generators
+    as complex automorphisms whose cell maps are already checked, so that
+    reconstruction does not check them again."""
     group = graph_automorphism_group(cx.compat_neighbors())
-    for g in group.generators:
-        ComplexAutomorphism(cx, g).cell_map  # raises when the extension fails
-    return group
+    autos = [ComplexAutomorphism(cx, g) for g in group.generators]
+    for f in autos:
+        f.cell_map  # raises when the extension fails
+    return group, autos
 
 
 def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
@@ -427,7 +437,9 @@ def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
     that every cell maps to a cell of its dimension, raising
     ``ValueError`` naming the first cell that does not.  The cell map is
     a function of the ray permutation alone, so once the rays agree with
-    sigma's action the cells agree too; one cell check suffices.
+    sigma's action the cells agree too; one cell check suffices, and it
+    is cached on ``f``, so an automorphism whose cells were already
+    checked is not checked again.
     """
     cx = f.cx
     n = cx.n
@@ -460,16 +472,11 @@ def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
     for r, (want, got) in enumerate(zip(action, f.ray_perm)):
         if want != got:
             raise ReconstructionError(
-                f"recovered permutation {sigma} sends ray {_ray_name(cx, r)} to "
-                f"{_ray_name(cx, want)}, the automorphism to {_ray_name(cx, got)}"
+                f"recovered permutation {sigma} sends ray {cx.ray_name(r)} to "
+                f"{cx.ray_name(want)}, the automorphism to {cx.ray_name(got)}"
             )
     f.cell_map  # every cell maps to a cell; raises naming the first that does not
     return sigma
-
-
-def _ray_name(cx: ConeComplex, r: int) -> str:
-    """A ray by its marking-1-free side, as in ``{2,3}``."""
-    return "{" + ",".join(map(str, cx.rays[r].side())) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +593,11 @@ def check_cellwise_permutation(f: ComplexAutomorphism, cell_idx: int) -> Cellwis
 # verification reports
 
 
-def _reconstructed(cx: ConeComplex, perm) -> tuple[int, ...] | None:
-    """The marking permutation inducing a ray permutation, or None when
+def _reconstructed(f: ComplexAutomorphism) -> tuple[int, ...] | None:
+    """The marking permutation inducing an automorphism, or None when
     :func:`reconstruct_sigma` rejects it."""
     try:
-        return reconstruct_sigma(ComplexAutomorphism(cx, perm))
+        return reconstruct_sigma(f)
     except (ReconstructionError, ValueError):
         return None
 
@@ -608,8 +615,10 @@ def verify_sn_surjectivity(
     then one every-cell check), so an element counts as ok exactly when
     reconstruction returns."""
     if group is None:
-        group = aut_via_compat_graph(cx)
-    sigmas = [_reconstructed(cx, g) for g in group.generators]
+        group, autos = _checked_generators(cx)
+    else:
+        autos = [ComplexAutomorphism(cx, g) for g in group.generators]
+    sigmas = [_reconstructed(f) for f in autos]
     return _surjectivity_report(cx, group, sigmas, samples, seed)
 
 
@@ -622,7 +631,11 @@ def _surjectivity_report(cx, group, generator_sigmas, samples, seed) -> dict:
         for g, sigma in zip(group.generators, generator_sigmas)
         if sigma is None
     ]
-    failures += [f"sample:{format_cycles(p)}" for p in sample if _reconstructed(cx, p) is None]
+    failures += [
+        f"sample:{format_cycles(p)}"
+        for p in sample
+        if _reconstructed(ComplexAutomorphism(cx, p)) is None
+    ]
     checked = len(generator_sigmas) + len(sample)
     return {
         "n": cx.n,
@@ -662,7 +675,7 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = 
     generator is reconstructed once, for both ``sigma_of_generator`` and
     the surjectivity check."""
     n = cx.n
-    group = aut_via_compat_graph(cx)
+    group, autos = _checked_generators(cx)
     order = group.order()
     expected = expected_order(n)
     report: dict = {
@@ -682,7 +695,7 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = 
         checks.append(agree)
 
     if n >= 5:
-        sigmas = [_reconstructed(cx, g) for g in group.generators]
+        sigmas = [_reconstructed(f) for f in autos]
         recon_ok = None not in sigmas
         report["sigma_of_generator"] = [None if s is None else list(s) for s in sigmas]
         report["reconstruction_ok"] = recon_ok

@@ -170,20 +170,16 @@ def _cmd_count(args) -> tuple[str, dict, None]:
         "n": args.n,
         "strata": catalog.total(),
         "mismatches": mismatches,
+        "star_mismatches": star_bad,
         "verdict": "PASS" if not mismatches and not star_bad else "FAIL",
     }
-    if star_bad is not None:
-        payload["star_mismatches"] = star_bad
     return payload["verdict"], payload, None
 
 
-def _formula_mismatches(
-    n, catalog
-) -> tuple[list, list[int] | None, ConeComplex | None]:
+def _formula_mismatches(n, catalog) -> tuple[list, list[int], ConeComplex]:
     """Strata whose expansion-count formula disagrees with brute-force
     expansion, cells whose star count disagrees with the formula, and the
-    complex built for the star check.  Above POSET_MAX_N the star check is
-    skipped, and both of the latter are None."""
+    complex built for the star check."""
     mismatches = []
     formula = []
     for form in catalog.all_forms():
@@ -191,9 +187,7 @@ def _formula_mismatches(
         formula.append(expansion_count_formula(tree))
         if formula[-1] != len(expansions(tree)):
             mismatches.append(form.sides_json())
-    if n > POSET_MAX_N:
-        return mismatches, None, None
-    # cx.cells is catalog.all_forms() in the same order
+    # cx.cell_rays is in catalog.all_forms() order
     cx = build_complex(n, catalog)
     star_bad = [i for i, count in enumerate(formula) if star_count(cx, i) != count]
     return mismatches, star_bad, cx
@@ -236,7 +230,7 @@ def _battery(max_n: int, seed: int, log) -> dict:
         log(f"  {'PASS' if ok else 'FAIL'} {name}")
 
     # Each n is enumerated once and its complex built once: the aut checks
-    # take the complexes the star check built (n = 7 is built for them).
+    # take the complexes the star check built.
     aut_range = range(VERIFY_MIN_N, min(max_n, VERIFY_MAX_N) + 1)
     catalogs = {}
     complexes = {}
@@ -253,8 +247,8 @@ def _battery(max_n: int, seed: int, log) -> dict:
         catalog = catalogs.pop(n)
         mismatches, star_bad, cx = _formula_mismatches(n, catalog)
         if n in aut_range:
-            complexes[n] = cx or build_complex(n, catalog)
-        bad = len(mismatches) + len(star_bad or ())
+            complexes[n] = cx
+        bad = len(mismatches) + len(star_bad)
         add(f"counting formula n={n}", bad == 0, mismatches=bad)
 
     log("power-of-two lemma sweep")

@@ -5,10 +5,13 @@ order), each held as the sorted tuple of its ray indices.  Edges of a
 cell are its splits, so the face obtained by contracting a subset of
 edges is literally the cell with those rays removed, found by looking
 the shorter tuple up, and the retained-edge injection is the identity
-on splits.  :func:`build_complex` also contracts every edge of every
-cell's representative tree and asserts that the result is the face
-found by index removal, turning the rigidity of stable trees into a
-runtime check.
+on splits.  :func:`build_complex` also checks every one-edge
+contraction on a bitmask clade tree (:func:`check_contractions`): each
+edge is merged into its parent vertex, the remaining clades are
+recomputed from the vertices' own legs, and the result must be a stable
+tree whose clades are the face found by index removal, with the faces
+of a cell all distinct.  This turns the rigidity of stable trees into a
+runtime check without building a tree object per cell.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from functools import cached_property
 from typing import Iterable
 
 from .enumeration import StratumCatalog, enumerate_strata
-from .trees import CanonicalForm, Split, contract
+from .trees import CanonicalForm, Split
 
-__all__ = ["ConeComplex", "build_complex", "star_count"]
+__all__ = ["ConeComplex", "build_complex", "check_contractions", "star_count"]
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,14 @@ class ConeComplex:
     rays: tuple[Split, ...]  # ray r is cell dim_ranges[1][r]
     compat_masks: tuple[int, ...]  # adjacency rows of the ray-compatibility graph
     cell_rays: tuple[tuple[int, ...], ...]  # per cell: its sorted ray indices
-    cells: tuple[CanonicalForm, ...]
+
+    @cached_property
+    def cells(self) -> tuple[CanonicalForm, ...]:
+        """Each cell as a canonical form, built on first use (exports and
+        cellwise witnesses)."""
+        return tuple(
+            CanonicalForm(self.n, tuple(self.rays[r] for r in c)) for c in self.cell_rays
+        )
 
     @cached_property
     def dims(self) -> tuple[int, ...]:
@@ -92,11 +102,20 @@ class ConeComplex:
 
     @cached_property
     def _star_counts(self) -> tuple[int, ...]:
-        counts = [0] * len(self.cells)
+        counts = [0] * len(self.cell_rays)
         for faces in self.codim1:
             for _, tgt in faces:
                 counts[tgt] += 1
         return tuple(counts)
+
+    def ray_name(self, r: int) -> str:
+        """A ray by its marking-1-free side, as in ``{2,3}``."""
+        return "{" + ",".join(map(str, self.rays[r].side())) + "}"
+
+    def cell_name(self, i: int) -> str:
+        """A cell by its rays, as in ``{2,3} | {2,3,4}``; ``pt`` for the
+        point."""
+        return " | ".join(map(self.ray_name, self.cell_rays[i])) or "pt"
 
     def cell_ray_sets(self) -> list[frozenset[int]]:
         """Each cell as the set of its rays (by ray index)."""
@@ -157,7 +176,7 @@ class ConeComplex:
 def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
     """Materialize the cone complex: all cells in (dimension, canonical)
     order plus the codimension-1 face maps by index removal, each checked
-    against contracting that edge of a representative tree."""
+    by :func:`check_contractions`."""
     if catalog is None:
         catalog = enumerate_strata(n)
     cx = ConeComplex(
@@ -165,29 +184,89 @@ def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
         catalog.rays,
         catalog.compat_rows,
         tuple(c for d in sorted(catalog.cell_rays) for c in catalog.cell_rays[d]),
-        tuple(catalog.all_forms()),
     )
-    for form, faces in zip(cx.cells, cx.codim1):
-        tree = form.to_tree()
-        face_of = dict(faces)
+    check_contractions(cx)
+    return cx
+
+
+def check_contractions(cx: ConeComplex) -> None:
+    """Contract every edge of every cell's tree and compare the result
+    with the face in ``cx.codim1``; raise ``AssertionError`` naming the
+    cell and the edge on the first disagreement.
+
+    The tree is a clade tree on bitmasks.  A cell's clades are its ray
+    masks (the marking-1-free sides) in (size, mask) order, so the parent
+    of clade i is the first later clade containing it, or else the root
+    (the vertex of marking 1).  Each vertex keeps its own legs: its mask
+    minus its children's.  The tree must be stable; contracting edge e
+    merges vertex e into its parent, the remaining clade masks are
+    recomputed bottom-up from the own legs, the contracted tree must be
+    stable, and its clades must be exactly the rays of the face.  The
+    faces of a cell must be distinct (rigidity).
+    """
+    masks = [s.mask for s in cx.rays]
+    ray_of = {m: r for r, m in enumerate(masks)}
+    full = (1 << cx.n) - 1
+    for i, (rays, faces) in enumerate(zip(cx.cell_rays, cx.codim1)):
+        clades = [masks[r] for r in rays]
+        root = len(clades)
+        parent = []
+        for k, m in enumerate(clades):
+            for j in range(k + 1, root):
+                if clades[j] & m == m:
+                    break
+            else:
+                j = root
+            parent.append(j)
+        own = clades + [full]
+        for k, p in enumerate(parent):
+            own[p] ^= clades[k]  # children are disjoint parts of their parent
+        if not _stable(parent, own, None):
+            raise AssertionError(f"cell {cx.cell_name(i)} has an unstable vertex")
         targets = set()
-        for e, s in enumerate(tree.splits):
-            tgt = face_of.get(s)
-            if tgt is None or contract(tree, [e]).tree.canonical_form != cx.cells[tgt]:
+        for e, (_, tgt) in enumerate(faces):
+            up = parent[e]
+            merged = [up if p == e else p for p in parent]
+            acc = own[:]
+            acc[up] |= own[e]
+            if not _stable(merged, acc, e):
                 raise AssertionError(
-                    f"contraction of edge {e} disagrees with split removal on {form}"
+                    f"contracting edge {cx.ray_name(rays[e])} of cell "
+                    f"{cx.cell_name(i)} leaves an unstable vertex"
+                )
+            for k, p in enumerate(merged):
+                if k != e:
+                    acc[p] |= acc[k]  # children precede their parent
+            face = sorted([ray_of.get(m, -1) for m in acc[:e] + acc[e + 1:root]])
+            if tuple(face) != cx.cell_rays[tgt]:
+                raise AssertionError(
+                    f"contracting edge {cx.ray_name(rays[e])} of cell "
+                    f"{cx.cell_name(i)} disagrees with split removal"
                 )
             if tgt in targets:
                 raise AssertionError(
-                    f"two one-edge contractions of {form} hit the same face"
+                    f"two one-edge contractions of cell {cx.cell_name(i)} hit the same face"
                 )
             targets.add(tgt)
-    return cx
+
+
+def _stable(parent: list[int], own: list[int], gone: int | None) -> bool:
+    """Whether every vertex but ``gone`` has valence + legs >= 3.  Vertex
+    ``len(parent)`` is the root; every other vertex also carries the edge
+    to its parent."""
+    weight = [1 + m.bit_count() for m in own]
+    weight[-1] -= 1
+    for k, p in enumerate(parent):
+        if k != gone:
+            weight[p] += 1
+    if gone is not None:
+        weight[gone] = 3
+    return min(weight) >= 3
 
 
 def star_count(cx: ConeComplex, cell_idx: int) -> int:
     """Number of cells one dimension up whose closure contains the given
     cell, counted brute-force through the face maps."""
-    if not 0 <= cell_idx < len(cx.cells):
+    if not 0 <= cell_idx < len(cx.cell_rays):
         raise ValueError(f"no cell with index {cell_idx}")
     return cx._star_counts[cell_idx]

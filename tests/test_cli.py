@@ -107,6 +107,14 @@ def test_count_formula():
     assert report["payload"]["star_mismatches"] == []
 
 
+def test_count_formula_checks_stars_above_the_poset_cap():
+    code, report, _ = invoke_json("count", "--n", "7", "--check", "formula")
+    assert code == EXIT_OK
+    assert report["verdict"] == "PASS"
+    assert report["payload"]["mismatches"] == []
+    assert report["payload"]["star_mismatches"] == []
+
+
 def test_count_formula_requires_n():
     code, _, _ = invoke("count", "--check", "formula")
     assert code == EXIT_USAGE
@@ -186,6 +194,12 @@ def test_report_enumerates_and_builds_each_n_once(monkeypatch):
     assert code == EXIT_OK
     assert builds == {4: 1, 5: 1, 6: 1}
     assert enumerations == {3: 1, 4: 1, 5: 1, 6: 1}
+    builds.clear()
+    enumerations.clear()
+    code, _, _ = invoke("report", "--max-n", "7")
+    assert code == EXIT_OK
+    assert builds == {4: 1, 5: 1, 6: 1, 7: 1}
+    assert enumerations == {3: 1, 4: 1, 5: 1, 6: 1, 7: 1}
 
 
 def test_each_automorphism_fact_is_checked_once(monkeypatch):
@@ -214,6 +228,31 @@ def test_each_automorphism_fact_is_checked_once(monkeypatch):
     assert calls == {"reconstruct_sigma": 5}
     assert invoke("aut", "--n", "6", "--method", "both")[0] == EXIT_OK
     assert calls["aut_via_poset"] == 1
+
+
+def test_each_generator_cell_map_runs_once(monkeypatch):
+    # aut_via_compat_graph checks each generator's cells and the
+    # reconstruction reuses that check: 5 generators at n = 6, and the
+    # n = 4 generators (not reconstructed) are still checked
+    from functools import cached_property
+
+    from tropmoduli.automorphisms import ComplexAutomorphism
+
+    passes = Counter()
+    cell_map = ComplexAutomorphism.cell_map.func
+
+    def counted(self):
+        passes[self.cx.n] += 1
+        return cell_map(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(ComplexAutomorphism, "cell_map")
+    monkeypatch.setattr(ComplexAutomorphism, "cell_map", prop)
+    assert invoke("aut", "--n", "6", "--method", "graph")[0] == EXIT_OK
+    assert passes == {6: 5}
+    passes.clear()
+    assert invoke("aut", "--n", "4")[0] == EXIT_OK
+    assert passes == {4: 2}
 
 
 def test_genus2_lists_each_edge_group_once(monkeypatch):

@@ -1,12 +1,16 @@
 """Cone complex: structure at small n, the flag property, face-map
-consistency, star counts, and exports."""
+consistency, the contraction check, star counts, and exports."""
 
+import dataclasses
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
-from tropmoduli import build_complex, splits_compatible, star_count
+from tropmoduli import Split, build_complex, splits_compatible, star_count
+from tropmoduli.cones import check_contractions
+from tropmoduli.trees import CanonicalForm, LeggedTree, contract
 
 from shared import complex_for
 
@@ -73,6 +77,58 @@ def test_face_maps_compose():
                 target_splits = cx.cells[tgt].splits
                 for s in kept:
                     assert target_splits[retained[splits.index(s)]] == s
+
+
+def test_bitmask_contractions_match_tree_contraction():
+    # oracle: contract each edge of each cell's legged tree and compare
+    # the canonical form with the face found by index removal
+    for n in (4, 5, 6, 7):
+        cx = complex_for(n)
+        for i, faces in enumerate(cx.codim1):
+            tree = cx.cells[i].to_tree()
+            face_of = dict(faces)
+            assert set(face_of) == set(tree.splits)
+            for e, s in enumerate(tree.splits):
+                assert contract(tree, [e]).tree.canonical_form == cx.cells[face_of[s]]
+            assert len(set(face_of.values())) == len(faces)
+
+
+def test_contraction_check_names_a_wrong_face():
+    # at n = 6 the cell {2,3} | {2,3,4} loses edge {2,3,4} to the ray
+    # {2,3}; pointing that face at the ray {2,4} must fail
+    cx = complex_for(6)
+    ray = {s: r for r, s in enumerate(cx.rays)}
+    r23, r234, r24 = (ray[Split.from_side(6, side)] for side in ([2, 3], [2, 3, 4], [2, 4]))
+    cell = cx.index[(r23, r234)]
+    faces = list(cx.codim1)
+    assert faces[cell][1] == (cx.rays[r234], cx.index[(r23,)])
+    faces[cell] = (faces[cell][0], (cx.rays[r234], cx.index[(r24,)]))
+    broken = dataclasses.replace(cx)
+    broken.__dict__["codim1"] = tuple(faces)
+    with pytest.raises(AssertionError, match=r"edge \{2,3,4\} of cell \{2,3\} \| \{2,3,4\} "):
+        check_contractions(broken)
+    check_contractions(cx)
+
+
+def test_build_complex_builds_no_tree_objects(monkeypatch):
+    built = Counter()
+    for cls in (LeggedTree, CanonicalForm):
+        monkeypatch.setattr(cls, "__post_init__", _counted(built, cls))
+    cx = build_complex(7)
+    assert built == {}
+    # the counters do see the forms once they are asked for
+    assert len(cx.cells) == 2752
+    assert built == {"CanonicalForm": 2752}
+
+
+def _counted(counter, cls):
+    original = cls.__post_init__
+
+    def wrapper(self):
+        counter[cls.__name__] += 1
+        original(self)
+
+    return wrapper
 
 
 def test_unique_minimum():
