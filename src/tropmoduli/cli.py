@@ -18,23 +18,20 @@ import time
 from . import __version__
 from .automorphisms import (
     DEFAULT_SEED,
-    POSET_MAX_N,
-    VERIFY_MAX_N,
     VERIFY_MIN_N,
     aut_via_compat_graph,
     aut_via_poset,
     expected_order,
     main_theorem_report,
 )
-from .cones import ConeComplex, build_complex, star_count
-from .counting import expansion_count_formula, lemma_power_sweep
+from .cones import build_complex, star_count, vertex_profiles
+from .counting import brute_force_partition_count, lemma_power_sweep, per_vertex_partition_count
 from .enumeration import (
     ENVELOPE_MAX_N,
     EnvelopeError,
     count_f_vector,
     count_maximal,
     enumerate_strata,
-    expansions,
 )
 from .genus2 import aut_m2, bridge_loop_swap_violation, build_m2_complex
 from .groups import format_cycles
@@ -114,14 +111,6 @@ def _cmd_complex(args) -> tuple[str | None, dict, str | None]:
 
 
 def _cmd_aut(args) -> tuple[str, dict, None]:
-    if args.method in ("poset", "both") and args.n > POSET_MAX_N:
-        raise EnvelopeError(
-            f"poset method supports n <= {POSET_MAX_N}, got n={args.n}"
-        )
-    if args.n > VERIFY_MAX_N:
-        raise EnvelopeError(
-            f"theorem verification supports n <= {VERIFY_MAX_N}, got n={args.n}"
-        )
     expected = expected_order(args.n)
     if args.n < 4:
         group = aut_via_compat_graph(build_complex(args.n))
@@ -163,12 +152,12 @@ def _cmd_count(args) -> tuple[str, dict, None]:
         return payload["verdict"], payload, None
     if args.n is None:
         raise ValueError("--check formula requires --n")
-    catalog = enumerate_strata(args.n)
-    mismatches, star_bad, _ = _formula_mismatches(args.n, catalog)
+    cx = build_complex(args.n)
+    mismatches, star_bad = _formula_mismatches(cx)
     payload = {
         "check": "formula",
         "n": args.n,
-        "strata": catalog.total(),
+        "strata": len(cx.cell_rays),
         "mismatches": mismatches,
         "star_mismatches": star_bad,
         "verdict": "PASS" if not mismatches and not star_bad else "FAIL",
@@ -176,21 +165,18 @@ def _cmd_count(args) -> tuple[str, dict, None]:
     return payload["verdict"], payload, None
 
 
-def _formula_mismatches(n, catalog) -> tuple[list, list[int], ConeComplex]:
-    """Strata whose expansion-count formula disagrees with brute-force
-    expansion, cells whose star count disagrees with the formula, and the
-    complex built for the star check."""
-    mismatches = []
-    formula = []
-    for form in catalog.all_forms():
-        tree = form.to_tree()
-        formula.append(expansion_count_formula(tree))
-        if formula[-1] != len(expansions(tree)):
-            mismatches.append(form.sides_json())
-    # cx.cell_rays is in catalog.all_forms() order
-    cx = build_complex(n, catalog)
-    star_bad = [i for i, count in enumerate(formula) if star_count(cx, i) != count]
-    return mismatches, star_bad, cx
+def _formula_mismatches(cx) -> tuple[list, list[int]]:
+    """Cells (by split sides) whose expansion-count formula disagrees with
+    the brute-force count over each vertex's subsets, and cells (by index)
+    whose star count disagrees with the formula."""
+    mismatches, star_bad = [], []
+    for i, pairs in enumerate(vertex_profiles(cx)):
+        formula = sum(per_vertex_partition_count(legs, val) for legs, val in pairs)
+        if formula != sum(brute_force_partition_count(legs + val) for legs, val in pairs):
+            mismatches.append(cx.cell_sides(i))
+        if star_count(cx, i) != formula:
+            star_bad.append(i)
+    return mismatches, star_bad
 
 
 def _cmd_genus2(args) -> tuple[str, dict, None]:
@@ -230,8 +216,7 @@ def _battery(max_n: int, seed: int, log) -> dict:
         log(f"  {'PASS' if ok else 'FAIL'} {name}")
 
     # Each n is enumerated once and its complex built once: the aut checks
-    # take the complexes the star check built.
-    aut_range = range(VERIFY_MIN_N, min(max_n, VERIFY_MAX_N) + 1)
+    # take the complexes the counting check built.
     catalogs = {}
     complexes = {}
 
@@ -243,11 +228,9 @@ def _battery(max_n: int, seed: int, log) -> dict:
         add(f"enumeration n={n}", ok, f_vector=fv)
 
     log("expansion formula against brute force and star counts")
-    for n in range(4, max_n + 1):
-        catalog = catalogs.pop(n)
-        mismatches, star_bad, cx = _formula_mismatches(n, catalog)
-        if n in aut_range:
-            complexes[n] = cx
+    for n in range(VERIFY_MIN_N, max_n + 1):
+        complexes[n] = cx = build_complex(n, catalogs.pop(n))
+        mismatches, star_bad = _formula_mismatches(cx)
         bad = len(mismatches) + len(star_bad)
         add(f"counting formula n={n}", bad == 0, mismatches=bad)
 
@@ -256,7 +239,7 @@ def _battery(max_n: int, seed: int, log) -> dict:
     add("lemma sweep bound=20", not violations, pairs_checked=checked)
 
     log("automorphism groups")
-    for n in aut_range:
+    for n in range(VERIFY_MIN_N, max_n + 1):
         samples = 100 if n in (5, 6) else 0
         rep = main_theorem_report(complexes.pop(n), seed, samples)
         add(

@@ -18,12 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .enumeration import StratumCatalog, enumerate_strata
 from .trees import CanonicalForm, Split
 
-__all__ = ["ConeComplex", "build_complex", "check_contractions", "star_count"]
+__all__ = [
+    "ConeComplex",
+    "build_complex",
+    "check_contractions",
+    "star_count",
+    "vertex_profiles",
+]
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,8 @@ class ConeComplex:
 
     @cached_property
     def cells(self) -> tuple[CanonicalForm, ...]:
-        """Each cell as a canonical form, built on first use (exports and
-        cellwise witnesses)."""
+        """Each cell as a canonical form, built on first use (cellwise
+        witnesses and tests)."""
         return tuple(
             CanonicalForm(self.n, tuple(self.rays[r] for r in c)) for c in self.cell_rays
         )
@@ -53,12 +59,11 @@ class ConeComplex:
         return {c: i for i, c in enumerate(self.cell_rays)}
 
     @cached_property
-    def codim1(self) -> tuple[tuple[tuple[Split, int], ...], ...]:
-        """Per cell: (dropped split, face index), one entry per ray."""
+    def codim1(self) -> tuple[tuple[int, ...], ...]:
+        """Per cell: the face index reached by dropping each ray, in ray order."""
         index = self.index
         return tuple(
-            tuple((self.rays[r], index[c[:k] + c[k + 1:]]) for k, r in enumerate(c))
-            for c in self.cell_rays
+            tuple(index[c[:k] + c[k + 1:]] for k in range(len(c))) for c in self.cell_rays
         )
 
     @cached_property
@@ -104,7 +109,7 @@ class ConeComplex:
     def _star_counts(self) -> tuple[int, ...]:
         counts = [0] * len(self.cell_rays)
         for faces in self.codim1:
-            for _, tgt in faces:
+            for tgt in faces:
                 counts[tgt] += 1
         return tuple(counts)
 
@@ -121,24 +126,25 @@ class ConeComplex:
         """Each cell as the set of its rays (by ray index)."""
         return [frozenset(c) for c in self.cell_rays]
 
+    def cell_sides(self, i: int) -> list[list[int]]:
+        """A cell's rays by their marking-1-free sides, in ray order."""
+        return [list(self.rays[r].side()) for r in self.cell_rays[i]]
+
     def to_json_obj(self) -> dict:
         cells = [
-            {"index": i, "dim": self.dims[i], "splits": c.sides_json()}
-            for i, c in enumerate(self.cells)
+            {"index": i, "dim": d, "splits": self.cell_sides(i)} for i, d in enumerate(self.dims)
         ]
         faces = {}
-        for i, entries in enumerate(self.codim1):
-            lst = []
-            for s, tgt in entries:
-                _, retained = self.face(i, [s])
-                lst.append(
-                    {
-                        "drop": list(s.side()),
-                        "target": tgt,
-                        "retained": sorted(retained.items()),
-                    }
-                )
-            faces[str(i)] = lst
+        for i, (c, targets) in enumerate(zip(self.cell_rays, self.codim1)):
+            # dropping ray k moves every later ray down one position
+            faces[str(i)] = [
+                {
+                    "drop": list(self.rays[c[k]].side()),
+                    "target": tgt,
+                    "retained": [(j, j - (j > k)) for j in range(len(c)) if j != k],
+                }
+                for k, tgt in enumerate(targets)
+            ]
         return {"n": self.n, "f_vector": self.f_vector(), "cells": cells, "faces": faces}
 
     def to_dot(self, kind: str) -> str:
@@ -148,15 +154,12 @@ class ConeComplex:
         if kind == "hasse":
             lines.append("digraph hasse {")
             lines.append('  rankdir="BT";')
-            for i, c in enumerate(self.cells):
-                label = f"d{self.dims[i]}: " + (
-                    "pt" if not c.splits else " | ".join(
-                        ",".join(map(str, s.side())) for s in c.splits
-                    )
-                )
+            for i, d in enumerate(self.dims):
+                sides = " | ".join(",".join(map(str, side)) for side in self.cell_sides(i))
+                label = f"d{d}: " + (sides or "pt")
                 lines.append(f'  c{i} [label="{label}"];')
             for i, entries in enumerate(self.codim1):
-                for _, tgt in entries:
+                for tgt in entries:
                     lines.append(f"  c{tgt} -> c{i};")
         elif kind == "compat":
             lines.append("graph compat {")
@@ -194,37 +197,20 @@ def check_contractions(cx: ConeComplex) -> None:
     with the face in ``cx.codim1``; raise ``AssertionError`` naming the
     cell and the edge on the first disagreement.
 
-    The tree is a clade tree on bitmasks.  A cell's clades are its ray
-    masks (the marking-1-free sides) in (size, mask) order, so the parent
-    of clade i is the first later clade containing it, or else the root
-    (the vertex of marking 1).  Each vertex keeps its own legs: its mask
-    minus its children's.  The tree must be stable; contracting edge e
-    merges vertex e into its parent, the remaining clade masks are
-    recomputed bottom-up from the own legs, the contracted tree must be
-    stable, and its clades must be exactly the rays of the face.  The
-    faces of a cell must be distinct (rigidity).
+    The tree is the cell's clade tree (see :func:`_clade_trees`) and
+    must be stable.  Contracting edge e merges vertex e into its parent,
+    the remaining clade masks are recomputed bottom-up from the own legs,
+    the contracted tree must be stable, and its clades must be exactly
+    the rays of the face.  The faces of a cell must be distinct
+    (rigidity).
     """
-    masks = [s.mask for s in cx.rays]
-    ray_of = {m: r for r, m in enumerate(masks)}
-    full = (1 << cx.n) - 1
-    for i, (rays, faces) in enumerate(zip(cx.cell_rays, cx.codim1)):
-        clades = [masks[r] for r in rays]
-        root = len(clades)
-        parent = []
-        for k, m in enumerate(clades):
-            for j in range(k + 1, root):
-                if clades[j] & m == m:
-                    break
-            else:
-                j = root
-            parent.append(j)
-        own = clades + [full]
-        for k, p in enumerate(parent):
-            own[p] ^= clades[k]  # children are disjoint parts of their parent
+    ray_of = {s.mask: r for r, s in enumerate(cx.rays)}
+    for i, ((parent, own), faces) in enumerate(zip(_clade_trees(cx), cx.codim1)):
+        rays, root = cx.cell_rays[i], len(parent)
         if not _stable(parent, own, None):
             raise AssertionError(f"cell {cx.cell_name(i)} has an unstable vertex")
         targets = set()
-        for e, (_, tgt) in enumerate(faces):
+        for e, tgt in enumerate(faces):
             up = parent[e]
             merged = [up if p == e else p for p in parent]
             acc = own[:]
@@ -248,6 +234,42 @@ def check_contractions(cx: ConeComplex) -> None:
                     f"two one-edge contractions of cell {cx.cell_name(i)} hit the same face"
                 )
             targets.add(tgt)
+
+
+def vertex_profiles(cx: ConeComplex) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Per cell, the sorted (leg count, valence) pairs of the vertices of
+    its clade tree."""
+    for parent, own in _clade_trees(cx):
+        valence = [1] * len(parent) + [0]  # the root has no parent edge
+        for p in parent:
+            valence[p] += 1
+        yield tuple(sorted(zip([m.bit_count() for m in own], valence)))
+
+
+def _clade_trees(cx: ConeComplex) -> Iterator[tuple[list[int], list[int]]]:
+    """Per cell, its tree on bitmasks: the parent of each clade and the
+    own legs of each vertex.  A cell's clades are its ray masks (the
+    marking-1-free sides) in (size, mask) order, so the parent of clade i
+    is the first later clade containing it, or else the root
+    ``len(parent)`` (the vertex of marking 1).  A vertex's own legs are
+    its mask minus its children's."""
+    masks = [s.mask for s in cx.rays]
+    full = (1 << cx.n) - 1
+    for rays in cx.cell_rays:
+        clades = [masks[r] for r in rays]
+        root = len(clades)
+        parent = []
+        for k, m in enumerate(clades):
+            for j in range(k + 1, root):
+                if clades[j] & m == m:
+                    break
+            else:
+                j = root
+            parent.append(j)
+        own = clades + [full]
+        for k, p in enumerate(parent):
+            own[p] ^= clades[k]  # children are disjoint parts of their parent
+        yield parent, own
 
 
 def _stable(parent: list[int], own: list[int], gone: int | None) -> bool:

@@ -65,15 +65,10 @@ def per_vertex_partition_count(legs: int, valence: int) -> int:
 
 
 def brute_force_partition_count(k: int) -> int:
-    """Oracle for :func:`per_vertex_partition_count`: enumerate all subsets
-    of a k-element set and count unordered 2-part partitions with both
-    parts of size >= 2."""
-    count = 0
-    for bits in range(1 << k):
-        size = bits.bit_count()
-        if 2 <= size <= k - 2:
-            count += 1
-    return count // 2
+    """The count of :func:`per_vertex_partition_count` by brute force, as
+    the counting check compares them: enumerate all subsets of a k-element
+    set and count unordered 2-part partitions with both parts of size >= 2."""
+    return sum(1 for bits in range(1 << k) if 2 <= bits.bit_count() <= k - 2) // 2
 
 
 def expansion_count_formula(t: LeggedTree) -> int:

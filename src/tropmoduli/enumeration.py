@@ -5,10 +5,10 @@ occur are exactly the pairwise-compatible ones, so the strata are the
 cliques of the compatibility graph on the rays (the splits, in (size,
 mask) order).  Each stratum is the sorted tuple of its ray indices, and
 cliques are grown level by level from bitmask rows of that graph.  The
-one-edge expansion route (:func:`expansions`, with canonical-form
-deduplication) is kept as a brute-force count for the expansion formula
-and as a test oracle; :func:`count_f_vector` is an independent closed
-count of every dimension.
+one-edge expansion route (:func:`expansions`) is only a test oracle for
+the expansion formula, whose production brute force counts subsets per
+vertex; :func:`count_f_vector` is an independent closed count of every
+dimension.
 """
 
 from __future__ import annotations

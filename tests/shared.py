@@ -1,9 +1,11 @@
 """Cached builders shared across test modules (catalogs and complexes
 are immutable, so one instance per n serves the whole run)."""
 
+from collections import Counter
 from functools import lru_cache
 
 from tropmoduli import build_complex, enumerate_strata
+from tropmoduli.trees import CanonicalForm, LeggedTree
 
 
 @lru_cache(maxsize=None)
@@ -14,3 +16,22 @@ def catalog(n):
 @lru_cache(maxsize=None)
 def complex_for(n):
     return build_complex(n, catalog(n))
+
+
+def count_tree_objects(monkeypatch) -> Counter:
+    """Count the LeggedTree and CanonicalForm objects built from now on
+    (through ``__post_init__``), by class name."""
+    built = Counter()
+    for cls in (LeggedTree, CanonicalForm):
+        monkeypatch.setattr(cls, "__post_init__", _counted(built, cls))
+    return built
+
+
+def _counted(counter, cls):
+    original = cls.__post_init__
+
+    def wrapper(self):
+        counter[cls.__name__] += 1
+        original(self)
+
+    return wrapper

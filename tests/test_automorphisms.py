@@ -104,8 +104,9 @@ def test_methods_agree_as_groups():
 
 
 def test_poset_envelope():
+    # the envelope is the only cap: n = 9 stops when the complex is built
     with pytest.raises(EnvelopeError):
-        aut_via_poset(complex_for(7))
+        aut_via_poset(complex_for(9))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +170,8 @@ def test_cell_map_preserves_dimension_and_faces():
     f = sn_action(cx, (2, 3, 4, 5, 1))
     for i, j in enumerate(f.cell_map):
         assert cx.dims[i] == cx.dims[j]
-        for s, tgt in cx.codim1[i]:
-            image_face, _ = cx.face(j, [f.split_image(s)])
+        for r, tgt in zip(cx.cell_rays[i], cx.codim1[i]):
+            image_face, _ = cx.face(j, [f.split_image(cx.rays[r])])
             assert f.cell_map[tgt] == image_face
 
 
@@ -430,5 +431,5 @@ def test_verify_main_theorem_n5():
 def test_verify_rejects_out_of_range():
     with pytest.raises(ValueError):
         verify_main_theorem(3)
-    with pytest.raises(ValueError):
-        verify_main_theorem(8)
+    with pytest.raises(EnvelopeError):
+        verify_main_theorem(9)

@@ -5,9 +5,11 @@ import io
 import json
 from collections import Counter
 
-from tropmoduli.cli import EXIT_ENVELOPE, EXIT_OK, EXIT_USAGE, run
+from tropmoduli.cli import EXIT_ENVELOPE, EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from tropmoduli.counting import LEMMA_MAX_BOUND
 from tropmoduli.enumeration import ENVELOPE_MAX_N
+
+from shared import count_tree_objects
 
 
 def invoke(*argv):
@@ -93,9 +95,27 @@ def test_aut_n5_both_methods():
     assert all(s is not None for s in payload["sigma_of_generator"])
 
 
+def test_aut_n7_both_methods():
+    code, report, _ = invoke_json("aut", "--n", "7", "--method", "both")
+    assert code == EXIT_OK
+    assert report["verdict"] == "PASS"
+    assert report["payload"]["order"] == 5040
+    assert report["payload"]["methods_agree"]
+
+
+def test_aut_n8():
+    code, report, _ = invoke_json("aut", "--n", "8")
+    assert code == EXIT_OK
+    assert report["verdict"] == "PASS"
+    assert report["payload"]["order"] == 40320
+    assert report["payload"]["reconstruction_ok"]
+
+
 def test_aut_poset_envelope():
-    code, _, _ = invoke("aut", "--n", "7", "--method", "poset")
+    # the envelope is the only cap: n = 9 exits before any work
+    code, out, err = invoke("aut", "--n", "9", "--method", "poset")
     assert code == EXIT_ENVELOPE
+    assert out == "" and "envelope" in err
 
 
 def test_count_formula():
@@ -112,6 +132,33 @@ def test_count_formula_checks_stars_above_the_poset_cap():
     assert code == EXIT_OK
     assert report["verdict"] == "PASS"
     assert report["payload"]["mismatches"] == []
+    assert report["payload"]["star_mismatches"] == []
+
+
+def test_count_formula_names_a_wrong_star_count(monkeypatch):
+    from tropmoduli import cli
+
+    star_count = cli.star_count
+    monkeypatch.setattr(cli, "star_count", lambda cx, i: star_count(cx, i) + (i == 7))
+    code, report, _ = invoke_json("count", "--n", "5", "--check", "formula")
+    assert code == EXIT_FAIL
+    assert report["payload"]["star_mismatches"] == [7]
+    assert report["payload"]["mismatches"] == []
+
+
+def test_count_formula_names_a_wrong_brute_force(monkeypatch):
+    # at n = 5 a vertex with legs + valence = 4 lies on each ray and on
+    # no other cell; rays are in (size, mask) order
+    from tropmoduli import cli
+
+    brute = cli.brute_force_partition_count
+    monkeypatch.setattr(cli, "brute_force_partition_count", lambda k: brute(k) + (k == 4))
+    code, report, _ = invoke_json("count", "--n", "5", "--check", "formula")
+    assert code == EXIT_FAIL
+    assert report["payload"]["mismatches"] == [
+        [[2, 3]], [[2, 4]], [[3, 4]], [[2, 5]], [[3, 5]], [[4, 5]],
+        [[2, 3, 4]], [[2, 3, 5]], [[2, 4, 5]], [[3, 4, 5]],
+    ]
     assert report["payload"]["star_mismatches"] == []
 
 
@@ -171,6 +218,20 @@ def test_payload_bytes_are_pinned():
     assert payload_sha256("aut", "--n", "6", "--method", "both") == (
         "5df35d94717cfb7b242e45454cff136205d74beea75c9516fb33d093ede39079"
     )
+    # the counting check, which reads each cell's clade tree
+    assert payload_sha256("count", "--check", "formula", "--n", "7") == (
+        "72e6f9deec53fd44e31092c41f56a7f472abdb46f9925571e7a95b746ad3a6ec"
+    )
+    assert payload_sha256("report", "--max-n", "7") == (
+        "59b42cdf11c06475528345f17e5128222c4dd9c8b3682557bb02157bca488e0b"
+    )
+
+
+def test_report_and_count_build_no_tree_objects(monkeypatch):
+    built = count_tree_objects(monkeypatch)
+    assert invoke("report", "--max-n", "6")[0] == EXIT_OK
+    assert invoke("count", "--check", "formula", "--n", "7")[0] == EXIT_OK
+    assert built == {}
 
 
 def test_report_enumerates_and_builds_each_n_once(monkeypatch):

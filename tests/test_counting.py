@@ -13,6 +13,7 @@ from tropmoduli import (
     single_vertex_tree,
     two_vertex_tree,
 )
+from tropmoduli.cones import vertex_profiles
 from tropmoduli.counting import brute_force_partition_count
 
 from shared import catalog, complex_for
@@ -55,6 +56,18 @@ def test_formula_equals_brute_force_expansions():
         for form in catalog(n).all_forms():
             t = form.to_tree()
             assert expansion_count_formula(t) == len(expansions(t))
+
+
+def test_clade_tree_profiles_match_the_tree_route():
+    # oracle: the vertex profile of each cell's legged tree, and the
+    # count of its one-edge expansions built as trees
+    for n in (4, 5, 6, 7):
+        cx = complex_for(n)
+        for i, pairs in enumerate(vertex_profiles(cx)):
+            tree = cx.cells[i].to_tree()
+            assert pairs == VertexProfile.of_tree(tree).pairs
+            brute = sum(brute_force_partition_count(legs + val) for legs, val in pairs)
+            assert brute == len(expansions(tree))
 
 
 def test_formula_equals_star_count():
