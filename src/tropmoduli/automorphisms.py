@@ -3,9 +3,9 @@
 An automorphism permutes cells preserving dimension and restricts to a
 bijection of edges on every cell, so it is determined by its action on
 the rays.  This module computes the full group by two independent
-routes (a refinement-pruned backtracking search on the ray-compatibility
-graph, and a slower cell-system search on the face poset), realizes the
-action of marking permutations, reconstructs the inducing marking
+Sims-style searches (one-sided color refinement along one first path on
+the ray-compatibility graph, and a slower cell-system search on the face
+poset), realizes the action of marking permutations, reconstructs the inducing marking
 permutation from an abstract automorphism, and packages the comparison
 against the expected symmetric-group answer.
 """
@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .cones import ConeComplex, build_complex
 from .groups import PermutationGroup, format_cycles, identity_perm
@@ -68,32 +68,26 @@ class CellwiseError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# graph automorphisms: color refinement + individualization backtracking
+# graph automorphisms: color refinement + individualization along one path
 
 
-def _refine_pair(nbrs, ca, cb):
-    """Refine two colorings of the same graph in lockstep with iterated
-    neighbor-signature partitioning.  Returns the stable pair, or None as
-    soon as the class structures diverge (no color-preserving bijection
-    can exist)."""
-    V = len(nbrs)
+def _refine(nbrs, colors):
+    """Refine one coloring to its fixpoint: a vertex's new color is the
+    rank of its (color, neighbor-color counts) signature.  The trace holds
+    one hash of the sorted signatures per round (PYTHONHASHSEED does not
+    touch hashes of int tuples); isomorphic colorings have equal traces."""
+    trace = []
     while True:
-        siga = [
-            (ca[v], tuple(sorted(Counter(ca[u] for u in nbrs[v]).items())))
-            for v in range(V)
+        sigs = [
+            (colors[v], tuple(sorted(Counter(colors[u] for u in nb).items())))
+            for v, nb in enumerate(nbrs)
         ]
-        sigb = [
-            (cb[v], tuple(sorted(Counter(cb[u] for u in nbrs[v]).items())))
-            for v in range(V)
-        ]
-        if sorted(siga) != sorted(sigb):
-            return None
-        ids = {key: i for i, key in enumerate(sorted(set(siga)))}
-        na = tuple(ids[k] for k in siga)
-        nb = tuple(ids[k] for k in sigb)
-        if na == ca and nb == cb:
-            return na, nb
-        ca, cb = na, nb
+        trace.append(hash(tuple(sorted(sigs))))
+        ids = {key: i for i, key in enumerate(sorted(set(sigs)))}
+        refined = tuple(ids[k] for k in sigs)
+        if refined == colors:
+            return refined, tuple(trace)
+        colors = refined
 
 
 def _individualize(colors, v):
@@ -102,11 +96,7 @@ def _individualize(colors, v):
 
 
 def _first_nonsingleton(colors):
-    counts = Counter(colors)
-    for c in sorted(counts):
-        if counts[c] > 1:
-            return c
-    return None
+    return min((c for c, k in Counter(colors).items() if k > 1), default=None)
 
 
 def _members(colors, c):
@@ -115,8 +105,10 @@ def _members(colors, c):
 
 def _map_from_discrete(nbrs, ca, cb):
     """Vertex map matching equal colors of two discrete colorings, verified
-    to preserve adjacency; None when it does not."""
+    to preserve adjacency; None when cb is not discrete or adjacency breaks."""
     pos = {c: v for v, c in enumerate(cb)}
+    if len(pos) < len(cb):
+        return None
     perm = tuple(pos[c] for c in ca)
     for v in range(len(nbrs)):
         if {perm[u] for u in nbrs[v]} != set(nbrs[perm[v]]):
@@ -124,62 +116,74 @@ def _map_from_discrete(nbrs, ca, cb):
     return perm
 
 
-def _find_iso(nbrs, ca, cb):
-    """One color-preserving automorphism taking the ca-coloring to the
-    cb-coloring, or None."""
-    pair = _refine_pair(nbrs, ca, cb)
-    if pair is None:
+def _find_iso(nbrs, path, k, candidate):
+    """One automorphism carrying the first path's level-k coloring to the
+    refined (coloring, trace) candidate, or None.  The candidate is dropped
+    when its trace differs from the path's, else it individualizes each
+    member of the class the path individualized, in ascending order."""
+    colors, trace = candidate
+    path_colors, path_trace, v = path[k]
+    if trace != path_trace:
         return None
-    ca, cb = pair
-    c = _first_nonsingleton(ca)
-    if c is None:
-        return _map_from_discrete(nbrs, ca, cb)
-    v = min(_members(ca, c))
-    iv = _individualize(ca, v)
-    for w in sorted(_members(cb, c)):
-        found = _find_iso(nbrs, iv, _individualize(cb, w))
+    if v is None:
+        return _map_from_discrete(nbrs, path_colors, colors)
+    for w in _members(colors, path_colors[v]):
+        found = _find_iso(nbrs, path, k + 1, _refine(nbrs, _individualize(colors, w)))
         if found is not None:
             return found
     return None
 
 
-def _aut_search(nbrs, colors):
-    """Generators and order of the color-preserving automorphism group, by
-    the orbit-stabilizer recursion: fix the first vertex of the first
-    non-singleton class, recurse for its stabilizer, then find one coset
-    representative per remaining orbit candidate."""
-    c = _first_nonsingleton(colors)
-    if c is None:
-        return [], 1
-    members = _members(colors, c)
-    v = members[0]
-    iv = _individualize(colors, v)
-    stab_colors, _ = _refine_pair(nbrs, iv, iv)
-    gens, stab_order = _aut_search(nbrs, stab_colors)
-    orbit = PermutationGroup(len(nbrs), tuple(gens)).orbit(v)
-    for w in members[1:]:
-        if w in orbit:
-            continue
-        phi = _find_iso(nbrs, iv, _individualize(colors, w))
-        if phi is not None:
-            gens.append(phi)
-            orbit = PermutationGroup(len(nbrs), tuple(gens)).orbit(v)
-    return gens, stab_order * len(orbit)
+def _coset_rep(nbrs, path, k, w):
+    """An automorphism preserving the first path's level-k coloring that
+    sends the vertex individualized there to w, or None."""
+    colors, _, v = path[k]
+    source, target = _individualize(colors, v), _individualize(colors, w)
+    phi = _find_iso(nbrs, path, k + 1, _refine(nbrs, target))
+    if phi is not None and all(target[y] == c for y, c in zip(phi, source)):
+        return phi
+    return None
 
 
 def graph_automorphism_group(neighbors: list[list[int]]) -> PermutationGroup:
     """Full automorphism group of a simple graph given by adjacency lists.
 
-    Self-contained: iterated degree/neighbor-signature refinement with
-    individualization backtracking; no canonical-labeling dependency.
+    Self-contained: the first path refines the uniform coloring and
+    individualizes the first member of the first non-singleton class until
+    the coloring is discrete.  Walking back up it, each coloring is refined
+    once, refinement traces prune, and leaf maps are checked as
+    automorphisms of the level's coloring; no canonical-labeling dependency.
     """
-    V = len(neighbors)
-    if V == 0:
-        return PermutationGroup(0)
-    uniform = (0,) * V
-    colors, _ = _refine_pair(neighbors, uniform, uniform)
-    gens, order = _aut_search(neighbors, colors)
-    return _checked_group(V, gens, order)
+    path = []
+    colors, trace = _refine(neighbors, (0,) * len(neighbors))
+    while (c := _first_nonsingleton(colors)) is not None:
+        v = colors.index(c)
+        path.append((colors, trace, v))
+        colors, trace = _refine(neighbors, _individualize(colors, v))
+    path.append((colors, trace, None))
+    levels = (
+        (v, _members(colors, colors[v]), partial(_coset_rep, neighbors, path, k))
+        for k, (colors, _, v) in reversed(list(enumerate(path[:-1])))
+    )
+    return _sims_group(len(neighbors), levels)
+
+
+def _sims_group(degree, levels) -> PermutationGroup:
+    """The group of a Sims-style search.  ``levels`` yields ``(point,
+    images, find)`` from the last base point up; the generators found so
+    far fix the earlier points, so ``find(w)`` (an automorphism or None)
+    runs once per image outside the orbit, and |G| is the orbit sizes'
+    product."""
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    for point, images, find in levels:
+        orbit = PermutationGroup(degree, tuple(gens)).orbit(point)
+        for w in images:
+            if w not in orbit and (g := find(w)) is not None:
+                gens.append(g)
+                orbit = PermutationGroup(degree, tuple(gens)).orbit(point)
+        order *= len(orbit)
+    return _checked_group(degree, gens, order)
 
 
 def _checked_group(degree, gens, order) -> PermutationGroup:
@@ -220,7 +224,8 @@ class ComplexAutomorphism:
         for i, cell in enumerate(cx.cell_rays):
             j = cx.index.get(tuple(sorted(self.ray_perm[r] for r in cell)))
             if j is None or cx.dims[j] != cx.dims[i]:
-                raise ValueError(f"ray permutation does not map cell {i} to a cell")
+                name = cx.cell_name(i)
+                raise ValueError(f"ray permutation does not map cell {i} ({name}) to a cell")
             out.append(j)
         if sorted(out) != list(range(len(cx.cell_rays))):
             raise ValueError("cell images do not form a permutation")
@@ -253,11 +258,15 @@ def _checked_generators(
 ) -> tuple[PermutationGroup, list[ComplexAutomorphism]]:
     """:func:`aut_via_compat_graph`'s group together with its generators
     as complex automorphisms whose cell maps are already checked, so that
-    reconstruction does not check them again."""
+    reconstruction does not check them again.  A generator that does not
+    extend to the cells raises ``AssertionError`` naming it and the cell."""
     group = graph_automorphism_group(cx.compat_neighbors())
     autos = [ComplexAutomorphism(cx, g) for g in group.generators]
     for f in autos:
-        f.cell_map  # raises when the extension fails
+        try:
+            f.cell_map
+        except ValueError as exc:
+            raise AssertionError(f"generator {format_cycles(f.ray_perm)}: {exc}") from exc
     return group, autos
 
 
@@ -315,21 +324,15 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
         used[w] = False
         return found
 
-    # Sims-style search: with rays 0..k-1 fixed, the generators found so
-    # far fix them too, so only one image of ray k per orbit needs a
-    # completion; |G| is the product of these orbit sizes.
-    gens: list[tuple[int, ...]] = []
-    order = 1
-    for k in reversed(range(R)):
-        assignment[:k] = range(k)
-        used[:] = [r < k for r in range(R)]
-        orbit = PermutationGroup(R, tuple(gens)).orbit(k)
-        for w in candidates(k):
-            if w not in orbit and (g := complete(k, w)) is not None:
-                gens.append(g)
-                orbit = PermutationGroup(R, tuple(gens)).orbit(k)
-        order *= len(orbit)
-    return _checked_group(R, gens, order)
+    # With rays 0..k-1 fixed, only one image of ray k per orbit needs a
+    # completion.
+    def levels():
+        for k in reversed(range(R)):
+            assignment[:k] = range(k)
+            used[:] = [r < k for r in range(R)]
+            yield k, candidates(k), partial(complete, k)
+
+    return _sims_group(R, levels())
 
 
 # ---------------------------------------------------------------------------

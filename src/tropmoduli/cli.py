@@ -4,8 +4,9 @@ Subcommands: `enumerate` (stratum catalog), `complex` (poset/graph
 export), `aut` (automorphism groups and the symmetric-group comparison),
 `count` (closed-form checks), `genus2` (the genus-2 fixture), and
 `report` (the whole verification battery).  Machine-readable JSON goes
-to stdout, progress to stderr; exit status 0 on PASS, 1 on FAIL, 2 on
-usage errors, 3 on resource-envelope violations.
+to stdout, progress to stderr; exit status 0 on PASS, 1 on FAIL (a
+failed internal check prints one ``check failed:`` line and no JSON), 2
+on usage errors, 3 on resource-envelope violations.
 """
 
 from __future__ import annotations
@@ -80,25 +81,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_enumerate(args) -> tuple[str | None, dict, str | None]:
     catalog = enumerate_strata(args.n)
-    dims = sorted(catalog.by_dimension)
+    dims = sorted(catalog.cell_rays)
     if args.dim is not None:
-        if args.dim not in catalog.by_dimension:
+        if args.dim not in catalog.cell_rays:
             raise ValueError(f"no strata of dimension {args.dim} for n={args.n}")
         dims = [args.dim]
+    sides = [list(s.side()) for s in catalog.rays]
     if args.format == "csv":
+        names = [" ".join(map(str, side)) for side in sides]
         lines = ["dim,splits"]
         for d in dims:
-            for form in catalog.by_dimension[d]:
-                sides = "|".join(" ".join(map(str, s.side())) for s in form.splits)
-                lines.append(f"{d},{sides}")
+            lines.extend(f"{d}," + "|".join(names[r] for r in c) for c in catalog.cell_rays[d])
         return None, {}, "\n".join(lines) + "\n"
     payload = {
         "n": args.n,
         "f_vector": catalog.f_vector(),
-        "strata": {
-            str(d): [form.sides_json() for form in catalog.by_dimension[d]]
-            for d in dims
-        },
+        "strata": {str(d): [[sides[r] for r in c] for c in catalog.cell_rays[d]] for d in dims},
     }
     return None, payload, None
 
@@ -297,6 +295,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     except ValueError as exc:
         log(f"error: {exc}")
         return EXIT_USAGE
+    except AssertionError as exc:
+        log(f"check failed: {exc}")
+        return EXIT_FAIL
 
     if raw is not None:
         stdout.write(raw)

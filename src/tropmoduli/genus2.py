@@ -286,7 +286,6 @@ class M2SearchResult:
     candidates: int
     valid: int
     classes: int
-    violations: tuple[M2Violation, ...]
 
 
 def _retained_lookup(cell_dim: int, e: int, retained: tuple[int, ...]) -> dict[int, int]:
@@ -382,13 +381,7 @@ def aut_m2(cx: M2Complex | None = None) -> M2SearchResult:
         cx = build_m2_complex()
     candidates = 0
     valid: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
-    violations: list[M2Violation] = []
     for cell_map in _candidate_cell_maps(cx):
-        if any(
-            cx.cells[i].dimension != cx.cells[j].dimension
-            for i, j in enumerate(cell_map)
-        ):
-            continue
         pools = [
             itertools.permutations(range(cx.cells[cell_map[i]].dimension))
             for i in range(len(cx.cells))
@@ -396,11 +389,8 @@ def aut_m2(cx: M2Complex | None = None) -> M2SearchResult:
         for edge_maps in itertools.product(*pools):
             candidates += 1
             edge_maps = tuple(tuple(m) for m in edge_maps)
-            violation = _check_candidate(cx, cell_map, edge_maps)
-            if violation is None:
+            if _check_candidate(cx, cell_map, edge_maps) is None:
                 valid.append((cell_map, edge_maps))
-            else:
-                violations.append(violation)
 
     classes: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
     for cell_map, ems in valid:
@@ -416,7 +406,6 @@ def aut_m2(cx: M2Complex | None = None) -> M2SearchResult:
         candidates=candidates,
         valid=len(valid),
         classes=len(classes),
-        violations=tuple(violations),
     )
 
 

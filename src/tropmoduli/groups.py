@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "identity_perm",
@@ -21,6 +21,8 @@ __all__ = [
     "format_cycles",
     "PermutationGroup",
 ]
+
+RANDOM_MIX = 30
 
 
 def identity_perm(degree: int) -> tuple[int, ...]:
@@ -92,14 +94,10 @@ class _StabilizerChain:
     from the front; the groups in this package are small enough that the
     simple restart strategy is cheap."""
 
-    def __init__(self, degree: int, gens: Iterable[Sequence[int]]):
+    def __init__(self, degree: int, gens: Sequence[tuple[int, ...]]):
+        """``gens`` must be distinct non-identity permutations."""
         self.degree = degree
-        ident = identity_perm(degree)
-        self.strong: list[tuple[int, ...]] = []
-        for g in gens:
-            g = tuple(g)
-            if g != ident and g not in self.strong:
-                self.strong.append(g)
+        self.strong = list(gens)
         self.base: list[int] = []
         self.transversals: list[dict[int, tuple[int, ...]]] = []
         self._build()
@@ -219,9 +217,9 @@ class PermutationGroup:
                 out.append(orb)
         return out
 
-    def random_elements(self, count: int, seed: int, mix: int = 30) -> list[tuple[int, ...]]:
-        """Deterministic sample of group elements: products of `mix` factors
-        drawn from the generators and their inverses."""
+    def random_elements(self, count: int, seed: int) -> list[tuple[int, ...]]:
+        """Deterministic sample of group elements: products of RANDOM_MIX
+        factors drawn from the generators and their inverses."""
         rng = random.Random(seed)
         if not self.generators:
             return [identity_perm(self.degree)] * count
@@ -229,7 +227,7 @@ class PermutationGroup:
         out = []
         for _ in range(count):
             p = identity_perm(self.degree)
-            for _ in range(mix):
+            for _ in range(RANDOM_MIX):
                 p = compose_perms(rng.choice(pool), p)
             out.append(p)
         return out

@@ -3,9 +3,12 @@ method agreement, the marking action, permutation reconstruction, and
 the cellwise witnesses."""
 
 import itertools
+import random
+from functools import lru_cache
 
 import pytest
 
+from tropmoduli import automorphisms
 from tropmoduli import (
     ComplexAutomorphism,
     Split,
@@ -45,20 +48,86 @@ def _nbrs(v, edges):
     return out
 
 
-@pytest.mark.parametrize(
-    "v,edges,order",
-    [
-        (3, [], 6),  # empty graph: all of S_3
-        (4, [(0, 1), (1, 2), (2, 3)], 2),  # path: reversal only
-        (5, [(i, (i + 1) % 5) for i in range(5)], 10),  # 5-cycle: dihedral
-        (4, [(a, b) for a in range(4) for b in range(a + 1, 4)], 24),  # K4
-        (6, [(0, 1), (2, 3), (4, 5)], 48),  # 3 disjoint edges: S_2 wr S_3
-        (1, [], 1),
-        (0, [], 1),
-    ],
-)
+GRAPH_CASES = [
+    (3, [], 6),  # empty graph: all of S_3
+    (4, [(0, 1), (1, 2), (2, 3)], 2),  # path: reversal only
+    (5, [(i, (i + 1) % 5) for i in range(5)], 10),  # 5-cycle: dihedral
+    (4, [(a, b) for a in range(4) for b in range(a + 1, 4)], 24),  # K4
+    (6, [(0, 1), (2, 3), (4, 5)], 48),  # 3 disjoint edges: S_2 wr S_3
+    (1, [], 1),
+    (0, [], 1),
+    # regular graphs, on which refinement alone splits nothing
+    (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 72),  # 2 triangles
+    (6, [(a, b) for a in range(3) for b in range(3, 6)], 72),  # K3,3
+    (8, [(a, a ^ 1 << i) for a in range(8) for i in range(3) if a < a ^ 1 << i], 48),  # cube
+    # C6 + 2 triangles: Aut(C6) x (S_3 wr S_2)
+    (12, [(i, (i + 1) % 6) for i in range(6)] + [(6 + i, 6 + (i + 1) % 3) for i in range(3)]
+     + [(9 + i, 9 + (i + 1) % 3) for i in range(3)], 864),
+]
+
+
+@pytest.mark.parametrize("v,edges,order", GRAPH_CASES)
 def test_graph_groups(v, edges, order):
     assert graph_automorphism_group(_nbrs(v, edges)).order() == order
+
+
+def _random_graphs(count=240, max_v=7, seed=2014):
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        v = rng.randint(0, max_v)
+        density = rng.random()
+        edges = [e for e in itertools.combinations(range(v), 2) if rng.random() < density]
+        graphs.append((v, edges))
+    return graphs
+
+
+@lru_cache(maxsize=None)
+def random_graph_cases():
+    """Seeded random graphs on at most 7 vertices with their group orders,
+    counted over all vertex permutations (no code shared with the search)."""
+    cases = []
+    for v, edges in _random_graphs():
+        edge_set = {frozenset(e) for e in edges}
+        order = sum(
+            all(frozenset((p[a], p[b])) in edge_set for a, b in edges)
+            for p in itertools.permutations(range(v))
+        )
+        cases.append((v, edges, order))
+    return tuple(cases)
+
+
+def test_random_graph_orders_match_brute_force():
+    for v, edges, order in random_graph_cases():
+        assert graph_automorphism_group(_nbrs(v, edges)).order() == order, (v, edges)
+
+
+def test_traces_only_prune(monkeypatch):
+    # with every refinement trace equal nothing is pruned, and the leaf
+    # checks alone must still give the exact orders
+    monkeypatch.setattr(automorphisms, "hash", lambda _: 0, raising=False)
+    for v, edges, order in random_graph_cases() + tuple(GRAPH_CASES):
+        assert graph_automorphism_group(_nbrs(v, edges)).order() == order, (v, edges)
+    assert graph_automorphism_group(complex_for(5).compat_neighbors()).order() == 120
+
+
+def test_leaf_checks_decide_without_refinement(monkeypatch):
+    # with refinement switched off the search is plain individualization
+    # backtracking, and only the leaf's adjacency check rejects maps
+    monkeypatch.setattr(automorphisms, "_refine", lambda nbrs, colors: (colors, ()))
+    for v, edges, order in random_graph_cases():
+        assert graph_automorphism_group(_nbrs(v, edges)).order() == order, (v, edges)
+
+
+def test_leaf_maps_must_carry_the_level_coloring(monkeypatch):
+    # every leaf map is the swap of 0 and 1, an automorphism of K4; it is
+    # kept only where it sends the level's vertex to the candidate (0 to
+    # 1 at the top level), so the search finds exactly the group it makes
+    monkeypatch.setattr(automorphisms, "_find_iso", lambda *args: (1, 0, 2, 3))
+    k4 = list(itertools.combinations(range(4), 2))
+    group = graph_automorphism_group(_nbrs(4, k4))
+    assert group.generators == ((1, 0, 2, 3),)
+    assert group.order() == 2
 
 
 def test_petersen_graph():

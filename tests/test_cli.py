@@ -9,7 +9,7 @@ from tropmoduli.cli import EXIT_ENVELOPE, EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from tropmoduli.counting import LEMMA_MAX_BOUND
 from tropmoduli.enumeration import ENVELOPE_MAX_N
 
-from shared import count_tree_objects
+from shared import complex_for, count_tree_objects
 
 
 def invoke(*argv):
@@ -225,6 +225,57 @@ def test_payload_bytes_are_pinned():
     assert payload_sha256("report", "--max-n", "7") == (
         "59b42cdf11c06475528345f17e5128222c4dd9c8b3682557bb02157bca488e0b"
     )
+    # the graph search's generators and their reconstructions
+    assert payload_sha256("aut", "--n", "7") == (
+        "cfedb06e26f0f0d00ff9d6d14ed0fda99695bf11c1a28bfeea73bd3d9be5e385"
+    )
+    assert payload_sha256("aut", "--n", "8") == (
+        "9e71f3ace983d095d2a717e70cb1313e11123e80bd359507cdf0aaa0f6f5c055"
+    )
+    # the split sides enumerate prints, as JSON and as raw CSV bytes
+    assert payload_sha256("enumerate", "--n", "7", "--dim", "2") == (
+        "fce8e096064baaaf82218e64262f583d25bd78e53e30cc601b5c3262d2613106"
+    )
+    code, out, _ = invoke("enumerate", "--n", "6", "--format", "csv")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "454e5f8b7a0c04a6474957d532cd6d69c82a5492289c262fa0b6605fc8e9cd34"
+    )
+
+
+def test_enumerate_builds_no_tree_objects(monkeypatch):
+    built = count_tree_objects(monkeypatch)
+    assert invoke("enumerate", "--n", "7")[0] == EXIT_OK
+    assert invoke("enumerate", "--n", "6", "--format", "csv")[0] == EXIT_OK
+    assert built == {}
+
+
+def test_failed_generator_check_is_a_fail(monkeypatch):
+    # a graph search whose only generator swaps rays {2,3} and {2,3,4},
+    # which maps some cell to no cell: one line naming the generator and
+    # the first bad cell, no JSON, exit 1
+    from tropmoduli import automorphisms
+    from tropmoduli.groups import PermutationGroup, format_cycles
+    from tropmoduli.trees import Split
+
+    cx = complex_for(6)
+    a = cx.ray_index[Split.from_side(6, [2, 3])]
+    b = cx.ray_index[Split.from_side(6, [2, 3, 4])]
+    swap = list(range(len(cx.rays)))
+    swap[a], swap[b] = b, a
+    cells = set(cx.cell_ray_sets())
+    bad = next(i for i, c in enumerate(cx.cell_ray_sets()) if {swap[r] for r in c} not in cells)
+    monkeypatch.setattr(
+        automorphisms,
+        "graph_automorphism_group",
+        lambda nbrs: PermutationGroup(len(nbrs), (tuple(swap),)),
+    )
+    code, out, err = invoke("aut", "--n", "6")
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith(f"check failed: generator {format_cycles(swap)}: ")
+    assert f"cell {bad} ({cx.cell_name(bad)})" in err
+    assert err.count("\n") == 1
 
 
 def test_report_and_count_build_no_tree_objects(monkeypatch):
