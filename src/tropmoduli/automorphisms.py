@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .cones import ConeComplex, build_complex
-from .groups import PermutationGroup, format_cycles, identity_perm
+from .groups import PermutationGroup, _StabilizerChain, format_cycles, identity_perm, point_orbit
 from .trees import (
     LeggedTree,
     Split,
@@ -173,23 +173,30 @@ def _sims_group(degree, levels) -> PermutationGroup:
     images, find)`` from the last base point up; the generators found so
     far fix the earlier points, so ``find(w)`` (an automorphism or None)
     runs once per image outside the orbit, and |G| is the orbit sizes'
-    product."""
+    product.  The points with a nontrivial orbit, top level first, seed
+    the chain that cross-checks the order."""
     gens: list[tuple[int, ...]] = []
     order = 1
+    base = []
     for point, images, find in levels:
-        orbit = PermutationGroup(degree, tuple(gens)).orbit(point)
+        orbit = point_orbit(point, gens)
         for w in images:
             if w not in orbit and (g := find(w)) is not None:
                 gens.append(g)
-                orbit = PermutationGroup(degree, tuple(gens)).orbit(point)
+                orbit = point_orbit(point, gens)
         order *= len(orbit)
-    return _checked_group(degree, gens, order)
+        if len(orbit) > 1:
+            base.append(point)
+    return _checked_group(degree, gens, order, base[::-1])
 
 
-def _checked_group(degree, gens, order) -> PermutationGroup:
+def _checked_group(degree, gens, order, base) -> PermutationGroup:
     """The group generated by a search's generators, cross-checked against
-    the orbit-stabilizer order the search computed."""
+    the orbit-stabilizer order the search computed.  The Schreier-Sims
+    chain only starts from ``base``: it is complete for any starting
+    base, so the check does not rest on the search's orbits."""
     group = PermutationGroup(degree, tuple(gens))
+    group._chain = _StabilizerChain(degree, group.generators, base)
     if group.order() != order:
         raise AssertionError(
             f"search order {order} disagrees with generated group order {group.order()}"
@@ -220,16 +227,16 @@ class ComplexAutomorphism:
         """Image cell per cell index; raises if some image split set is not
         a cell (then the ray permutation is no automorphism at all)."""
         cx = self.cx
-        out = []
-        for i, cell in enumerate(cx.cell_rays):
-            j = cx.index.get(tuple(sorted(self.ray_perm[r] for r in cell)))
-            if j is None or cx.dims[j] != cx.dims[i]:
-                name = cx.cell_name(i)
-                raise ValueError(f"ray permutation does not map cell {i} ({name}) to a cell")
-            out.append(j)
-        if sorted(out) != list(range(len(cx.cell_rays))):
+        image = self.ray_perm.__getitem__
+        out = tuple(map(cx.index.get, (tuple(sorted(map(image, cell))) for cell in cx.cell_rays)))
+        dims = cx.dims
+        if None in out or tuple(map(dims.__getitem__, out)) != dims:
+            i = next(i for i, j in enumerate(out) if j is None or dims[j] != dims[i])
+            name = cx.cell_name(i)
+            raise ValueError(f"ray permutation does not map cell {i} ({name}) to a cell")
+        if len(set(out)) < len(out):
             raise ValueError("cell images do not form a permutation")
-        return tuple(out)
+        return out
 
     def split_image(self, s: Split) -> Split:
         return self.cx.rays[self.ray_perm[self.cx.ray_index[s]]]

@@ -199,51 +199,47 @@ def check_contractions(cx: ConeComplex) -> None:
 
     The tree is the cell's clade tree (see :func:`_clade_trees`) and
     must be stable.  Contracting edge e merges vertex e into its parent,
-    the remaining clade masks are recomputed bottom-up from the own legs,
-    the contracted tree must be stable, and its clades must be exactly
-    the rays of the face.  The faces of a cell must be distinct
-    (rigidity).
+    which must stay stable (no other vertex changes), the remaining
+    clade masks are recomputed bottom-up from the own legs, and they
+    must be exactly the rays of the face.  The faces of a cell must be
+    distinct (rigidity).
     """
     ray_of = {s.mask: r for r, s in enumerate(cx.rays)}
     for i, ((parent, own), faces) in enumerate(zip(_clade_trees(cx), cx.codim1)):
         rays, root = cx.cell_rays[i], len(parent)
-        if not _stable(parent, own, None):
+        weight = [v + m.bit_count() for v, m in zip(_valences(parent), own)]
+        if min(weight) < 3:
             raise AssertionError(f"cell {cx.cell_name(i)} has an unstable vertex")
-        targets = set()
         for e, tgt in enumerate(faces):
             up = parent[e]
-            merged = [up if p == e else p for p in parent]
-            acc = own[:]
-            acc[up] |= own[e]
-            if not _stable(merged, acc, e):
+            # the merged vertex loses the contracted edge at both ends
+            if weight[up] + weight[e] - 2 < 3:
                 raise AssertionError(
                     f"contracting edge {cx.ray_name(rays[e])} of cell "
                     f"{cx.cell_name(i)} leaves an unstable vertex"
                 )
-            for k, p in enumerate(merged):
+            acc = own[:]
+            acc[up] |= own[e]
+            for k, p in enumerate(parent):
                 if k != e:
-                    acc[p] |= acc[k]  # children precede their parent
-            face = sorted([ray_of.get(m, -1) for m in acc[:e] + acc[e + 1:root]])
-            if tuple(face) != cx.cell_rays[tgt]:
+                    acc[up if p == e else p] |= acc[k]  # children precede their parent
+            face = tuple(sorted([ray_of.get(m, -1) for m in acc[:e] + acc[e + 1:root]]))
+            if face != cx.cell_rays[tgt]:
                 raise AssertionError(
                     f"contracting edge {cx.ray_name(rays[e])} of cell "
                     f"{cx.cell_name(i)} disagrees with split removal"
                 )
-            if tgt in targets:
-                raise AssertionError(
-                    f"two one-edge contractions of cell {cx.cell_name(i)} hit the same face"
-                )
-            targets.add(tgt)
+        if len(set(faces)) < len(faces):
+            raise AssertionError(
+                f"two one-edge contractions of cell {cx.cell_name(i)} hit the same face"
+            )
 
 
 def vertex_profiles(cx: ConeComplex) -> Iterator[tuple[tuple[int, int], ...]]:
     """Per cell, the sorted (leg count, valence) pairs of the vertices of
     its clade tree."""
     for parent, own in _clade_trees(cx):
-        valence = [1] * len(parent) + [0]  # the root has no parent edge
-        for p in parent:
-            valence[p] += 1
-        yield tuple(sorted(zip([m.bit_count() for m in own], valence)))
+        yield tuple(sorted(zip([m.bit_count() for m in own], _valences(parent))))
 
 
 def _clade_trees(cx: ConeComplex) -> Iterator[tuple[list[int], list[int]]]:
@@ -272,18 +268,13 @@ def _clade_trees(cx: ConeComplex) -> Iterator[tuple[list[int], list[int]]]:
         yield parent, own
 
 
-def _stable(parent: list[int], own: list[int], gone: int | None) -> bool:
-    """Whether every vertex but ``gone`` has valence + legs >= 3.  Vertex
-    ``len(parent)`` is the root; every other vertex also carries the edge
-    to its parent."""
-    weight = [1 + m.bit_count() for m in own]
-    weight[-1] -= 1
-    for k, p in enumerate(parent):
-        if k != gone:
-            weight[p] += 1
-    if gone is not None:
-        weight[gone] = 3
-    return min(weight) >= 3
+def _valences(parent: list[int]) -> list[int]:
+    """Each vertex's valence; vertex ``len(parent)`` is the root, and every
+    other vertex also carries the edge to its parent."""
+    valence = [1] * len(parent) + [0]
+    for p in parent:
+        valence[p] += 1
+    return valence
 
 
 def star_count(cx: ConeComplex, cell_idx: int) -> int:

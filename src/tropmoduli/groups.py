@@ -19,6 +19,7 @@ __all__ = [
     "invert_perm",
     "perm_cycles",
     "format_cycles",
+    "point_orbit",
     "PermutationGroup",
 ]
 
@@ -86,21 +87,39 @@ def _orbit_transversal(degree, point, gens):
     return transversal
 
 
-class _StabilizerChain:
-    """Deterministic Schreier-Sims: a base with per-level orbits and
-    transversals, rebuilt to a fixpoint whenever sifting a Schreier
-    generator yields a new strong generator.  A new generator fixing
-    base[:i] enlarges every level up to i, so the rebuild always restarts
-    from the front; the groups in this package are small enough that the
-    simple restart strategy is cheap."""
+def point_orbit(point: int, gens: Sequence[Sequence[int]]) -> set[int]:
+    """BFS orbit of a point under the generators."""
+    orbit = {point}
+    queue = [point]
+    for x in queue:
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                queue.append(g[x])
+    return orbit
 
-    def __init__(self, degree: int, gens: Sequence[tuple[int, ...]]):
+
+class _StabilizerChain:
+    """Deterministic Schreier-Sims from a starting base, which may be
+    empty, redundant or too short: the base grows by the first point a
+    strong generator moves when it fixes the whole base.  Each round
+    builds every level's transversal and its inverses once, then sifts
+    each Schreier generator u_{s(x)}^-1 s u_x of level i from level i + 1
+    down, since it fixes base[:i+1]; tree edges (s u_x = u_{s(x)}) give
+    the identity and are skipped.  A non-identity residue becomes a
+    strong generator and starts the next round; a round that leaves no
+    residue proves the chain complete, whatever base it started from."""
+
+    def __init__(self, degree: int, gens: Sequence[tuple[int, ...]], base: Sequence[int] = ()):
         """``gens`` must be distinct non-identity permutations."""
         self.degree = degree
         self.strong = list(gens)
-        self.base: list[int] = []
-        self.transversals: list[dict[int, tuple[int, ...]]] = []
-        self._build()
+        self.base = list(base)
+        for g in self.strong:
+            self._extend_base_for(g)
+        while (residue := self._first_residue()) is not None:
+            self.strong.append(residue)
+            self._extend_base_for(residue)
 
     def _extend_base_for(self, g):
         if all(g[p] == p for p in self.base):
@@ -110,41 +129,37 @@ class _StabilizerChain:
         return [s for s in self.strong if all(s[p] == p for p in self.base[:i])]
 
     def _recompute_transversals(self):
-        self.transversals = [
+        self.transversals: list[dict[int, tuple[int, ...]]] = [
             _orbit_transversal(self.degree, self.base[i], self._level_gens(i))
             for i in range(len(self.base))
         ]
+        self._inverses = [{x: invert_perm(u) for x, u in t.items()} for t in self.transversals]
 
-    def _schreier_generators(self):
-        for i, trans in enumerate(self.transversals):
+    def _first_residue(self):
+        """Rebuild the transversals and sift the Schreier generators, deepest
+        level first; the first non-identity residue, else None."""
+        self._recompute_transversals()
+        for i in reversed(range(len(self.base))):
+            trans, inverses, gens = self.transversals[i], self._inverses[i], self._level_gens(i)
             for x, rep in trans.items():
-                for s in self._level_gens(i):
-                    yield compose_perms(invert_perm(trans[s[x]]), compose_perms(s, rep))
+                for s in gens:
+                    su = compose_perms(s, rep)
+                    if su != trans[s[x]]:
+                        residue = self._sift(compose_perms(inverses[s[x]], su), i + 1)
+                        if residue is not None:
+                            return residue
+        return None
 
-    def _build(self):
-        for g in self.strong:
-            self._extend_base_for(g)
-        while True:
-            self._recompute_transversals()
-            residues = map(self._sift, self._schreier_generators())
-            residue = next((r for r in residues if r is not None), None)
-            if residue is None:
-                return
-            self.strong.append(residue)
-            self._extend_base_for(residue)
-
-    def _sift(self, g):
-        """Strip g through the chain; the non-identity residue when g is
-        not generated, else None."""
-        for i, point in enumerate(self.base):
+    def _sift(self, g, start=0):
+        """Strip g through the levels from ``start`` on; the non-identity
+        residue when g is not generated, else None."""
+        for point, inverses in zip(self.base[start:], self._inverses[start:]):
             x = g[point]
-            rep = self.transversals[i].get(x)
-            if rep is None:
-                return g
-            g = compose_perms(invert_perm(rep), g)
-        if all(g[i] == i for i in range(self.degree)):
-            return None
-        return g
+            if x != point:
+                if x not in inverses:
+                    return g
+                g = compose_perms(inverses[x], g)
+        return None if g == identity_perm(self.degree) else g
 
     def order(self) -> int:
         n = 1
@@ -205,7 +220,7 @@ class PermutationGroup:
         )
 
     def orbit(self, point: int) -> frozenset[int]:
-        return frozenset(_orbit_transversal(self.degree, point, self.generators))
+        return frozenset(point_orbit(point, self.generators))
 
     def orbits(self) -> list[frozenset[int]]:
         seen: set[int] = set()

@@ -2,6 +2,7 @@
 method agreement, the marking action, permutation reconstruction, and
 the cellwise witnesses."""
 
+import dataclasses
 import itertools
 import random
 from functools import lru_cache
@@ -305,6 +306,22 @@ def test_cell_map_rejects_non_automorphism():
     )
     with pytest.raises(ValueError, match=rf"\bcell {bad}\b"):
         ComplexAutomorphism(cx, perm).cell_map
+
+
+def test_cell_map_names_a_cell_sent_to_another_dimension():
+    # relabel the ray {3,4} at n = 5 as a 2-cell: swapping markings 2 and
+    # 4 sends the ray {2,3} there, and the error names {2,3}, which comes
+    # first
+    cx = complex_for(5)
+    c23, c34 = (cx.index[(cx.ray_index[Split.from_side(5, s)],)] for s in ([2, 3], [3, 4]))
+    assert c23 < c34
+    dims = list(cx.dims)
+    dims[c34] = 2
+    broken = dataclasses.replace(cx)
+    broken.__dict__["dims"] = tuple(dims)
+    f = ComplexAutomorphism(broken, marking_ray_permutation(cx, (1, 4, 3, 2, 5)))
+    with pytest.raises(ValueError, match=rf"map cell {c23} \(\{{2,3\}}\) to a cell"):
+        f.cell_map
 
 
 def test_list_given_automorphism_is_normalised():

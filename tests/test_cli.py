@@ -367,6 +367,31 @@ def test_each_generator_cell_map_runs_once(monkeypatch):
     assert passes == {4: 2}
 
 
+def test_order_check_sifts_each_schreier_generator_once(monkeypatch):
+    # the cross-check's chain starts from the search's base, so at n = 7
+    # one round of transversals completes it: 126 Schreier generators
+    # are sifted (a chain restarted from level 0 makes 581 sifts and 5
+    # rounds)
+    from tropmoduli.groups import _StabilizerChain
+
+    work = Counter()
+
+    def counted(name):
+        method = getattr(_StabilizerChain, name)
+
+        def wrapper(self, *args):
+            work[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in ("_sift", "_recompute_transversals"):
+        monkeypatch.setattr(_StabilizerChain, name, counted(name))
+    assert invoke("aut", "--n", "7")[0] == EXIT_OK
+    assert 0 < work["_sift"] <= 150
+    assert work["_recompute_transversals"] == 1
+
+
 def test_genus2_lists_each_edge_group_once(monkeypatch):
     from tropmoduli.groups import PermutationGroup
 

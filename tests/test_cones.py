@@ -8,6 +8,7 @@ import json
 import pytest
 
 from tropmoduli import Split, build_complex, splits_compatible, star_count
+from tropmoduli import cones
 from tropmoduli.cones import check_contractions
 from tropmoduli.trees import contract
 
@@ -107,6 +108,49 @@ def test_contraction_check_names_a_wrong_face():
     with pytest.raises(AssertionError, match=r"edge \{2,3,4\} of cell \{2,3\} \| \{2,3,4\} "):
         check_contractions(broken)
     check_contractions(cx)
+
+
+def _patched_tree(monkeypatch, cell, vertex, legs):
+    """Let ``_clade_trees`` give one cell's vertex other own legs."""
+    trees = cones._clade_trees
+
+    def patched(cx):
+        for i, (parent, own) in enumerate(trees(cx)):
+            if i == cell:
+                own = own[:vertex] + [legs] + own[vertex + 1:]
+            yield parent, own
+
+    monkeypatch.setattr(cones, "_clade_trees", patched)
+
+
+def test_contraction_check_names_an_unstable_cell(monkeypatch):
+    # at n = 5 the vertex below edge {2,3} keeps markings 2 and 3; with
+    # marking 2 alone it has valence + legs = 2
+    cx = complex_for(5)
+    ray = {s: r for r, s in enumerate(cx.rays)}
+    cell = cx.index[(ray[Split.from_side(5, [2, 3])],)]
+    marking_2 = 1 << 1
+    _patched_tree(monkeypatch, cell, 0, marking_2)
+    with pytest.raises(AssertionError, match=r"^cell \{2,3\} has an unstable vertex$"):
+        check_contractions(cx)
+
+
+def test_contraction_check_names_two_equal_faces(monkeypatch):
+    # at n = 5, give the vertex below edge {2,3} of the cell
+    # {2,3} | {2,3,4} the legs 2, 3, 4: both contractions then recompute
+    # the clade {2,3,4}, and with both faces pointing at that ray every
+    # face agrees with its contraction, but the two faces coincide
+    cx = complex_for(5)
+    ray = {s: r for r, s in enumerate(cx.rays)}
+    r23, r234 = (ray[Split.from_side(5, side)] for side in ([2, 3], [2, 3, 4]))
+    cell = cx.index[(r23, r234)]
+    faces = list(cx.codim1)
+    faces[cell] = (faces[cell][0], faces[cell][0])
+    broken = dataclasses.replace(cx)
+    broken.__dict__["codim1"] = tuple(faces)
+    _patched_tree(monkeypatch, cell, 0, cx.rays[r234].mask)
+    with pytest.raises(AssertionError, match=r"contractions of cell \{2,3\} \| \{2,3,4\} hit the same face"):
+        check_contractions(broken)
 
 
 def test_build_complex_builds_no_tree_objects(monkeypatch):

@@ -3,11 +3,14 @@ stabilizer chain with a brute-force element closure."""
 
 import itertools
 import math
+import random
 
 import pytest
 
+from tropmoduli.automorphisms import _checked_group
 from tropmoduli.groups import (
     PermutationGroup,
+    _StabilizerChain,
     compose_perms,
     format_cycles,
     identity_perm,
@@ -91,22 +94,76 @@ def test_membership():
     assert cycle(4, 0, 1) not in g
 
 
+CHAIN_CASES = [
+    (5, symmetric_gens(5)),
+    (6, (cycle(6, 0, 1, 2), cycle(6, 3, 4, 5), cycle(6, 0, 3))),
+    (7, (cycle(7, 0, 1, 2, 3, 4, 5, 6),)),
+    (4, ((1, 0, 3, 2), (2, 3, 0, 1))),
+    (6, (cycle(6, 0, 1, 2, 3), cycle(6, 4, 5))),
+]
+
+
+def random_cases(count, seed=4):
+    """Seeded groups of degree <= 8, each generated by one to three
+    permutations that move at most four points."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        degree = rng.randint(5, 8)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            moved = rng.sample(range(degree), rng.randint(2, 4))
+            p = list(range(degree))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                p[a] = b
+            gens.append(tuple(p))
+        cases.append((degree, tuple(gens)))
+    return cases
+
+
+def assert_matches_closure(group, reference):
+    assert group.order() == len(reference)
+    assert group.elements() == reference
+    assert all(p in group for p in reference)
+    outside = itertools.islice(
+        (p for p in itertools.permutations(range(group.degree)) if p not in reference), 200
+    )
+    assert not any(p in group for p in outside)
+
+
+def seeded(degree, gens, base):
+    """The group of ``gens`` with its chain started from ``base``."""
+    group = PermutationGroup(degree, gens)
+    group._chain = _StabilizerChain(degree, group.generators, base)
+    return group
+
+
 def test_chain_agrees_with_closure():
-    cases = [
-        (5, symmetric_gens(5)),
-        (6, (cycle(6, 0, 1, 2), cycle(6, 3, 4, 5), cycle(6, 0, 3))),
-        (7, (cycle(7, 0, 1, 2, 3, 4, 5, 6),)),
-        (4, ((1, 0, 3, 2), (2, 3, 0, 1))),
-        (6, (cycle(6, 0, 1, 2, 3), cycle(6, 4, 5))),
-    ]
-    for degree, gens in cases:
-        reference = closure(degree, gens)
-        group = PermutationGroup(degree, gens)
-        assert group.order() == len(reference)
-        assert group.elements() == reference
-        assert all(p in group for p in reference)
-        outside = [p for p in itertools.permutations(range(degree)) if p not in reference]
-        assert not any(p in group for p in outside[:200])
+    for degree, gens in CHAIN_CASES:
+        assert_matches_closure(PermutationGroup(degree, gens), closure(degree, gens))
+
+
+@pytest.mark.parametrize("degree, gens", CHAIN_CASES + random_cases(8))
+def test_chain_from_any_starting_base(degree, gens):
+    reference = closure(degree, gens)
+    complete = PermutationGroup(degree, gens)._chain
+    empty, reverse = (), tuple(reversed(range(degree)))
+    redundant = (degree - 1, degree - 1, 0) + tuple(range(degree)) + (0,)
+    for base in (empty, reverse, redundant):
+        assert_matches_closure(seeded(degree, gens, base), reference)
+    # started from a base for which they are a strong generating set, the
+    # strong generators need no residue
+    strong = _StabilizerChain(degree, complete.strong, complete.base)
+    assert strong.strong == complete.strong and strong.base == complete.base
+    assert_matches_closure(seeded(degree, tuple(complete.strong), complete.base), reference)
+
+
+@pytest.mark.parametrize("base", [(), (0,), (3, 2, 1, 0), (0, 1, 2), (2, 2, 0, 3)])
+def test_checked_group_rejects_a_wrong_search_order(base):
+    gens = [cycle(4, 0, 1, 2, 3), cycle(4, 0, 1)]
+    with pytest.raises(AssertionError, match="search order 4 disagrees with generated group order 24"):
+        _checked_group(4, gens, 4, base)
+    assert _checked_group(4, gens, 24, base).order() == 24
 
 
 def test_equals():
