@@ -8,9 +8,7 @@ from .trees import (
     Split,
     CanonicalForm,
     Contraction,
-    is_stable,
     contract,
-    splits_of,
     tree_from_splits,
     splits_compatible,
     are_isomorphic,
@@ -44,7 +42,6 @@ from .automorphisms import (
     sn_action,
     sn_kernel,
     reconstruct_sigma,
-    check_cellwise_permutation,
     verify_main_theorem,
     verify_sn_surjectivity,
 )
@@ -61,9 +58,7 @@ __all__ = [
     "Split",
     "CanonicalForm",
     "Contraction",
-    "is_stable",
     "contract",
-    "splits_of",
     "tree_from_splits",
     "splits_compatible",
     "are_isomorphic",
@@ -93,7 +88,6 @@ __all__ = [
     "sn_action",
     "sn_kernel",
     "reconstruct_sigma",
-    "check_cellwise_permutation",
     "verify_main_theorem",
     "verify_sn_surjectivity",
     "WeightedGraph",

@@ -20,28 +20,23 @@ from functools import cached_property, partial
 
 from .cones import ConeComplex, build_complex
 from .groups import PermutationGroup, _StabilizerChain, format_cycles, identity_perm, point_orbit
-from .trees import (
-    LeggedTree,
-    Split,
-    check_marking_perm,
-)
+from .trees import Split, check_marking_perm
 
 __all__ = [
     "ComplexAutomorphism",
     "ReconstructionError",
-    "CellwiseError",
-    "CellwiseWitness",
     "graph_automorphism_group",
     "aut_via_compat_graph",
     "aut_via_poset",
+    "marking_ray_permutation",
     "sn_action",
     "sn_kernel",
     "sn_image_group",
     "reconstruct_sigma",
-    "image_marking_side",
-    "check_cellwise_permutation",
     "verify_sn_surjectivity",
+    "expected_order",
     "verify_main_theorem",
+    "main_theorem_report",
     "DEFAULT_SEED",
 ]
 
@@ -56,15 +51,6 @@ VERIFY_MIN_N = 4
 class ReconstructionError(RuntimeError):
     """A step of the constructive marking-permutation recovery failed;
     this would falsify the symmetric-group description of the group."""
-
-
-class CellwiseError(RuntimeError):
-    """No marking permutation matches a cell's image under the given
-    automorphism."""
-
-    def __init__(self, cell_idx: int, message: str):
-        super().__init__(f"cell {cell_idx}: {message}")
-        self.cell_idx = cell_idx
 
 
 # ---------------------------------------------------------------------------
@@ -404,33 +390,6 @@ def _two_set_image(f: ComplexAutomorphism, pair: frozenset[int]) -> frozenset[in
     )
 
 
-def image_marking_side(f: ComplexAutomorphism, markings) -> frozenset[int]:
-    """The leg set of the image vertex corresponding to the given side of
-    a 2-vertex stratum.  For sides of size != n/2 this is the equal-size
-    side of the image ray; the ambiguous n/2 case is resolved by where a
-    2-element subset lands."""
-    n = f.cx.n
-    A = frozenset(markings)
-    if not 2 <= len(A) <= n - 2:
-        raise ValueError("side must have between 2 and n-2 markings")
-    image = f.split_image(Split.from_side(n, A))
-    parts = [frozenset(p) for p in image.sides()]
-    if 2 * len(A) != n:
-        for part in parts:
-            if len(part) == len(A):
-                return part
-        raise ReconstructionError(
-            f"image of the stratum with side {sorted(A)} preserves no leg count"
-        )
-    probe = _two_set_image(f, frozenset(sorted(A)[:2]))
-    for part in parts:
-        if probe <= part:
-            return part
-    raise ReconstructionError(
-        f"image pair {sorted(probe)} straddles the image bipartition of {sorted(A)}"
-    )
-
-
 def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
     """Recover the marking permutation inducing an automorphism (n >= 5).
 
@@ -486,116 +445,6 @@ def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
             )
     f.cell_map  # every cell maps to a cell; raises naming the first that does not
     return sigma
-
-
-# ---------------------------------------------------------------------------
-# cellwise witnesses
-
-
-@dataclass(frozen=True)
-class CellwiseWitness:
-    """A marking permutation realizing an automorphism's action on one
-    cell, together with the vertex bijection of the representative
-    trees."""
-
-    cell: int
-    image_cell: int
-    sigma: tuple[int, ...]
-    vertex_map: tuple[int, ...]
-
-
-def _vertex_map_from_edge_map(
-    t1: LeggedTree, t2: LeggedTree, edge_images: dict[int, int]
-) -> tuple[int, ...] | None:
-    """The vertex bijection compatible with a given edge bijection between
-    two trees, or None.  Unique for trees with >= 3 vertices; for the
-    symmetric 2-vertex case the map keeping marking 1's vertex on marking
-    1's side is preferred."""
-    V = t1.num_vertices
-    if V == 1:
-        return (0,)
-    if V == 2:
-        candidates = [(0, 1), (1, 0)]
-        legal = [
-            c
-            for c in candidates
-            if all(t1.leg_count(v) == t2.leg_count(c[v]) for v in (0, 1))
-        ]
-        if not legal:
-            return None
-        if len(legal) == 1:
-            return legal[0]
-        holder1 = t1.legs[0]
-        holder2 = t2.legs[0]
-        for c in legal:
-            if c[holder1] == holder2:
-                return c
-        return legal[0]
-    mapping = [-1] * V
-    for v in range(V):
-        incident = [edge_images[idx] for _, idx in t1.adjacency[v]]
-        if len(incident) >= 2:
-            common = set(t2.edges[incident[0]])
-            for e2 in incident[1:]:
-                common &= set(t2.edges[e2])
-            if len(common) != 1:
-                return None
-            mapping[v] = common.pop()
-    for v in range(V):
-        if mapping[v] != -1:
-            continue
-        (nbr, idx), = t1.adjacency[v]
-        a, b = t2.edges[edge_images[idx]]
-        other = mapping[nbr]
-        if other not in (a, b):
-            return None
-        mapping[v] = b if other == a else a
-    if sorted(mapping) != list(range(V)):
-        return None
-    edges2 = set(t2.edges)
-    for u, v in t1.edges:
-        a, b = mapping[u], mapping[v]
-        if (min(a, b), max(a, b)) not in edges2:
-            return None
-    return tuple(mapping)
-
-
-def check_cellwise_permutation(f: ComplexAutomorphism, cell_idx: int) -> CellwiseWitness:
-    """Find a marking permutation realizing the automorphism's action on
-    one cell: it maps the cell's tree to the image cell's tree and agrees
-    with the automorphism's edge bijection.  Existence must hold for every
-    cell of a genuine automorphism; failure raises :class:`CellwiseError`
-    naming the cell."""
-    cx = f.cx
-    image_idx = f.cell_map[cell_idx]
-    t1 = cx.cells[cell_idx].to_tree()
-    t2 = cx.cells[image_idx].to_tree()
-    idx2 = t2.split_index()
-    edge_images = {
-        e: idx2[f.split_image(s)] for e, s in enumerate(t1.splits)
-    }
-
-    vmap = _vertex_map_from_edge_map(t1, t2, edge_images)
-    if vmap is None:
-        raise CellwiseError(cell_idx, "no vertex bijection is compatible with the edge action")
-    sigma = [0] * cx.n
-    for v in range(t1.num_vertices):
-        src = sorted(t1.leg_sets[v])
-        dst = sorted(t2.leg_sets[vmap[v]])
-        if len(src) != len(dst):
-            raise CellwiseError(
-                cell_idx, f"vertex {v} has {len(src)} legs but its image has {len(dst)}"
-            )
-        for a, b in zip(src, dst):
-            sigma[a - 1] = b
-    sigma = tuple(sigma)
-    check_marking_perm(cx.n, sigma)
-    for e, s in enumerate(t1.splits):
-        if s.permuted(sigma) != f.split_image(s):
-            raise CellwiseError(
-                cell_idx, f"no leg matching reproduces the edge action on edge {e}"
-            )
-    return CellwiseWitness(cell_idx, image_idx, sigma, vmap)
 
 
 # ---------------------------------------------------------------------------

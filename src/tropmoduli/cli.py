@@ -139,6 +139,8 @@ def _cmd_aut(args) -> tuple[str, dict, None]:
 
 def _cmd_count(args) -> tuple[str, dict, None]:
     if args.check == "lemma":
+        if args.n is not None:
+            raise ValueError("--check lemma takes no --n")
         checked, violations = lemma_power_sweep(args.bound)
         payload = {
             "check": "lemma",

@@ -44,8 +44,8 @@ class ConeComplex:
 
     @cached_property
     def cells(self) -> tuple[CanonicalForm, ...]:
-        """Each cell as a canonical form, built on first use (cellwise
-        witnesses and tests)."""
+        """Each cell as a canonical form, built on first use (tests and
+        the benchmark's replay)."""
         return tuple(
             CanonicalForm(self.n, tuple(self.rays[r] for r in c)) for c in self.cell_rays
         )

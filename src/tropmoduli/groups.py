@@ -17,13 +17,12 @@ __all__ = [
     "identity_perm",
     "compose_perms",
     "invert_perm",
+    "check_perm",
     "perm_cycles",
     "format_cycles",
     "point_orbit",
     "PermutationGroup",
 ]
-
-RANDOM_MIX = 30
 
 
 def identity_perm(degree: int) -> tuple[int, ...]:
@@ -233,16 +232,15 @@ class PermutationGroup:
         return out
 
     def random_elements(self, count: int, seed: int) -> list[tuple[int, ...]]:
-        """Deterministic sample of group elements: products of RANDOM_MIX
-        factors drawn from the generators and their inverses."""
+        """Deterministic uniform sample of group elements: each is the
+        product of one seeded random coset representative per chain level,
+        as in :meth:`elements`."""
         rng = random.Random(seed)
-        if not self.generators:
-            return [identity_perm(self.degree)] * count
-        pool = list(self.generators) + [invert_perm(g) for g in self.generators]
+        levels = [tuple(t.values()) for t in self._chain.transversals]
         out = []
         for _ in range(count):
             p = identity_perm(self.degree)
-            for _ in range(RANDOM_MIX):
-                p = compose_perms(rng.choice(pool), p)
+            for reps in levels:
+                p = compose_perms(p, rng.choice(reps))
             out.append(p)
         return out

@@ -23,9 +23,7 @@ __all__ = [
     "LeggedTree",
     "Contraction",
     "splits_compatible",
-    "is_stable",
     "contract",
-    "splits_of",
     "tree_from_splits",
     "are_isomorphic",
     "apply_marking_permutation",
@@ -36,8 +34,6 @@ __all__ = [
     "identity_marking_perm",
     "compose_marking_perms",
     "check_marking_perm",
-    "tree_to_json_obj",
-    "tree_from_json_obj",
 ]
 
 MIN_MARKINGS = 3
@@ -163,9 +159,6 @@ class CanonicalForm:
 
     def sort_key(self):
         return tuple(s.sort_key() for s in self.splits)
-
-    def sides_json(self) -> list[list[int]]:
-        return [list(s.side()) for s in self.splits]
 
     def __repr__(self):
         inner = ", ".join(repr(s) for s in self.splits)
@@ -340,11 +333,6 @@ def two_vertex_tree(n: int, side: Iterable[int]) -> LeggedTree:
     return LeggedTree(n, 2, ((0, 1),), legs)
 
 
-def is_stable(t: LeggedTree) -> bool:
-    """Whether every vertex has valence + leg count >= 3."""
-    return t.is_stable
-
-
 def contract(t: LeggedTree, edge_indices: Iterable[int]) -> Contraction:
     """Contract a set of edges (given by index), merging endpoints and
     uniting their leg sets.  Retained edges keep their relative order; the
@@ -384,18 +372,13 @@ def contract(t: LeggedTree, edge_indices: Iterable[int]) -> Contraction:
     )
 
 
-def splits_of(t: LeggedTree) -> CanonicalForm:
-    """The canonical form of a stable tree: one split per edge, sorted."""
-    return t.canonical_form
-
-
 def tree_from_splits(n: int, splits: Iterable[Split]) -> LeggedTree:
     """Build the stable tree realizing a pairwise-compatible split set.
 
     The normalized sides (all avoiding marking 1) form a laminar family,
     so each split nests in a unique minimal strictly-larger one; that
     nesting forest, hung from a root holding marking 1, is the tree.
-    Inverse of :func:`splits_of` up to isomorphism.
+    Inverse of :attr:`LeggedTree.canonical_form` up to isomorphism.
     """
     ss = sorted(set(splits), key=Split.sort_key)
     for s in ss:
@@ -522,33 +505,3 @@ def automorphisms_of_tree(t: LeggedTree) -> list[tuple[int, ...]]:
     over leg-compatible vertex bijections.  For stable trees the result is
     exactly the identity."""
     return list(legged_isomorphisms(t, t))
-
-
-def tree_to_json_obj(t: LeggedTree) -> dict:
-    """Canonical interchange form: marking count plus sorted split sides."""
-    return {"n": t.n, "splits": t.canonical_form.sides_json()}
-
-
-def tree_from_json_obj(obj: dict) -> LeggedTree:
-    """Accepts the canonical splits form or an adjacency-style object with
-    "edges" and "legs" (legs as a list, or a map from marking to vertex)."""
-    n = obj["n"]
-    if "splits" in obj:
-        return tree_from_splits(
-            n, (Split.from_side(n, side) for side in obj["splits"])
-        )
-    edges = tuple(tuple(e) for e in obj["edges"])
-    raw_legs = obj["legs"]
-    if isinstance(raw_legs, dict):
-        legs = tuple(raw_legs[str(i)] for i in range(1, n + 1))
-    else:
-        legs = tuple(raw_legs)
-    num_vertices = obj.get(
-        "num_vertices",
-        max(
-            [v for e in edges for v in e] + list(legs),
-            default=0,
-        )
-        + 1,
-    )
-    return LeggedTree(n, num_vertices, edges, legs)

@@ -435,12 +435,15 @@ def test_empty_runs_are_usage_errors():
     for argv in (
         ("count", "--check", "lemma", "--bound", "-1"),
         ("count", "--check", "lemma", "--bound", "1"),
+        ("count", "--check", "lemma", "--n", "5"),
         ("report", "--max-n", "2"),
         ("report", "--max-n", "3"),
     ):
         code, out, err = invoke(*argv)
         assert code == EXIT_USAGE, argv
         assert out == "" and "error" in err
+    # the flag that does not apply is named, not silently ignored
+    assert "--n" in invoke("count", "--check", "lemma", "--n", "5")[2]
 
 
 def test_oversized_runs_exit_before_work():

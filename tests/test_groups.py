@@ -4,6 +4,7 @@ stabilizer chain with a brute-force element closure."""
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -187,6 +188,17 @@ def test_random_elements_deterministic_and_members():
     assert a == b
     assert all(p in g for p in a)
     assert g.random_elements(5, seed=8) != g.random_elements(5, seed=9)
+
+
+def test_random_elements_are_uniform():
+    # S_4 from a transposition and a 4-cycle, both odd: a product of a
+    # fixed number of generators stays in one parity class, a draw of
+    # one coset representative per chain level reaches every element
+    g = PermutationGroup(4, ((1, 0, 2, 3), (1, 2, 3, 0)))
+    counts = Counter(g.random_elements(2400, 7))
+    assert set(counts) == g.elements()
+    assert min(counts.values()) > 50  # 100 expected per element
+    assert PermutationGroup(3).random_elements(4, 7) == [identity_perm(3)] * 4
 
 
 def test_rejects_non_permutations():

@@ -2,7 +2,6 @@
 round-trip and group-action properties."""
 
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +14,8 @@ from tropmoduli import (
     are_isomorphic,
     automorphisms_of_tree,
     contract,
-    is_stable,
     single_vertex_tree,
     splits_compatible,
-    splits_of,
     tree_from_splits,
     two_vertex_tree,
 )
@@ -26,8 +23,6 @@ from tropmoduli.trees import (
     compose_marking_perms,
     identity_marking_perm,
     legged_isomorphisms,
-    tree_from_json_obj,
-    tree_to_json_obj,
 )
 
 from shared import catalog
@@ -48,16 +43,16 @@ def chain_tree(n, leg_groups):
 
 
 def test_single_vertex_is_stable():
-    assert is_stable(single_vertex_tree(4))
+    assert single_vertex_tree(4).is_stable
 
 
 def test_two_vertex_balanced_is_stable():
-    assert is_stable(two_vertex_tree(4, [3, 4]))
+    assert two_vertex_tree(4, [3, 4]).is_stable
 
 
 def test_bare_vertex_is_unstable():
     t = LeggedTree(4, 2, ((0, 1),), (0, 0, 0, 0))
-    assert not is_stable(t)
+    assert not t.is_stable
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +94,20 @@ def test_compatible_rejects_mismatched_n():
 
 
 # ---------------------------------------------------------------------------
-# splits_of / tree_from_splits
+# canonical forms / tree_from_splits
 
 
 def test_two_vertex_split_set():
-    assert splits_of(two_vertex_tree(5, [2, 3])).splits == (Split.from_side(5, [2, 3]),)
+    assert two_vertex_tree(5, [2, 3]).canonical_form.splits == (Split.from_side(5, [2, 3]),)
 
 
 def test_single_vertex_has_no_splits():
-    assert splits_of(single_vertex_tree(5)).splits == ()
+    assert single_vertex_tree(5).canonical_form.splits == ()
 
 
 def test_caterpillar_splits_by_component_deletion():
     t = chain_tree(5, [(2, 3), (4,), (1, 5)])
-    forms = splits_of(t)
+    forms = t.canonical_form
     assert len(forms.splits) == 2
     # oracle: delete each edge, collect the markings of each side
     expected = set()
@@ -148,7 +143,7 @@ def test_tree_from_splits_single():
 def test_tree_from_splits_chain():
     ss = [Split.from_side(5, [2, 3]), Split.from_side(5, [2, 3, 4])]
     t = tree_from_splits(5, ss)
-    assert splits_of(t) == CanonicalForm.from_splits(5, ss)
+    assert t.canonical_form == CanonicalForm.from_splits(5, ss)
     assert are_isomorphic(t, chain_tree(5, [(2, 3), (4,), (1, 5)]))
 
 
@@ -344,24 +339,3 @@ def test_round_trip_random_split_sets(ns):
     assert t.is_stable
     assert t.canonical_form == CanonicalForm.from_splits(n, splits)
     assert len(t.edges) == len(set(splits))
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-
-
-def test_json_round_trip():
-    t = chain_tree(5, [(2, 3), (4,), (1, 5)])
-    obj = tree_to_json_obj(t)
-    assert obj == {"n": 5, "splits": [[2, 3], [2, 3, 4]]}
-    assert json.loads(json.dumps(obj)) == obj
-    back = tree_from_json_obj(obj)
-    assert are_isomorphic(back, t)
-
-
-def test_json_accepts_adjacency_input():
-    obj = {"n": 4, "edges": [[0, 1]], "legs": {"1": 0, "2": 0, "3": 1, "4": 1}}
-    t = tree_from_json_obj(obj)
-    assert t.canonical_form == two_vertex_tree(4, [3, 4]).canonical_form
-    # emitted form is always the splits form
-    assert "splits" in tree_to_json_obj(t)
