@@ -214,7 +214,9 @@ class ComplexAutomorphism:
         a cell (then the ray permutation is no automorphism at all)."""
         cx = self.cx
         image = self.ray_perm.__getitem__
-        out = tuple(map(cx.index.get, (tuple(sorted(map(image, cell))) for cell in cx.cell_rays)))
+        # one C-level pipeline, no Python frame per cell
+        images = map(tuple, map(sorted, map(map, itertools.repeat(image), cx.cell_rays)))
+        out = tuple(map(cx.index.get, images))
         dims = cx.dims
         if None in out or tuple(map(dims.__getitem__, out)) != dims:
             i = next(i for i, j in enumerate(out) if j is None or dims[j] != dims[i])
@@ -333,8 +335,19 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
 
 
 def marking_ray_permutation(cx: ConeComplex, sigma) -> tuple[int, ...]:
+    """The ray permutation a marking permutation induces, on ray masks:
+    each marking-1-free side is mapped marking by marking through sigma,
+    complemented when its image holds marking 1, and looked up."""
     sigma = check_marking_perm(cx.n, sigma)
-    return tuple(cx.ray_index[s.permuted(sigma)] for s in cx.rays)
+    full = (1 << cx.n) - 1
+    # images[m >> 1]: the image of the side with mask m, built one marking
+    # at a time (mask bit i - 1 is marking i)
+    images = [0]
+    for target in sigma[1:]:
+        bit = 1 << (target - 1)
+        images += [m | bit for m in images]
+    images = [m ^ full if m & 1 else m for m in images]
+    return tuple(cx.ray_by_mask[images[s.mask >> 1]] for s in cx.rays)
 
 
 def sn_action(cx: ConeComplex, sigma) -> ComplexAutomorphism:
@@ -378,12 +391,16 @@ def sn_image_group(cx: ConeComplex) -> PermutationGroup:
 
 def _two_set_image(f: ComplexAutomorphism, pair: frozenset[int]) -> frozenset[int]:
     """Image leg pair of the 2-vertex stratum with leg set `pair` on one
-    vertex: the size-2 side of the image ray."""
-    n = f.cx.n
-    image = f.split_image(Split.from_side(n, pair))
-    for part in image.sides():
-        if len(part) == 2:
-            return frozenset(part)
+    vertex: the size-2 side of the image ray, read off its mask."""
+    cx = f.cx
+    full = (1 << cx.n) - 1
+    mask = sum(1 << (i - 1) for i in pair)
+    if mask & 1:
+        mask ^= full
+    image = cx.rays[f.ray_perm[cx.ray_by_mask[mask]]].mask
+    for part in (image, image ^ full):
+        if part.bit_count() == 2:
+            return frozenset(i + 1 for i in range(cx.n) if part >> i & 1)
     raise ReconstructionError(
         f"image of the 2-leg stratum {set(pair)} has no 2-leg vertex; "
         "leg counts are not preserved"

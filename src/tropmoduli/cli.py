@@ -64,7 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut", help="automorphism group of the complex")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("graph", "poset", "both"), default="graph")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help="recorded in params only: aut draws no samples",
+    )
 
     p = sub.add_parser("count", help="closed-form counting checks")
     p.add_argument("--n", type=int, default=None)

@@ -87,6 +87,11 @@ class ConeComplex:
     def ray_index(self) -> dict[Split, int]:
         return {s: r for r, s in enumerate(self.rays)}
 
+    @cached_property
+    def ray_by_mask(self) -> dict[int, int]:
+        """Ray index by the bitmask of its marking-1-free side."""
+        return {s.mask: r for r, s in enumerate(self.rays)}
+
     def compat_neighbors(self) -> list[list[int]]:
         return [
             [j for j in range(len(self.rays)) if row >> j & 1]
@@ -204,7 +209,7 @@ def check_contractions(cx: ConeComplex) -> None:
     must be exactly the rays of the face.  The faces of a cell must be
     distinct (rigidity).
     """
-    ray_of = {s.mask: r for r, s in enumerate(cx.rays)}
+    ray_of = cx.ray_by_mask
     for i, ((parent, own), faces) in enumerate(zip(_clade_trees(cx), cx.codim1)):
         rays, root = cx.cell_rays[i], len(parent)
         weight = [v + m.bit_count() for v, m in zip(_valences(parent), own)]

@@ -206,6 +206,18 @@ class M2Complex:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.cells)
 
+    @cached_property
+    def retained_maps(self) -> tuple[tuple[dict[int, int], ...], ...]:
+        """Per cell and edge: the arrow's retained-edge identification as
+        a dict from each other edge of the cell to its edge of the face."""
+        return tuple(
+            tuple(
+                dict(zip((x for x in range(cell.dimension) if x != e), retained))
+                for e, (_, retained) in enumerate(per_edge)
+            )
+            for cell, per_edge in zip(self.cells, self.arrows)
+        )
+
     def cell_index(self, name: str) -> int:
         return self.names.index(name)
 
@@ -288,17 +300,6 @@ class M2SearchResult:
     classes: int
 
 
-def _retained_lookup(cell_dim: int, e: int, retained: tuple[int, ...]) -> dict[int, int]:
-    out = {}
-    pos = 0
-    for i in range(cell_dim):
-        if i == e:
-            continue
-        out[i] = retained[pos]
-        pos += 1
-    return out
-
-
 def _check_candidate(
     cx: M2Complex, cell_map: tuple[int, ...], edge_maps: tuple[tuple[int, ...], ...]
 ) -> M2Violation | None:
@@ -307,9 +308,9 @@ def _check_candidate(
     for i, cell in enumerate(cx.cells):
         i2 = cell_map[i]
         for e in range(cell.dimension):
-            j, retained = cx.arrows[i][e]
+            j, _ = cx.arrows[i][e]
             e2 = edge_maps[i][e]
-            j2, retained2 = cx.arrows[i2][e2]
+            j2, _ = cx.arrows[i2][e2]
             if cell_map[j] != j2:
                 return M2Violation(
                     cell=cell.name,
@@ -317,8 +318,8 @@ def _check_candidate(
                     face=cx.cells[j].name,
                     image_face=cx.cells[j2].name,
                 )
-            lhs = _retained_lookup(cell.dimension, e, retained)
-            rhs = _retained_lookup(cell.dimension, e2, retained2)
+            lhs = cx.retained_maps[i][e]
+            rhs = cx.retained_maps[i2][e2]
             # the retained-edge identifications are canonical only up to
             # the face edge groups, so the square has to commute up to a
             # pre-twist h1 on the face and a post-twist h2 on its image:

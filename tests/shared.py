@@ -21,8 +21,14 @@ def complex_for(n):
 def count_tree_objects(monkeypatch) -> Counter:
     """Count the LeggedTree and CanonicalForm objects built from now on
     (through ``__post_init__``), by class name."""
+    return count_built(monkeypatch, LeggedTree, CanonicalForm)
+
+
+def count_built(monkeypatch, *classes) -> Counter:
+    """Count the objects of the given classes built from now on (through
+    ``__post_init__``), by class name."""
     built = Counter()
-    for cls in (LeggedTree, CanonicalForm):
+    for cls in classes:
         monkeypatch.setattr(cls, "__post_init__", _counted(built, cls))
     return built
 

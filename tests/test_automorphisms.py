@@ -29,7 +29,7 @@ from tropmoduli.automorphisms import (
     sn_image_group,
 )
 from tropmoduli.enumeration import EnvelopeError
-from tropmoduli.groups import PermutationGroup, compose_perms, perm_cycles
+from tropmoduli.groups import PermutationGroup, compose_perms, format_cycles, perm_cycles
 from tropmoduli.trees import compose_marking_perms
 
 from shared import complex_for
@@ -228,6 +228,16 @@ def test_action_is_homomorphism_all_of_s4_s5():
                 )
 
 
+def test_mask_action_matches_split_oracle():
+    # the ray action read off masks equals relabelling each Split
+    for n in (4, 5, 6):
+        cx = complex_for(n)
+        for sigma in itertools.permutations(range(1, n + 1)):
+            assert marking_ray_permutation(cx, sigma) == tuple(
+                cx.ray_index[s.permuted(sigma)] for s in cx.rays
+            )
+
+
 def test_image_group_orders():
     assert sn_image_group(complex_for(4)).order() == 6
     assert sn_image_group(complex_for(5)).order() == 120
@@ -253,6 +263,26 @@ def test_reconstruct_round_trip_generators():
         for g in aut_via_compat_graph(cx).generators:
             sigma = reconstruct_sigma(ComplexAutomorphism(cx, g))
             assert sn_action(cx, sigma).ray_perm == tuple(g)
+
+
+def _split_two_set_sigma(f):
+    """The marking permutation from the images of the strata {1,j},
+    read off Split objects: the route the mask reading replaced."""
+    n = f.cx.n
+    two_sets = {}
+    for j in range(2, n + 1):
+        image = f.split_image(Split.from_side(n, (1, j)))
+        (two_sets[j],) = (set(part) for part in image.sides() if len(part) == 2)
+    (one,) = two_sets[2] & two_sets[3]
+    return (one,) + tuple(min(two_sets[j] - {one}) for j in range(2, n + 1))
+
+
+def test_reconstruct_matches_split_oracle():
+    for n in (5, 6):
+        cx = complex_for(n)
+        for g in aut_via_compat_graph(cx).generators:
+            f = ComplexAutomorphism(cx, g)
+            assert reconstruct_sigma(f) == _split_two_set_sigma(f)
 
 
 def test_reconstruct_known_sigma():
@@ -289,6 +319,26 @@ def test_reconstruct_rejects_non_automorphism():
     f = ComplexAutomorphism(cx, _type_breaking_swap(cx))
     with pytest.raises(ReconstructionError, match=r"sends ray \{2,3\} to \{2,3\}, "):
         reconstruct_sigma(f)
+
+
+def test_reconstruct_rejects_a_lost_two_leg_vertex():
+    # swapping the ray of {1,2} (stored side {3,4,5,6}) with {2,3,4} sends
+    # the 2-leg stratum on {1,2} to a ray with two 3-leg sides
+    cx = complex_for(6)
+    a = cx.ray_index[Split.from_side(6, [3, 4, 5, 6])]
+    b = cx.ray_index[Split.from_side(6, [2, 3, 4])]
+    perm = list(range(len(cx.rays)))
+    perm[a], perm[b] = b, a
+    message = (
+        "image of the 2-leg stratum {1, 2} has no 2-leg vertex; "
+        "leg counts are not preserved"
+    )
+    with pytest.raises(ReconstructionError) as excinfo:
+        reconstruct_sigma(ComplexAutomorphism(cx, perm))
+    assert str(excinfo.value) == message
+    report = verify_sn_surjectivity(cx, PermutationGroup(len(cx.rays), (tuple(perm),)), samples=0)
+    assert (report["checked"], report["ok"]) == (1, 0)
+    assert report["failures"] == [f"generator:{format_cycles(perm)}"]
 
 
 def test_cell_map_rejects_non_automorphism():

@@ -5,11 +5,13 @@ import io
 import json
 from collections import Counter
 
+from tropmoduli.automorphisms import DEFAULT_SEED, main_theorem_report
 from tropmoduli.cli import EXIT_ENVELOPE, EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from tropmoduli.counting import LEMMA_MAX_BOUND
 from tropmoduli.enumeration import ENVELOPE_MAX_N
+from tropmoduli.trees import Split
 
-from shared import complex_for, count_tree_objects
+from shared import complex_for, count_built, count_tree_objects
 
 
 def invoke(*argv):
@@ -256,7 +258,6 @@ def test_failed_generator_check_is_a_fail(monkeypatch):
     # the first bad cell, no JSON, exit 1
     from tropmoduli import automorphisms
     from tropmoduli.groups import PermutationGroup, format_cycles
-    from tropmoduli.trees import Split
 
     cx = complex_for(6)
     a = cx.ray_index[Split.from_side(6, [2, 3])]
@@ -282,6 +283,15 @@ def test_report_and_count_build_no_tree_objects(monkeypatch):
     built = count_tree_objects(monkeypatch)
     assert invoke("report", "--max-n", "6")[0] == EXIT_OK
     assert invoke("count", "--check", "formula", "--n", "7")[0] == EXIT_OK
+    assert built == {}
+
+
+def test_theorem_report_builds_no_splits(monkeypatch):
+    # the marking action, the reconstruction and the cell checks, including
+    # 100 sampled elements, run on ray masks once the complex is built
+    cx = complex_for(6)
+    built = count_built(monkeypatch, Split)
+    assert main_theorem_report(cx, DEFAULT_SEED, 100)["verdict"] == "PASS"
     assert built == {}
 
 
