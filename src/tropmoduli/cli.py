@@ -20,12 +20,11 @@ from . import __version__
 from .automorphisms import (
     DEFAULT_SEED,
     VERIFY_MIN_N,
-    aut_via_compat_graph,
     aut_via_poset,
     expected_order,
     main_theorem_report,
 )
-from .cones import build_complex, star_count, vertex_profiles
+from .cones import build_complex, star_count
 from .counting import brute_force_partition_count, lemma_power_sweep, per_vertex_partition_count
 from .enumeration import (
     ENVELOPE_MAX_N,
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="closed-form counting checks")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--check", choices=("formula", "lemma"), required=True)
-    p.add_argument("--bound", type=int, default=20)
+    p.add_argument("--bound", type=int, default=None)
 
     sub.add_parser("genus2", help="verify the 7-cell genus-2 fixture")
 
@@ -112,17 +111,11 @@ def _cmd_complex(args) -> tuple[str | None, dict, str | None]:
 
 
 def _cmd_aut(args) -> tuple[str, dict, None]:
+    if args.n < VERIFY_MIN_N:
+        raise ValueError(
+            f"--n must be >= {VERIFY_MIN_N}: smaller runs check no automorphism group"
+        )
     expected = expected_order(args.n)
-    if args.n < 4:
-        group = aut_via_compat_graph(build_complex(args.n))
-        payload = {
-            "n": args.n,
-            "order": group.order(),
-            "expected": expected,
-            "generators": [],
-            "verdict": "PASS" if group.order() == expected else "FAIL",
-        }
-        return payload["verdict"], payload, None
     if args.method == "poset":
         group = aut_via_poset(build_complex(args.n))
         payload = {
@@ -144,6 +137,7 @@ def _cmd_count(args) -> tuple[str, dict, None]:
     if args.check == "lemma":
         if args.n is not None:
             raise ValueError("--check lemma takes no --n")
+        args.bound = 20 if args.bound is None else args.bound  # recorded in params
         checked, violations = lemma_power_sweep(args.bound)
         payload = {
             "check": "lemma",
@@ -155,6 +149,8 @@ def _cmd_count(args) -> tuple[str, dict, None]:
         return payload["verdict"], payload, None
     if args.n is None:
         raise ValueError("--check formula requires --n")
+    if args.bound is not None:
+        raise ValueError("--check formula takes no --bound")
     cx = build_complex(args.n)
     mismatches, star_bad = _formula_mismatches(cx)
     payload = {
@@ -172,10 +168,16 @@ def _formula_mismatches(cx) -> tuple[list, list[int]]:
     """Cells (by split sides) whose expansion-count formula disagrees with
     the brute-force count over each vertex's subsets, and cells (by index)
     whose star count disagrees with the formula."""
+    counts = {}  # both counts depend on the profile alone
+    for pairs in set(cx.vertex_profiles):
+        counts[pairs] = (
+            sum(per_vertex_partition_count(legs, val) for legs, val in pairs),
+            sum(brute_force_partition_count(legs + val) for legs, val in pairs),
+        )
     mismatches, star_bad = [], []
-    for i, pairs in enumerate(vertex_profiles(cx)):
-        formula = sum(per_vertex_partition_count(legs, val) for legs, val in pairs)
-        if formula != sum(brute_force_partition_count(legs + val) for legs, val in pairs):
+    for i, pairs in enumerate(cx.vertex_profiles):
+        formula, brute = counts[pairs]
+        if formula != brute:
             mismatches.append(cx.cell_sides(i))
         if star_count(cx, i) != formula:
             star_bad.append(i)

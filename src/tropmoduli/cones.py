@@ -11,7 +11,9 @@ edge is merged into its parent vertex, the remaining clades are
 recomputed from the vertices' own legs, and the result must be a stable
 tree whose clades are the face found by index removal, with the faces
 of a cell all distinct.  This turns the rigidity of stable trees into a
-runtime check without building a tree object per cell.
+runtime check without building a tree object per cell.  The same walk
+records each cell's vertex profile (:attr:`ConeComplex.vertex_profiles`),
+which the counting check reads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "build_complex",
     "check_contractions",
     "star_count",
-    "vertex_profiles",
 ]
 
 
@@ -111,6 +112,12 @@ class ConeComplex:
         return self.index[target], retained
 
     @cached_property
+    def vertex_profiles(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per cell, the sorted (leg count, valence) pairs of the vertices
+        of its clade tree, recorded by :func:`check_contractions`."""
+        return check_contractions(self)
+
+    @cached_property
     def _star_counts(self) -> tuple[int, ...]:
         counts = [0] * len(self.cell_rays)
         for faces in self.codim1:
@@ -184,7 +191,7 @@ class ConeComplex:
 def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
     """Materialize the cone complex: all cells in (dimension, canonical)
     order plus the codimension-1 face maps by index removal, each checked
-    by :func:`check_contractions`."""
+    by :func:`check_contractions`, which also records the vertex profiles."""
     if catalog is None:
         catalog = enumerate_strata(n)
     cx = ConeComplex(
@@ -193,11 +200,11 @@ def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
         catalog.compat_rows,
         tuple(c for d in sorted(catalog.cell_rays) for c in catalog.cell_rays[d]),
     )
-    check_contractions(cx)
+    cx.vertex_profiles  # force the contraction check
     return cx
 
 
-def check_contractions(cx: ConeComplex) -> None:
+def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Contract every edge of every cell's tree and compare the result
     with the face in ``cx.codim1``; raise ``AssertionError`` naming the
     cell and the edge on the first disagreement.
@@ -207,12 +214,15 @@ def check_contractions(cx: ConeComplex) -> None:
     which must stay stable (no other vertex changes), the remaining
     clade masks are recomputed bottom-up from the own legs, and they
     must be exactly the rays of the face.  The faces of a cell must be
-    distinct (rigidity).
+    distinct (rigidity).  Returns each cell's vertex profile, equal
+    profiles as one shared tuple.
     """
     ray_of = cx.ray_by_mask
+    profiles, seen = [], {}
     for i, ((parent, own), faces) in enumerate(zip(_clade_trees(cx), cx.codim1)):
         rays, root = cx.cell_rays[i], len(parent)
-        weight = [v + m.bit_count() for v, m in zip(_valences(parent), own)]
+        legs, valence = [m.bit_count() for m in own], _valences(parent)
+        weight = [a + b for a, b in zip(legs, valence)]
         if min(weight) < 3:
             raise AssertionError(f"cell {cx.cell_name(i)} has an unstable vertex")
         for e, tgt in enumerate(faces):
@@ -238,13 +248,9 @@ def check_contractions(cx: ConeComplex) -> None:
             raise AssertionError(
                 f"two one-edge contractions of cell {cx.cell_name(i)} hit the same face"
             )
-
-
-def vertex_profiles(cx: ConeComplex) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Per cell, the sorted (leg count, valence) pairs of the vertices of
-    its clade tree."""
-    for parent, own in _clade_trees(cx):
-        yield tuple(sorted(zip([m.bit_count() for m in own], _valences(parent))))
+        pairs = tuple(sorted(zip(legs, valence)))
+        profiles.append(seen.setdefault(pairs, pairs))
+    return tuple(profiles)
 
 
 def _clade_trees(cx: ConeComplex) -> Iterator[tuple[list[int], list[int]]]:

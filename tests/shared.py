@@ -33,6 +33,20 @@ def count_built(monkeypatch, *classes) -> Counter:
     return built
 
 
+def count_calls(monkeypatch, module, name, key=lambda *args: None) -> Counter:
+    """Count the calls to ``module.name`` made from now on, by ``key`` of
+    their arguments."""
+    calls = Counter()
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls[key(*args)] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def _counted(counter, cls):
     original = cls.__post_init__
 

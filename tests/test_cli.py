@@ -11,7 +11,7 @@ from tropmoduli.counting import LEMMA_MAX_BOUND
 from tropmoduli.enumeration import ENVELOPE_MAX_N
 from tropmoduli.trees import Split
 
-from shared import complex_for, count_built, count_tree_objects
+from shared import complex_for, count_built, count_calls, count_tree_objects
 
 
 def invoke(*argv):
@@ -324,6 +324,29 @@ def test_report_enumerates_and_builds_each_n_once(monkeypatch):
     assert enumerations == {3: 1, 4: 1, 5: 1, 6: 1, 7: 1}
 
 
+def test_count_and_report_walk_each_clade_tree_once(monkeypatch):
+    # the contraction check in build_complex records the vertex profiles
+    # the counting check reads
+    from tropmoduli import cones
+
+    walks = count_calls(monkeypatch, cones, "_clade_trees", lambda cx: cx.n)
+    assert invoke("count", "--check", "formula", "--n", "7")[0] == EXIT_OK
+    assert walks == {7: 1}
+    walks.clear()
+    assert invoke("report", "--max-n", "7")[0] == EXIT_OK
+    assert walks == {4: 1, 5: 1, 6: 1, 7: 1}
+
+
+def test_count_formula_runs_the_brute_force_once_per_distinct_profile(monkeypatch):
+    from tropmoduli import cli
+
+    calls = count_calls(monkeypatch, cli, "brute_force_partition_count")
+    assert invoke("count", "--check", "formula", "--n", "7")[0] == EXIT_OK
+    profiles = set(complex_for(7).vertex_profiles)
+    assert len(profiles) == 13
+    assert sum(calls.values()) <= sum(map(len, profiles))
+
+
 def test_each_automorphism_fact_is_checked_once(monkeypatch):
     # one reconstruction per generator (4 + 5 at n = 5, 6) plus one per
     # sample (100 at n = 5, 6); the poset search runs only when asked for
@@ -448,12 +471,16 @@ def test_empty_runs_are_usage_errors():
         ("count", "--check", "lemma", "--n", "5"),
         ("report", "--max-n", "2"),
         ("report", "--max-n", "3"),
+        ("aut", "--n", "3"),
+        ("count", "--check", "formula", "--n", "5", "--bound", "20"),
     ):
         code, out, err = invoke(*argv)
         assert code == EXIT_USAGE, argv
         assert out == "" and "error" in err
     # the flag that does not apply is named, not silently ignored
     assert "--n" in invoke("count", "--check", "lemma", "--n", "5")[2]
+    assert "--n" in invoke("aut", "--n", "3", "--method", "poset")[2]
+    assert "--bound" in invoke("count", "--check", "formula", "--n", "5", "--bound", "20")[2]
 
 
 def test_oversized_runs_exit_before_work():

@@ -12,7 +12,7 @@ from tropmoduli import cones
 from tropmoduli.cones import check_contractions
 from tropmoduli.trees import contract
 
-from shared import complex_for, count_tree_objects
+from shared import complex_for, count_calls, count_tree_objects
 
 
 def test_n3_is_a_point():
@@ -151,6 +151,17 @@ def test_contraction_check_names_two_equal_faces(monkeypatch):
     _patched_tree(monkeypatch, cell, 0, cx.rays[r234].mask)
     with pytest.raises(AssertionError, match=r"contractions of cell \{2,3\} \| \{2,3,4\} hit the same face"):
         check_contractions(broken)
+
+
+def test_build_complex_walks_each_clade_tree_once(monkeypatch):
+    walks = count_calls(monkeypatch, cones, "_clade_trees", lambda cx: cx.n)
+    cx = build_complex(6)
+    assert walks == {6: 1}
+    # the profiles were recorded by that walk; equal ones are one tuple
+    profiles = cx.vertex_profiles
+    assert walks == {6: 1}
+    assert len(profiles) == len(cx.cell_rays)
+    assert len({id(p) for p in profiles}) == len(set(profiles))
 
 
 def test_build_complex_builds_no_tree_objects(monkeypatch):

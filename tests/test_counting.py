@@ -13,7 +13,6 @@ from tropmoduli import (
     single_vertex_tree,
     two_vertex_tree,
 )
-from tropmoduli.cones import vertex_profiles
 from tropmoduli.counting import brute_force_partition_count
 
 from shared import catalog, complex_for
@@ -63,7 +62,7 @@ def test_clade_tree_profiles_match_the_tree_route():
     # count of its one-edge expansions built as trees
     for n in (4, 5, 6, 7):
         cx = complex_for(n)
-        for i, pairs in enumerate(vertex_profiles(cx)):
+        for i, pairs in enumerate(cx.vertex_profiles):
             tree = cx.cells[i].to_tree()
             assert pairs == VertexProfile.of_tree(tree).pairs
             brute = sum(brute_force_partition_count(legs + val) for legs, val in pairs)
