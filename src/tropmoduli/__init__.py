@@ -7,15 +7,8 @@ from .trees import (
     LeggedTree,
     Split,
     CanonicalForm,
-    Contraction,
-    contract,
     tree_from_splits,
     splits_compatible,
-    are_isomorphic,
-    apply_marking_permutation,
-    automorphisms_of_tree,
-    single_vertex_tree,
-    two_vertex_tree,
 )
 from .enumeration import (
     StratumCatalog,
@@ -29,7 +22,6 @@ from .enumeration import (
 from .cones import ConeComplex, build_complex, star_count
 from .groups import PermutationGroup
 from .counting import (
-    VertexProfile,
     expansion_count_formula,
     per_vertex_partition_count,
     lemma_power_check,
@@ -39,11 +31,8 @@ from .automorphisms import (
     ComplexAutomorphism,
     aut_via_compat_graph,
     aut_via_poset,
-    sn_action,
     sn_kernel,
     reconstruct_sigma,
-    verify_main_theorem,
-    verify_sn_surjectivity,
 )
 from .genus2 import (
     WeightedGraph,
@@ -57,15 +46,8 @@ __all__ = [
     "LeggedTree",
     "Split",
     "CanonicalForm",
-    "Contraction",
-    "contract",
     "tree_from_splits",
     "splits_compatible",
-    "are_isomorphic",
-    "apply_marking_permutation",
-    "automorphisms_of_tree",
-    "single_vertex_tree",
-    "two_vertex_tree",
     "StratumCatalog",
     "EnvelopeError",
     "enumerate_strata",
@@ -77,7 +59,6 @@ __all__ = [
     "build_complex",
     "star_count",
     "PermutationGroup",
-    "VertexProfile",
     "expansion_count_formula",
     "per_vertex_partition_count",
     "lemma_power_check",
@@ -85,11 +66,8 @@ __all__ = [
     "ComplexAutomorphism",
     "aut_via_compat_graph",
     "aut_via_poset",
-    "sn_action",
     "sn_kernel",
     "reconstruct_sigma",
-    "verify_main_theorem",
-    "verify_sn_surjectivity",
     "WeightedGraph",
     "QuotientCell",
     "build_m2_complex",

@@ -18,9 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .cones import ConeComplex, build_complex
+from .cones import ConeComplex
 from .groups import PermutationGroup, _StabilizerChain, format_cycles, identity_perm, point_orbit
-from .trees import Split, check_marking_perm
+from .trees import check_marking_perm
 
 __all__ = [
     "ComplexAutomorphism",
@@ -29,13 +29,10 @@ __all__ = [
     "aut_via_compat_graph",
     "aut_via_poset",
     "marking_ray_permutation",
-    "sn_action",
     "sn_kernel",
     "sn_image_group",
     "reconstruct_sigma",
-    "verify_sn_surjectivity",
     "expected_order",
-    "verify_main_theorem",
     "main_theorem_report",
     "DEFAULT_SEED",
 ]
@@ -194,7 +191,7 @@ def _checked_group(degree, gens, order, base) -> PermutationGroup:
 # complex automorphisms as ray permutations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexAutomorphism:
     """An automorphism of the cone complex, stored as its permutation of
     the rays; the cell permutation and per-cell edge bijections are
@@ -226,33 +223,13 @@ class ComplexAutomorphism:
             raise ValueError("cell images do not form a permutation")
         return out
 
-    def split_image(self, s: Split) -> Split:
-        return self.cx.rays[self.ray_perm[self.cx.ray_index[s]]]
 
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.ray_perm))
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexAutomorphism):
-            return NotImplemented
-        return self.cx.n == other.cx.n and self.ray_perm == other.ray_perm
-
-    def __hash__(self):
-        return hash((self.cx.n, self.ray_perm))
-
-
-def aut_via_compat_graph(cx: ConeComplex) -> PermutationGroup:
-    """The automorphism group of the ray-compatibility graph; every
-    generator is checked to extend to a genuine complex automorphism
-    (cells map to cells, dimensionwise)."""
-    return _checked_generators(cx)[0]
-
-
-def _checked_generators(
+def aut_via_compat_graph(
     cx: ConeComplex,
 ) -> tuple[PermutationGroup, list[ComplexAutomorphism]]:
-    """:func:`aut_via_compat_graph`'s group together with its generators
-    as complex automorphisms whose cell maps are already checked, so that
+    """The automorphism group of the ray-compatibility graph, together
+    with its generators as complex automorphisms whose cell maps are
+    already checked (cells map to cells, dimensionwise), so that
     reconstruction does not check them again.  A generator that does not
     extend to the cells raises ``AssertionError`` naming it and the cell."""
     group = graph_automorphism_group(cx.compat_neighbors())
@@ -348,15 +325,6 @@ def marking_ray_permutation(cx: ConeComplex, sigma) -> tuple[int, ...]:
         images += [m | bit for m in images]
     images = [m ^ full if m & 1 else m for m in images]
     return tuple(cx.ray_by_mask[images[s.mask >> 1]] for s in cx.rays)
-
-
-def sn_action(cx: ConeComplex, sigma) -> ComplexAutomorphism:
-    """The automorphism induced by a marking permutation (relabel the
-    markings of every stratum).  A group homomorphism; injective for
-    n >= 5, with the Klein four-group as kernel at n = 4."""
-    f = ComplexAutomorphism(cx, marking_ray_permutation(cx, sigma))
-    f.cell_map  # force the cells-to-cells verification
-    return f
 
 
 def sn_kernel(cx: ConeComplex) -> list[tuple[int, ...]]:
@@ -477,29 +445,14 @@ def _reconstructed(f: ComplexAutomorphism) -> tuple[int, ...] | None:
         return None
 
 
-def verify_sn_surjectivity(
-    cx: ConeComplex,
-    group: PermutationGroup | None = None,
-    samples: int = 100,
-    seed: int = DEFAULT_SEED,
-) -> dict:
-    """Check that every computed automorphism comes from a marking
-    permutation: reconstruct sigma for all generators and for a seeded
-    sample of group elements.  :func:`reconstruct_sigma` already requires
-    the exact round trip (sigma's ray permutation equals the element's,
-    then one every-cell check), so an element counts as ok exactly when
-    reconstruction returns."""
-    if group is None:
-        group, autos = _checked_generators(cx)
-    else:
-        autos = [ComplexAutomorphism(cx, g) for g in group.generators]
-    sigmas = [_reconstructed(f) for f in autos]
-    return _surjectivity_report(cx, group, sigmas, samples, seed)
-
-
 def _surjectivity_report(cx, group, generator_sigmas, samples, seed) -> dict:
-    """The :func:`verify_sn_surjectivity` report, given the generators'
-    reconstructions (None where one failed)."""
+    """Check that every computed automorphism comes from a marking
+    permutation, given the generators' reconstructions (None where one
+    failed): reconstruct sigma for a seeded sample of group elements too.
+    :func:`reconstruct_sigma` already requires the exact round trip
+    (sigma's ray permutation equals the element's, then one every-cell
+    check), so an element counts as ok exactly when reconstruction
+    returns."""
     sample = group.random_elements(samples, seed)
     failures = [
         f"generator:{format_cycles(g)}"
@@ -524,34 +477,30 @@ def _surjectivity_report(cx, group, generator_sigmas, samples, seed) -> dict:
 
 
 def expected_order(n: int) -> int:
-    """|Aut| by the theorem: trivial below n = 4, S_3 at n = 4 (the marking
-    action has the Klein four-group as kernel), S_n from n = 5 on."""
-    return 1 if n < 4 else 6 if n == 4 else math.factorial(n)
-
-
-def verify_main_theorem(n: int, seed: int = DEFAULT_SEED, samples: int = 0) -> dict:
-    """Compare the computed automorphism group against the expected
-    answer: order n! for n >= 5 and order 6 at n = 4, with graph/poset
-    method agreement, marking-permutation reconstruction of every
-    generator for n >= 5 (each one ray comparison plus one every-cell
-    check, see :func:`reconstruct_sigma`), and the direct image-group
-    comparison plus Klein-kernel check at n = 4.  Out-of-range n is
-    rejected before the complex is built."""
+    """|Aut| by the theorem: S_3 at n = 4 (the marking action has the
+    Klein four-group as kernel), S_n from n = 5 on.  The theorem says
+    nothing below n = 4, so smaller n raise ``ValueError``."""
     if n < VERIFY_MIN_N:
-        raise ValueError(f"theorem verification needs n >= {VERIFY_MIN_N}, got n={n}")
-    return main_theorem_report(build_complex(n), seed, samples)
+        raise ValueError(f"the theorem covers n >= {VERIFY_MIN_N}, got n={n}")
+    return 6 if n == 4 else math.factorial(n)
 
 
 def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = True) -> dict:
-    """The :func:`verify_main_theorem` report for an already built
-    complex, so that a caller holding the complex does not build it
-    again.  ``poset=False`` leaves out the poset search and its
-    agreement check.  Each generator is reconstructed once, for both
-    ``sigma_of_generator`` and the surjectivity check."""
+    """Compare the computed automorphism group of a built complex against
+    the expected answer: order n! for n >= 5 and order 6 at n = 4, with
+    graph/poset method agreement, marking-permutation reconstruction of
+    every generator for n >= 5 (each one ray comparison plus one
+    every-cell check, see :func:`reconstruct_sigma`), and the direct
+    image-group comparison plus Klein-kernel check at n = 4.  ``samples``
+    seeded group elements are reconstructed too.  ``poset=False`` leaves
+    out the poset search and its agreement check.  Each generator is
+    reconstructed once, for both ``sigma_of_generator`` and the
+    surjectivity check.  A complex below n = 4 raises ``ValueError``
+    before any search."""
     n = cx.n
-    group, autos = _checked_generators(cx)
-    order = group.order()
     expected = expected_order(n)
+    group, autos = aut_via_compat_graph(cx)
+    order = group.order()
     report: dict = {
         "n": n,
         "order": order,

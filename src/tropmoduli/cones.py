@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .enumeration import StratumCatalog, enumerate_strata
 from .trees import CanonicalForm, Split
@@ -85,10 +85,6 @@ class ConeComplex:
         return [len(self.dim_ranges[d]) for d in sorted(self.dim_ranges)]
 
     @cached_property
-    def ray_index(self) -> dict[Split, int]:
-        return {s: r for r, s in enumerate(self.rays)}
-
-    @cached_property
     def ray_by_mask(self) -> dict[int, int]:
         """Ray index by the bitmask of its marking-1-free side."""
         return {s.mask: r for r, s in enumerate(self.rays)}
@@ -98,18 +94,6 @@ class ConeComplex:
             [j for j in range(len(self.rays)) if row >> j & 1]
             for row in self.compat_masks
         ]
-
-    def face(self, cell_idx: int, drop: Iterable[Split]) -> tuple[int, dict[int, int]]:
-        """Face reached by contracting the given splits of a cell; returns
-        (target index, retained-split injection by position)."""
-        cell = self.cell_rays[cell_idx]
-        dropped = {self.ray_index.get(s) for s in drop}
-        if not dropped <= set(cell):
-            raise ValueError(f"some split to drop is not in cell {cell_idx}")
-        target = tuple(r for r in cell if r not in dropped)
-        pos = {r: k for k, r in enumerate(target)}
-        retained = {k: pos[r] for k, r in enumerate(cell) if r in pos}
-        return self.index[target], retained
 
     @cached_property
     def vertex_profiles(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -133,10 +117,6 @@ class ConeComplex:
         """A cell by its rays, as in ``{2,3} | {2,3,4}``; ``pt`` for the
         point."""
         return " | ".join(map(self.ray_name, self.cell_rays[i])) or "pt"
-
-    def cell_ray_sets(self) -> list[frozenset[int]]:
-        """Each cell as the set of its rays (by ray index)."""
-        return [frozenset(c) for c in self.cell_rays]
 
     def cell_sides(self, i: int) -> list[list[int]]:
         """A cell's rays by their marking-1-free sides, in ray order."""

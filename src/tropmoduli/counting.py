@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .enumeration import EnvelopeError
 from .trees import LeggedTree
 
 __all__ = [
-    "VertexProfile",
     "per_vertex_partition_count",
     "expansion_count_formula",
     "lemma_power_check",
@@ -24,35 +22,6 @@ __all__ = [
     "LEMMA_MAX_BOUND",
     "brute_force_partition_count",
 ]
-
-
-@dataclass(frozen=True)
-class VertexProfile:
-    """The (leg count, valence) pairs of a stable tree's vertices."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for legs, val in self.pairs:
-            if legs + val < 3:
-                raise ValueError(f"unstable vertex profile ({legs}, {val})")
-        if sum(l for l, _ in self.pairs) != self.n:
-            raise ValueError("leg counts must sum to n")
-        total_val = sum(v for _, v in self.pairs)
-        if total_val != 2 * (len(self.pairs) - 1):
-            raise ValueError("valences must sum to twice the edge count")
-
-    @classmethod
-    def of_tree(cls, t: LeggedTree) -> "VertexProfile":
-        return cls(
-            t.n,
-            tuple(
-                sorted(
-                    (t.leg_count(v), t.valence(v)) for v in range(t.num_vertices)
-                )
-            ),
-        )
 
 
 def per_vertex_partition_count(legs: int, valence: int) -> int:

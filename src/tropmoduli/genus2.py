@@ -225,13 +225,6 @@ class M2Complex:
         dims = [c.dimension for c in self.cells]
         return [dims.count(d) for d in range(max(dims) + 1)]
 
-    def specializations(self) -> dict[str, set[str]]:
-        """Covering relations of the face poset, by cell name."""
-        out: dict[str, set[str]] = {c.name: set() for c in self.cells}
-        for i, per_edge in enumerate(self.arrows):
-            for j, _ in per_edge:
-                out[self.cells[i].name].add(self.cells[j].name)
-        return out
 
 
 def build_m2_complex() -> M2Complex:

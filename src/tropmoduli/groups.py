@@ -205,9 +205,6 @@ class PermutationGroup:
     def __contains__(self, p) -> bool:
         return self._chain.contains(check_perm(self.degree, p))
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def equals(self, other: "PermutationGroup") -> bool:
         """Equality as permutation groups (same degree, same element set)."""
         if self.degree != other.degree:
@@ -217,19 +214,6 @@ class PermutationGroup:
         return all(g in self for g in other.generators) and all(
             g in other for g in self.generators
         )
-
-    def orbit(self, point: int) -> frozenset[int]:
-        return frozenset(point_orbit(point, self.generators))
-
-    def orbits(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        out = []
-        for v in range(self.degree):
-            if v not in seen:
-                orb = self.orbit(v)
-                seen |= orb
-                out.append(orb)
-        return out
 
     def random_elements(self, count: int, seed: int) -> list[tuple[int, ...]]:
         """Deterministic uniform sample of group elements: each is the

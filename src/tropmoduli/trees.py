@@ -14,25 +14,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "MIN_MARKINGS",
     "Split",
     "CanonicalForm",
     "LeggedTree",
-    "Contraction",
     "splits_compatible",
-    "contract",
     "tree_from_splits",
-    "are_isomorphic",
-    "apply_marking_permutation",
-    "automorphisms_of_tree",
-    "legged_isomorphisms",
-    "single_vertex_tree",
-    "two_vertex_tree",
-    "identity_marking_perm",
-    "compose_marking_perms",
     "check_marking_perm",
 ]
 
@@ -45,15 +35,6 @@ def check_marking_perm(n: int, sigma: Sequence[int]) -> tuple[int, ...]:
     if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {sigma!r}")
     return sigma
-
-
-def identity_marking_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
-def compose_marking_perms(sigma, tau):
-    """Composition acting as sigma after tau: (sigma*tau)(i) = sigma(tau(i))."""
-    return tuple(sigma[t - 1] for t in tau)
 
 
 @dataclass(frozen=True)
@@ -100,16 +81,6 @@ class Split:
     def side(self) -> tuple[int, ...]:
         """Markings of the stored (marking-1-free) side, ascending."""
         return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
-
-    def other_side(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if not self.mask >> i & 1)
-
-    def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.side(), self.other_side()
-
-    def permuted(self, sigma: Sequence[int]) -> "Split":
-        """Image split under a marking permutation (renormalized)."""
-        return Split.from_side(self.n, (sigma[i - 1] for i in self.side()))
 
     def sort_key(self) -> tuple[int, int]:
         return (self.mask.bit_count(), self.mask)
@@ -163,14 +134,6 @@ class CanonicalForm:
     def __repr__(self):
         inner = ", ".join(repr(s) for s in self.splits)
         return f"CanonicalForm(n={self.n}, [{inner}])"
-
-
-class Contraction(NamedTuple):
-    """Result of contracting edges: the contracted tree plus the map from
-    retained old edge indices to their new indices."""
-
-    tree: "LeggedTree"
-    edge_map: dict[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,10 +254,6 @@ class LeggedTree:
             raise AssertionError("distinct edges induced the same split")
         return form
 
-    def split_index(self) -> dict[Split, int]:
-        """Inverse of the edge -> split bijection."""
-        return {s: i for i, s in enumerate(self.splits)}
-
     def __eq__(self, other):
         if not isinstance(other, LeggedTree):
             return NotImplemented
@@ -318,58 +277,6 @@ class LeggedTree:
             f"LeggedTree(n={self.n}, V={self.num_vertices}, "
             f"edges={list(self.edges)}, legs={list(self.legs)})"
         )
-
-
-def single_vertex_tree(n: int) -> LeggedTree:
-    """The unique 0-edge stable tree: one vertex carrying all markings."""
-    return LeggedTree(n, 1, (), (0,) * n)
-
-
-def two_vertex_tree(n: int, side: Iterable[int]) -> LeggedTree:
-    """The 2-vertex tree whose single edge induces the given bipartition;
-    vertex 0 carries the complement of ``side`` (the side with marking 1)."""
-    s = Split.from_side(n, side)
-    legs = tuple(1 if s.mask >> i & 1 else 0 for i in range(n))
-    return LeggedTree(n, 2, ((0, 1),), legs)
-
-
-def contract(t: LeggedTree, edge_indices: Iterable[int]) -> Contraction:
-    """Contract a set of edges (given by index), merging endpoints and
-    uniting their leg sets.  Retained edges keep their relative order; the
-    returned map sends old retained indices to new ones."""
-    idxs = set(edge_indices)
-    bad = [i for i in idxs if not (isinstance(i, int) and 0 <= i < len(t.edges))]
-    if bad:
-        raise ValueError(f"not edges of the tree: {sorted(bad)}")
-
-    parent = list(range(t.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in idxs:
-        u, v = t.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    roots = sorted({find(v) for v in range(t.num_vertices)})
-    new_id = {r: k for k, r in enumerate(roots)}
-    new_edges = []
-    edge_map = {}
-    for i, (u, v) in enumerate(t.edges):
-        if i in idxs:
-            continue
-        a, b = new_id[find(u)], new_id[find(v)]
-        edge_map[i] = len(new_edges)
-        new_edges.append((a, b))
-    new_legs = tuple(new_id[find(v)] for v in t.legs)
-    return Contraction(
-        LeggedTree(t.n, len(roots), tuple(new_edges), new_legs), edge_map
-    )
 
 
 def tree_from_splits(n: int, splits: Iterable[Split]) -> LeggedTree:
@@ -414,94 +321,3 @@ def tree_from_splits(n: int, splits: Iterable[Split]) -> LeggedTree:
     # vertex keeps the size difference, and branching vertices have
     # valence >= 3 already
     return LeggedTree(n, len(ss) + 1, edges, tuple(legs))
-
-
-def apply_marking_permutation(sigma: Sequence[int], t: LeggedTree) -> LeggedTree:
-    """The tree with the same shape and relabeled markings: marking
-    sigma(j) now sits where marking j sat.  A left action on canonical
-    forms."""
-    sigma = check_marking_perm(t.n, sigma)
-    new_legs = [0] * t.n
-    for j in range(1, t.n + 1):
-        new_legs[sigma[j - 1] - 1] = t.legs[j - 1]
-    return LeggedTree(t.n, t.num_vertices, t.edges, tuple(new_legs))
-
-
-def legged_isomorphisms(t1: LeggedTree, t2: LeggedTree) -> Iterator[tuple[int, ...]]:
-    """All vertex bijections t1 -> t2 preserving adjacency and mapping each
-    leg to the equally-labeled leg (so leg sets must match exactly).
-
-    Vertices carrying legs have forced images; bare vertices are matched
-    by backtracking.  Works for unstable trees too.
-    """
-    if t1.n != t2.n or t1.num_vertices != t2.num_vertices:
-        return
-    V = t1.num_vertices
-    forced: dict[int, int] = {}
-    target_by_legs = {t2.leg_sets[w]: w for w in range(V) if t2.leg_sets[w]}
-    for v in range(V):
-        ls = t1.leg_sets[v]
-        if ls:
-            w = target_by_legs.get(ls)
-            if w is None or t2.valence(w) != t1.valence(v):
-                return
-            forced[v] = w
-
-    bare1 = [v for v in range(V) if not t1.leg_sets[v]]
-    bare2 = [w for w in range(V) if not t2.leg_sets[w]]
-    if len(bare1) != len(bare2):
-        return
-    edges2 = set(t2.edges)
-
-    def ok_so_far(mapping, v, w):
-        for u, _ in t1.adjacency[v]:
-            if u in mapping:
-                a, b = mapping[u], w
-                if (min(a, b), max(a, b)) not in edges2:
-                    return False
-        return True
-
-    def extend(mapping, used, k) -> Iterator[tuple[int, ...]]:
-        if k == len(bare1):
-            image = tuple(mapping[v] for v in range(V))
-            if all(
-                (min(image[u], image[v]), max(image[u], image[v])) in edges2
-                for u, v in t1.edges
-            ):
-                yield image
-            return
-        v = bare1[k]
-        for w in bare2:
-            if w in used or t2.valence(w) != t1.valence(v):
-                continue
-            if ok_so_far(mapping, v, w):
-                mapping[v] = w
-                used.add(w)
-                yield from extend(mapping, used, k + 1)
-                del mapping[v]
-                used.remove(w)
-
-    base = dict(forced)
-    if len(set(base.values())) != len(base):
-        return
-    for v, w in base.items():
-        if not ok_so_far(base, v, w):
-            return
-    yield from extend(base, set(base.values()), 0)
-
-
-def are_isomorphic(t1: LeggedTree, t2: LeggedTree) -> bool:
-    """Isomorphism of legged trees; for stable trees this is canonical-form
-    equality (and the witnessing isomorphism is then unique)."""
-    if t1.n != t2.n:
-        raise ValueError("trees with different marking counts")
-    if t1.is_stable and t2.is_stable:
-        return t1.canonical_form == t2.canonical_form
-    return next(legged_isomorphisms(t1, t2), None) is not None
-
-
-def automorphisms_of_tree(t: LeggedTree) -> list[tuple[int, ...]]:
-    """All self-isomorphisms, as vertex image tuples, by brute-force search
-    over leg-compatible vertex bijections.  For stable trees the result is
-    exactly the identity."""
-    return list(legged_isomorphisms(t, t))

@@ -7,10 +7,8 @@ import json
 import time
 
 from tropmoduli import (
-    ComplexAutomorphism,
     aut_via_compat_graph,
     aut_via_poset,
-    automorphisms_of_tree,
     bridge_loop_swap_violation,
     build_m2_complex,
     count_maximal,
@@ -18,15 +16,15 @@ from tropmoduli import (
     expansion_count_formula,
     expansions,
     lemma_power_sweep,
-    reconstruct_sigma,
     sn_kernel,
     star_count,
-    verify_sn_surjectivity,
 )
+from tropmoduli.automorphisms import DEFAULT_SEED, main_theorem_report
 from tropmoduli.cli import run
 from tropmoduli.genus2 import aut_m2
 
 from shared import catalog, complex_for
+from tree_oracles import automorphisms_of_tree
 
 
 def _conclude(number, description, ok):
@@ -38,11 +36,11 @@ def test_criterion_1_automorphism_orders_and_method_agreement():
     started = time.perf_counter()
     orders = {}
     for n in range(4, 8):
-        orders[n] = aut_via_compat_graph(complex_for(n)).order()
+        orders[n] = aut_via_compat_graph(complex_for(n))[0].order()
     graph_elapsed = time.perf_counter() - started
     expected = {4: 6, 5: 120, 6: 720, 7: 5040}
     agree = all(
-        aut_via_compat_graph(complex_for(n)).equals(aut_via_poset(complex_for(n)))
+        aut_via_compat_graph(complex_for(n))[0].equals(aut_via_poset(complex_for(n)))
         for n in range(4, 7)
     )
     ok = orders == expected and graph_elapsed < 60 and agree
@@ -57,7 +55,8 @@ def test_criterion_1_automorphism_orders_and_method_agreement():
 def test_criterion_2_sn_surjectivity_with_reconstruction():
     results = {}
     for n in (5, 6):
-        report = verify_sn_surjectivity(complex_for(n), samples=100)
+        report = main_theorem_report(complex_for(n), DEFAULT_SEED, 100, poset=False)
+        report = report["surjectivity"]
         results[n] = (report["ok"], report["checked"], report["verdict"])
     ok = all(v == "PASS" and got == total for got, total, v in results.values())
     _conclude(

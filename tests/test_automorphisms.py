@@ -16,23 +16,38 @@ from tropmoduli import (
     aut_via_compat_graph,
     aut_via_poset,
     reconstruct_sigma,
-    sn_action,
     sn_kernel,
-    verify_main_theorem,
-    verify_sn_surjectivity,
 )
 from tropmoduli.automorphisms import (
     DEFAULT_SEED,
     ReconstructionError,
+    expected_order,
     graph_automorphism_group,
+    main_theorem_report,
     marking_ray_permutation,
     sn_image_group,
 )
 from tropmoduli.enumeration import EnvelopeError
-from tropmoduli.groups import PermutationGroup, compose_perms, format_cycles, perm_cycles
-from tropmoduli.trees import compose_marking_perms
+from tropmoduli.groups import (
+    PermutationGroup,
+    compose_perms,
+    format_cycles,
+    identity_perm,
+    perm_cycles,
+)
 
 from shared import complex_for
+from tree_oracles import compose_marking_perms, face, permuted, split_image
+
+
+def induced(cx, sigma):
+    """The complex automorphism a marking permutation induces."""
+    return ComplexAutomorphism(cx, marking_ray_permutation(cx, sigma))
+
+
+def ray_of(cx, side):
+    """The index of the ray with the given side."""
+    return cx.ray_by_mask[Split.from_side(cx.n, side).mask]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +158,7 @@ def test_petersen_graph():
 def test_generators_are_automorphisms():
     cx = complex_for(5)
     nbrs = cx.compat_neighbors()
-    group = aut_via_compat_graph(cx)
+    group, _ = aut_via_compat_graph(cx)
     for g in group.generators:
         for v in range(len(nbrs)):
             assert {g[u] for u in nbrs[v]} == set(nbrs[g[v]])
@@ -155,7 +170,7 @@ def test_generators_are_automorphisms():
 
 @pytest.mark.parametrize("n,order", [(3, 1), (4, 6), (5, 120), (6, 720)])
 def test_graph_method_orders(n, order):
-    assert aut_via_compat_graph(complex_for(n)).order() == order
+    assert aut_via_compat_graph(complex_for(n))[0].order() == order
 
 
 @pytest.mark.parametrize("n,order", [(3, 1), (4, 6), (5, 120), (6, 720)])
@@ -168,7 +183,7 @@ def test_methods_agree_as_groups():
         cx = complex_for(n)
         poset_group = aut_via_poset(cx)
         assert len(poset_group.generators) <= 10
-        assert aut_via_compat_graph(cx).equals(poset_group)
+        assert aut_via_compat_graph(cx)[0].equals(poset_group)
 
 
 def test_poset_envelope():
@@ -183,20 +198,19 @@ def test_poset_envelope():
 
 def test_identity_acts_trivially():
     cx = complex_for(5)
-    f = sn_action(cx, (1, 2, 3, 4, 5))
-    assert f.is_identity()
+    assert marking_ray_permutation(cx, (1, 2, 3, 4, 5)) == identity_perm(len(cx.rays))
 
 
 def test_klein_element_acts_trivially_n4():
     cx = complex_for(4)
-    assert sn_action(cx, (2, 1, 4, 3)).is_identity()
+    assert marking_ray_permutation(cx, (2, 1, 4, 3)) == identity_perm(len(cx.rays))
 
 
 def test_transposition_ray_action_n4():
     cx = complex_for(4)
-    f = sn_action(cx, (2, 1, 3, 4))
+    perm = marking_ray_permutation(cx, (2, 1, 3, 4))
     moved = {
-        tuple(cx.rays[r].side()): tuple(cx.rays[f.ray_perm[r]].side())
+        tuple(cx.rays[r].side()): tuple(cx.rays[perm[r]].side())
         for r in range(3)
     }
     assert moved == {(2, 3): (2, 4), (2, 4): (2, 3), (3, 4): (3, 4)}
@@ -234,7 +248,7 @@ def test_mask_action_matches_split_oracle():
         cx = complex_for(n)
         for sigma in itertools.permutations(range(1, n + 1)):
             assert marking_ray_permutation(cx, sigma) == tuple(
-                cx.ray_index[s.permuted(sigma)] for s in cx.rays
+                cx.ray_by_mask[permuted(s, sigma).mask] for s in cx.rays
             )
 
 
@@ -245,11 +259,11 @@ def test_image_group_orders():
 
 def test_cell_map_preserves_dimension_and_faces():
     cx = complex_for(5)
-    f = sn_action(cx, (2, 3, 4, 5, 1))
+    f = induced(cx, (2, 3, 4, 5, 1))
     for i, j in enumerate(f.cell_map):
         assert cx.dims[i] == cx.dims[j]
         for r, tgt in zip(cx.cell_rays[i], cx.codim1[i]):
-            image_face, _ = cx.face(j, [f.split_image(cx.rays[r])])
+            image_face, _ = face(cx, j, [split_image(f, cx.rays[r])])
             assert f.cell_map[tgt] == image_face
 
 
@@ -260,9 +274,9 @@ def test_cell_map_preserves_dimension_and_faces():
 def test_reconstruct_round_trip_generators():
     for n in (5, 6):
         cx = complex_for(n)
-        for g in aut_via_compat_graph(cx).generators:
-            sigma = reconstruct_sigma(ComplexAutomorphism(cx, g))
-            assert sn_action(cx, sigma).ray_perm == tuple(g)
+        for f in aut_via_compat_graph(cx)[1]:
+            sigma = reconstruct_sigma(f)
+            assert marking_ray_permutation(cx, sigma) == f.ray_perm
 
 
 def _split_two_set_sigma(f):
@@ -271,8 +285,8 @@ def _split_two_set_sigma(f):
     n = f.cx.n
     two_sets = {}
     for j in range(2, n + 1):
-        image = f.split_image(Split.from_side(n, (1, j)))
-        (two_sets[j],) = (set(part) for part in image.sides() if len(part) == 2)
+        side = set(split_image(f, Split.from_side(n, (1, j))).side())
+        (two_sets[j],) = (p for p in (side, set(range(1, n + 1)) - side) if len(p) == 2)
     (one,) = two_sets[2] & two_sets[3]
     return (one,) + tuple(min(two_sets[j] - {one}) for j in range(2, n + 1))
 
@@ -280,36 +294,42 @@ def _split_two_set_sigma(f):
 def test_reconstruct_matches_split_oracle():
     for n in (5, 6):
         cx = complex_for(n)
-        for g in aut_via_compat_graph(cx).generators:
-            f = ComplexAutomorphism(cx, g)
+        for f in aut_via_compat_graph(cx)[1]:
             assert reconstruct_sigma(f) == _split_two_set_sigma(f)
 
 
 def test_reconstruct_known_sigma():
     cx = complex_for(5)
     for sigma in [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1), (1, 3, 2, 5, 4)]:
-        assert reconstruct_sigma(sn_action(cx, sigma)) == sigma
+        assert reconstruct_sigma(induced(cx, sigma)) == sigma
 
 
 def test_reconstruct_identity():
     cx = complex_for(5)
-    assert reconstruct_sigma(sn_action(cx, (1, 2, 3, 4, 5))) == (1, 2, 3, 4, 5)
+    assert reconstruct_sigma(induced(cx, (1, 2, 3, 4, 5))) == (1, 2, 3, 4, 5)
 
 
 def test_reconstruct_refuses_n4():
     cx = complex_for(4)
     with pytest.raises(ValueError):
-        reconstruct_sigma(sn_action(cx, (2, 1, 3, 4)))
+        reconstruct_sigma(induced(cx, (2, 1, 3, 4)))
 
 
 def _type_breaking_swap(cx):
     """The ray transposition of {2,3} with {2,3,4} at n = 6: a 2-side
     ray with a 3-side ray, which cannot extend to the complex."""
-    a = cx.ray_index[Split.from_side(6, [2, 3])]
-    b = cx.ray_index[Split.from_side(6, [2, 3, 4])]
+    a, b = ray_of(cx, [2, 3]), ray_of(cx, [2, 3, 4])
     perm = list(range(len(cx.rays)))
     perm[a], perm[b] = perm[b], perm[a]
     return tuple(perm)
+
+
+def _one_generator_report(cx, perm):
+    """The theorem report's surjectivity section for the group one ray
+    permutation generates, with no samples."""
+    sigmas = [automorphisms._reconstructed(ComplexAutomorphism(cx, perm))]
+    group = PermutationGroup(len(cx.rays), (perm,))
+    return automorphisms._surjectivity_report(cx, group, sigmas, 0, DEFAULT_SEED)
 
 
 def test_reconstruct_rejects_non_automorphism():
@@ -325,8 +345,7 @@ def test_reconstruct_rejects_a_lost_two_leg_vertex():
     # swapping the ray of {1,2} (stored side {3,4,5,6}) with {2,3,4} sends
     # the 2-leg stratum on {1,2} to a ray with two 3-leg sides
     cx = complex_for(6)
-    a = cx.ray_index[Split.from_side(6, [3, 4, 5, 6])]
-    b = cx.ray_index[Split.from_side(6, [2, 3, 4])]
+    a, b = ray_of(cx, [3, 4, 5, 6]), ray_of(cx, [2, 3, 4])
     perm = list(range(len(cx.rays)))
     perm[a], perm[b] = b, a
     message = (
@@ -336,7 +355,7 @@ def test_reconstruct_rejects_a_lost_two_leg_vertex():
     with pytest.raises(ReconstructionError) as excinfo:
         reconstruct_sigma(ComplexAutomorphism(cx, perm))
     assert str(excinfo.value) == message
-    report = verify_sn_surjectivity(cx, PermutationGroup(len(cx.rays), (tuple(perm),)), samples=0)
+    report = _one_generator_report(cx, tuple(perm))
     assert (report["checked"], report["ok"]) == (1, 0)
     assert report["failures"] == [f"generator:{format_cycles(perm)}"]
 
@@ -346,11 +365,11 @@ def test_cell_map_rejects_non_automorphism():
     # no cell, and the error names the first such cell
     cx = complex_for(6)
     perm = _type_breaking_swap(cx)
-    cells = set(cx.cell_ray_sets())
+    cells = {frozenset(c) for c in cx.cell_rays}
     bad = next(
         i
-        for i, s in enumerate(cx.cell_ray_sets())
-        if frozenset(perm[r] for r in s) not in cells
+        for i, c in enumerate(cx.cell_rays)
+        if frozenset(perm[r] for r in c) not in cells
     )
     with pytest.raises(ValueError, match=rf"\bcell {bad}\b"):
         ComplexAutomorphism(cx, perm).cell_map
@@ -361,7 +380,7 @@ def test_cell_map_names_a_cell_sent_to_another_dimension():
     # 4 sends the ray {2,3} there, and the error names {2,3}, which comes
     # first
     cx = complex_for(5)
-    c23, c34 = (cx.index[(cx.ray_index[Split.from_side(5, s)],)] for s in ([2, 3], [3, 4]))
+    c23, c34 = (cx.index[(ray_of(cx, s),)] for s in ([2, 3], [3, 4]))
     assert c23 < c34
     dims = list(cx.dims)
     dims[c34] = 2
@@ -378,14 +397,13 @@ def test_list_given_automorphism_is_normalised():
     perm = marking_ray_permutation(cx, sigma)
     f = ComplexAutomorphism(cx, list(perm))
     assert reconstruct_sigma(f) == sigma
-    assert f == ComplexAutomorphism(cx, perm)
-    assert hash(f) == hash(ComplexAutomorphism(cx, perm))
+    assert f.ray_perm == perm
 
 
 def test_surjectivity_reports_a_failing_generator():
     cx = complex_for(6)
     swap = _type_breaking_swap(cx)
-    report = verify_sn_surjectivity(cx, PermutationGroup(len(cx.rays), (swap,)), samples=0)
+    report = _one_generator_report(cx, swap)
     assert report["verdict"] == "FAIL"
     assert (report["checked"], report["ok"]) == (1, 0)
     assert len(report["failures"]) == 1
@@ -394,7 +412,8 @@ def test_surjectivity_reports_a_failing_generator():
 
 def test_surjectivity_n5_n6():
     for n in (5, 6):
-        report = verify_sn_surjectivity(complex_for(n), samples=100)
+        report = main_theorem_report(complex_for(n), DEFAULT_SEED, 100, poset=False)
+        report = report["surjectivity"]
         assert report["verdict"] == "PASS"
         assert report["ok"] == report["checked"]
 
@@ -405,7 +424,7 @@ def test_report_samples_reach_odd_marking_permutations():
     # uniform sample must reach both halves
     for n in (5, 6):
         cx = complex_for(n)
-        sample = aut_via_compat_graph(cx).random_elements(100, DEFAULT_SEED)
+        sample = aut_via_compat_graph(cx)[0].random_elements(100, DEFAULT_SEED)
         sigmas = [reconstruct_sigma(ComplexAutomorphism(cx, p)) for p in sample]
         odd = [s for s in sigmas if sum(len(c) - 1 for c in perm_cycles([x - 1 for x in s])) % 2]
         assert 0 < len(odd) < len(sigmas)
@@ -413,7 +432,7 @@ def test_report_samples_reach_odd_marking_permutations():
 
 def test_reconstruct_samples_n7():
     cx = complex_for(7)
-    group = aut_via_compat_graph(cx)
+    group, _ = aut_via_compat_graph(cx)
     for perm in group.random_elements(10, seed=99):
         sigma = reconstruct_sigma(ComplexAutomorphism(cx, perm))
         assert marking_ray_permutation(cx, sigma) == perm
@@ -441,7 +460,7 @@ def test_chain_middle_edge_preserved():
     # on every 4-vertex chain, any automorphism sends the edge touching
     # no leaf to the edge touching no leaf
     cx = complex_for(6)
-    group = aut_via_compat_graph(cx)
+    _, autos = aut_via_compat_graph(cx)
 
     def middle_split(t):
         for e, (u, v) in enumerate(t.edges):
@@ -454,10 +473,9 @@ def test_chain_middle_edge_preserved():
         t = cx.cells[i].to_tree()
         if t.num_vertices != 4 or sorted(t.valence(v) for v in range(4)) != [1, 1, 2, 2]:
             continue
-        for g in group.generators:
-            f = ComplexAutomorphism(cx, g)
+        for f in autos:
             image = cx.cells[f.cell_map[i]].to_tree()
-            assert f.split_image(middle_split(t)) == middle_split(image)
+            assert split_image(f, middle_split(t)) == middle_split(image)
             checked += 1
     assert checked > 0
 
@@ -467,7 +485,7 @@ def test_chain_middle_edge_preserved():
 
 
 def test_verify_main_theorem_n4():
-    report = verify_main_theorem(4)
+    report = main_theorem_report(complex_for(4), DEFAULT_SEED, 0)
     assert report["verdict"] == "PASS"
     assert report["order"] == 6
     assert report["kernel_is_klein"]
@@ -475,15 +493,18 @@ def test_verify_main_theorem_n4():
 
 
 def test_verify_main_theorem_n5():
-    report = verify_main_theorem(5)
+    report = main_theorem_report(complex_for(5), DEFAULT_SEED, 0)
     assert report["verdict"] == "PASS"
     assert report["order"] == 120
     assert report["methods_agree"]
     assert report["reconstruction_ok"]
 
 
-def test_verify_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        verify_main_theorem(3)
-    with pytest.raises(EnvelopeError):
-        verify_main_theorem(9)
+def test_theorem_report_rejects_n_below_4():
+    # the theorem says nothing below n = 4: such a complex is refused
+    # before any search instead of reported as order 1 = expected 1
+    for n in (2, 3):
+        with pytest.raises(ValueError, match=rf"\bn={n}\b"):
+            expected_order(n)
+    with pytest.raises(ValueError, match=r"\bn=3\b"):
+        main_theorem_report(complex_for(3), DEFAULT_SEED, 0)

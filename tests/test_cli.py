@@ -260,12 +260,12 @@ def test_failed_generator_check_is_a_fail(monkeypatch):
     from tropmoduli.groups import PermutationGroup, format_cycles
 
     cx = complex_for(6)
-    a = cx.ray_index[Split.from_side(6, [2, 3])]
-    b = cx.ray_index[Split.from_side(6, [2, 3, 4])]
+    a = cx.ray_by_mask[Split.from_side(6, [2, 3]).mask]
+    b = cx.ray_by_mask[Split.from_side(6, [2, 3, 4]).mask]
     swap = list(range(len(cx.rays)))
     swap[a], swap[b] = b, a
-    cells = set(cx.cell_ray_sets())
-    bad = next(i for i, c in enumerate(cx.cell_ray_sets()) if {swap[r] for r in c} not in cells)
+    cells = {frozenset(c) for c in cx.cell_rays}
+    bad = next(i for i, c in enumerate(cx.cell_rays) if {swap[r] for r in c} not in cells)
     monkeypatch.setattr(
         automorphisms,
         "graph_automorphism_group",
@@ -296,7 +296,9 @@ def test_theorem_report_builds_no_splits(monkeypatch):
 
 
 def test_report_enumerates_and_builds_each_n_once(monkeypatch):
-    from tropmoduli import automorphisms, cli, cones
+    # cli is the only module that builds complexes (automorphisms takes
+    # them built)
+    from tropmoduli import cli, cones
 
     builds, enumerations = Counter(), Counter()
 
@@ -308,8 +310,7 @@ def test_report_enumerates_and_builds_each_n_once(monkeypatch):
         return wrapper
 
     build, enumerate_ = cones.build_complex, cones.enumerate_strata
-    for module in (cli, automorphisms):
-        monkeypatch.setattr(module, "build_complex", counted(builds, build))
+    monkeypatch.setattr(cli, "build_complex", counted(builds, build))
     for module in (cli, cones):
         monkeypatch.setattr(module, "enumerate_strata", counted(enumerations, enumerate_))
     code, _, _ = invoke("report", "--max-n", "6")
@@ -484,9 +485,13 @@ def test_empty_runs_are_usage_errors():
 
 
 def test_oversized_runs_exit_before_work():
+    too_big = str(ENVELOPE_MAX_N + 1)
     for argv in (
         ("count", "--check", "lemma", "--bound", str(LEMMA_MAX_BOUND + 1)),
-        ("report", "--max-n", str(ENVELOPE_MAX_N + 1)),
+        ("report", "--max-n", too_big),
+        ("aut", "--n", too_big),
+        ("count", "--check", "formula", "--n", too_big),
+        ("complex", "--n", too_big),
     ):
         code, out, err = invoke(*argv)
         assert code == EXIT_ENVELOPE, argv

@@ -4,19 +4,17 @@ the power-of-two sweep."""
 import pytest
 
 from tropmoduli import (
-    VertexProfile,
     expansion_count_formula,
     expansions,
     lemma_power_check,
     lemma_power_sweep,
     per_vertex_partition_count,
-    single_vertex_tree,
-    two_vertex_tree,
+    star_count,
 )
 from tropmoduli.counting import brute_force_partition_count
 
 from shared import catalog, complex_for
-from tropmoduli import star_count
+from tree_oracles import single_vertex_tree, vertex_profile
 
 
 def test_per_vertex_against_brute_force():
@@ -64,7 +62,7 @@ def test_clade_tree_profiles_match_the_tree_route():
         cx = complex_for(n)
         for i, pairs in enumerate(cx.vertex_profiles):
             tree = cx.cells[i].to_tree()
-            assert pairs == VertexProfile.of_tree(tree).pairs
+            assert pairs == vertex_profile(tree)
             brute = sum(brute_force_partition_count(legs + val) for legs, val in pairs)
             assert brute == len(expansions(tree))
 
@@ -77,12 +75,15 @@ def test_formula_equals_star_count():
 
 
 def test_vertex_profile_invariants():
-    t = two_vertex_tree(6, [2, 3])
-    profile = VertexProfile.of_tree(t)
-    assert sum(l for l, _ in profile.pairs) == 6
-    assert sum(v for _, v in profile.pairs) == 2 * len(t.edges)
-    with pytest.raises(ValueError):
-        VertexProfile(4, ((1, 1), (3, 1)))
+    # every recorded profile is that of a stable tree with n legs and one
+    # edge per ray of the cell
+    for n in (4, 5, 6, 7):
+        cx = complex_for(n)
+        for pairs, dim in zip(cx.vertex_profiles, cx.dims):
+            assert len(pairs) == dim + 1
+            assert sum(legs for legs, _ in pairs) == n
+            assert sum(val for _, val in pairs) == 2 * dim
+            assert all(legs + val >= 3 for legs, val in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,15 @@ import pytest
 from tropmoduli import (
     CanonicalForm,
     EnvelopeError,
-    apply_marking_permutation,
-    contract,
     count_f_vector,
     count_maximal,
     enumerate_strata,
     expansions,
-    single_vertex_tree,
-    two_vertex_tree,
 )
 from tropmoduli.enumeration import all_splits
 
 from shared import catalog
+from tree_oracles import apply_marking_permutation, contract, single_vertex_tree, two_vertex_tree
 
 # dimension 0..n-3 counts; n=4 and the n=5 line are forced by the ray
 # count 2^(n-1)-n-1 and the double factorial, the rest cross-checked by

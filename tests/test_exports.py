@@ -1,9 +1,12 @@
 """Each module's ``__all__`` lists exactly the public functions and
-classes it defines, and every entry resolves."""
+classes it defines, every entry resolves, and every entry has a caller
+outside the tests."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +34,43 @@ def test_all_matches_the_module(module):
         and v.__module__ == module.__name__
     ]
     assert [n for n in defined if n not in listed] == []
+
+
+SRC = Path(tropmoduli.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _used_names(path, imports_only=False):
+    """Names a file imports from a module, plus (unless ``imports_only``)
+    every name it reads or binds as a plain identifier."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            not imports_only or (node.module or "").startswith("tropmoduli")
+        ):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and not imports_only:
+            used.add(node.id)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # a name in a module's __all__ must be used by package code (the
+    # package's own re-exports do not count) or imported by the benchmark;
+    # one only tests call belongs in tests/
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _used_names(path)
+    for path in PERFBENCH.glob("*.py"):
+        if not path.name.startswith("test_"):
+            used |= _used_names(path, imports_only=True)
+    unused = [
+        f"{module.__name__}.{name}"
+        for module in MODULES
+        if module is not tropmoduli and hasattr(module, "__all__")
+        for name in module.__all__
+        if name not in used
+    ]
+    assert unused == []

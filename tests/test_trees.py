@@ -6,26 +6,19 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropmoduli import (
-    CanonicalForm,
-    LeggedTree,
-    Split,
+from tropmoduli import CanonicalForm, LeggedTree, Split, splits_compatible, tree_from_splits
+
+from shared import catalog
+from tree_oracles import (
     apply_marking_permutation,
     are_isomorphic,
     automorphisms_of_tree,
+    compose_marking_perms,
     contract,
+    legged_isomorphisms,
     single_vertex_tree,
-    splits_compatible,
-    tree_from_splits,
     two_vertex_tree,
 )
-from tropmoduli.trees import (
-    compose_marking_perms,
-    identity_marking_perm,
-    legged_isomorphisms,
-)
-
-from shared import catalog
 
 
 def chain_tree(n, leg_groups):
@@ -82,8 +75,9 @@ def test_compatible_nested():
 def test_incompatible_crossing():
     # all four pairwise intersections of sides/complements are nonempty
     a, b = Split.from_side(5, [2, 3]), Split.from_side(5, [2, 4])
-    for x in (set(a.side()), set(a.other_side())):
-        for y in (set(b.side()), set(b.other_side())):
+    markings = set(range(1, 6))
+    for x in (set(a.side()), markings - set(a.side())):
+        for y in (set(b.side()), markings - set(b.side())):
             assert x & y
     assert not splits_compatible(a, b)
 
@@ -182,10 +176,10 @@ def test_contract_named_edge_of_caterpillar():
     # the 3-vertex chain with legs {2,3} / {4} / {1,5}: contracting the
     # edge for split {2,3,4} leaves the 2-vertex tree on {2,3}
     t = chain_tree(5, [(2, 3), (4,), (1, 5)])
-    idx = t.split_index()[Split.from_side(5, [2, 3, 4])]
+    idx = t.splits.index(Split.from_side(5, [2, 3, 4]))
     res = contract(t, [idx])
     assert res.tree.canonical_form == two_vertex_tree(5, [2, 3]).canonical_form
-    other = t.split_index()[Split.from_side(5, [2, 3])]
+    other = t.splits.index(Split.from_side(5, [2, 3]))
     assert res.edge_map == {other: 0}
 
 
@@ -247,7 +241,7 @@ def test_relabeled_encoding_is_isomorphic():
 
 def test_identity_acts_trivially():
     t = two_vertex_tree(4, [2, 3])
-    assert are_isomorphic(apply_marking_permutation(identity_marking_perm(4), t), t)
+    assert are_isomorphic(apply_marking_permutation((1, 2, 3, 4), t), t)
 
 
 def test_transposition_moves_split():

@@ -1,0 +1,214 @@
+"""Second routes the tests compare the package against: legged-tree
+contraction, isomorphism and rigidity, the marking action on trees and
+splits, face lookup by split, and vertex profiles read off a tree.
+
+The package computes each of these facts one way, on ray indices and
+bitmasks; these routes go through ``LeggedTree`` and ``Split`` objects
+instead and share no code with it beyond those classes.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from tropmoduli.trees import LeggedTree, Split, check_marking_perm
+
+
+# ---------------------------------------------------------------------------
+# tree fixtures
+
+
+def single_vertex_tree(n: int) -> LeggedTree:
+    """The unique 0-edge stable tree: one vertex carrying all markings."""
+    return LeggedTree(n, 1, (), (0,) * n)
+
+
+def two_vertex_tree(n: int, side: Iterable[int]) -> LeggedTree:
+    """The 2-vertex tree whose single edge induces the given bipartition;
+    vertex 0 carries the complement of ``side`` (the side with marking 1)."""
+    s = Split.from_side(n, side)
+    legs = tuple(1 if s.mask >> i & 1 else 0 for i in range(n))
+    return LeggedTree(n, 2, ((0, 1),), legs)
+
+
+# ---------------------------------------------------------------------------
+# contraction
+
+
+class Contraction(NamedTuple):
+    """Result of contracting edges: the contracted tree plus the map from
+    retained old edge indices to their new indices."""
+
+    tree: LeggedTree
+    edge_map: dict[int, int]
+
+
+def contract(t: LeggedTree, edge_indices: Iterable[int]) -> Contraction:
+    """Contract a set of edges (given by index), merging endpoints and
+    uniting their leg sets.  Retained edges keep their relative order; the
+    returned map sends old retained indices to new ones."""
+    idxs = set(edge_indices)
+    bad = [i for i in idxs if not (isinstance(i, int) and 0 <= i < len(t.edges))]
+    if bad:
+        raise ValueError(f"not edges of the tree: {sorted(bad)}")
+
+    parent = list(range(t.num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in idxs:
+        u, v = t.edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+
+    roots = sorted({find(v) for v in range(t.num_vertices)})
+    new_id = {r: k for k, r in enumerate(roots)}
+    new_edges = []
+    edge_map = {}
+    for i, (u, v) in enumerate(t.edges):
+        if i in idxs:
+            continue
+        a, b = new_id[find(u)], new_id[find(v)]
+        edge_map[i] = len(new_edges)
+        new_edges.append((a, b))
+    new_legs = tuple(new_id[find(v)] for v in t.legs)
+    return Contraction(
+        LeggedTree(t.n, len(roots), tuple(new_edges), new_legs), edge_map
+    )
+
+
+def face(cx, cell_idx: int, drop: Iterable[Split]) -> tuple[int, dict[int, int]]:
+    """Face of a complex's cell reached by contracting the given splits of
+    it; returns (target index, retained-split injection by position)."""
+    cell = cx.cell_rays[cell_idx]
+    dropped = {cx.ray_by_mask.get(s.mask) for s in drop}
+    if not dropped <= set(cell):
+        raise ValueError(f"some split to drop is not in cell {cell_idx}")
+    target = tuple(r for r in cell if r not in dropped)
+    pos = {r: k for k, r in enumerate(target)}
+    retained = {k: pos[r] for k, r in enumerate(cell) if r in pos}
+    return cx.index[target], retained
+
+
+def vertex_profile(t: LeggedTree) -> tuple[tuple[int, int], ...]:
+    """The sorted (leg count, valence) pairs of a tree's vertices."""
+    return tuple(sorted((t.leg_count(v), t.valence(v)) for v in range(t.num_vertices)))
+
+
+# ---------------------------------------------------------------------------
+# the marking action
+
+
+def compose_marking_perms(sigma, tau):
+    """Composition acting as sigma after tau: (sigma*tau)(i) = sigma(tau(i))."""
+    return tuple(sigma[t - 1] for t in tau)
+
+
+def apply_marking_permutation(sigma: Sequence[int], t: LeggedTree) -> LeggedTree:
+    """The tree with the same shape and relabeled markings: marking
+    sigma(j) now sits where marking j sat.  A left action on canonical
+    forms."""
+    sigma = check_marking_perm(t.n, sigma)
+    new_legs = [0] * t.n
+    for j in range(1, t.n + 1):
+        new_legs[sigma[j - 1] - 1] = t.legs[j - 1]
+    return LeggedTree(t.n, t.num_vertices, t.edges, tuple(new_legs))
+
+
+def permuted(s: Split, sigma: Sequence[int]) -> Split:
+    """Image split under a marking permutation (renormalized)."""
+    return Split.from_side(s.n, (sigma[i - 1] for i in s.side()))
+
+
+def split_image(f, s: Split) -> Split:
+    """The split a complex automorphism sends the given ray's split to."""
+    return f.cx.rays[f.ray_perm[f.cx.ray_by_mask[s.mask]]]
+
+
+# ---------------------------------------------------------------------------
+# isomorphism and rigidity
+
+
+def legged_isomorphisms(t1: LeggedTree, t2: LeggedTree) -> Iterator[tuple[int, ...]]:
+    """All vertex bijections t1 -> t2 preserving adjacency and mapping each
+    leg to the equally-labeled leg (so leg sets must match exactly).
+
+    Vertices carrying legs have forced images; bare vertices are matched
+    by backtracking.  Works for unstable trees too.
+    """
+    if t1.n != t2.n or t1.num_vertices != t2.num_vertices:
+        return
+    V = t1.num_vertices
+    forced: dict[int, int] = {}
+    target_by_legs = {t2.leg_sets[w]: w for w in range(V) if t2.leg_sets[w]}
+    for v in range(V):
+        ls = t1.leg_sets[v]
+        if ls:
+            w = target_by_legs.get(ls)
+            if w is None or t2.valence(w) != t1.valence(v):
+                return
+            forced[v] = w
+
+    bare1 = [v for v in range(V) if not t1.leg_sets[v]]
+    bare2 = [w for w in range(V) if not t2.leg_sets[w]]
+    if len(bare1) != len(bare2):
+        return
+    edges2 = set(t2.edges)
+
+    def ok_so_far(mapping, v, w):
+        for u, _ in t1.adjacency[v]:
+            if u in mapping:
+                a, b = mapping[u], w
+                if (min(a, b), max(a, b)) not in edges2:
+                    return False
+        return True
+
+    def extend(mapping, used, k) -> Iterator[tuple[int, ...]]:
+        if k == len(bare1):
+            image = tuple(mapping[v] for v in range(V))
+            if all(
+                (min(image[u], image[v]), max(image[u], image[v])) in edges2
+                for u, v in t1.edges
+            ):
+                yield image
+            return
+        v = bare1[k]
+        for w in bare2:
+            if w in used or t2.valence(w) != t1.valence(v):
+                continue
+            if ok_so_far(mapping, v, w):
+                mapping[v] = w
+                used.add(w)
+                yield from extend(mapping, used, k + 1)
+                del mapping[v]
+                used.remove(w)
+
+    base = dict(forced)
+    if len(set(base.values())) != len(base):
+        return
+    for v, w in base.items():
+        if not ok_so_far(base, v, w):
+            return
+    yield from extend(base, set(base.values()), 0)
+
+
+def are_isomorphic(t1: LeggedTree, t2: LeggedTree) -> bool:
+    """Isomorphism of legged trees; for stable trees this is canonical-form
+    equality (and the witnessing isomorphism is then unique)."""
+    if t1.n != t2.n:
+        raise ValueError("trees with different marking counts")
+    if t1.is_stable and t2.is_stable:
+        return t1.canonical_form == t2.canonical_form
+    return next(legged_isomorphisms(t1, t2), None) is not None
+
+
+def automorphisms_of_tree(t: LeggedTree) -> list[tuple[int, ...]]:
+    """All self-isomorphisms, as vertex image tuples, by brute-force search
+    over leg-compatible vertex bijections.  For stable trees the result is
+    exactly the identity."""
+    return list(legged_isomorphisms(t, t))
