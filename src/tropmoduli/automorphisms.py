@@ -207,12 +207,21 @@ class ComplexAutomorphism:
 
     @cached_property
     def cell_map(self) -> tuple[int, ...]:
-        """Image cell per cell index; raises if some image split set is not
-        a cell (then the ray permutation is no automorphism at all)."""
+        """Image cell per cell index; raises if some image ray set is not a
+        cell of the same dimension (then the ray permutation is no
+        automorphism at all), naming the first such cell, or if the
+        images are not a bijection.
+
+        Each image is built as a ray bitmask: the image of the cell's
+        prefix face (the face dropping its last ray) with the image of
+        that ray added.  Cells are in dimension order, so the prefix
+        face's image is always built first; the masks are then looked up
+        in ``cx.index``."""
         cx = self.cx
-        image = self.ray_perm.__getitem__
-        # one C-level pipeline, no Python frame per cell
-        images = map(tuple, map(sorted, map(map, itertools.repeat(image), cx.cell_rays)))
+        bits = [1 << r for r in self.ray_perm]
+        images = [0]  # cell 0 is the point
+        for faces, rays in zip(cx.codim1[1:], cx.cell_rays[1:]):
+            images.append(images[faces[-1]] | bits[rays[-1]])
         out = tuple(map(cx.index.get, images))
         dims = cx.dims
         if None in out or tuple(map(dims.__getitem__, out)) != dims:
@@ -387,7 +396,8 @@ def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
     failed step raises :class:`ReconstructionError`, naming the first ray
     on which sigma and the automorphism differ, as it would falsify the
     description of the automorphism group.  Last, ``f.cell_map`` checks
-    that every cell maps to a cell of its dimension, raising
+    that every cell maps to a cell of its dimension, one bitmask lookup
+    per cell with each image built from its prefix face's image, raising
     ``ValueError`` naming the first cell that does not.  The cell map is
     a function of the ray permutation alone, so once the rays agree with
     sigma's action the cells agree too; one cell check suffices, and it

@@ -1,19 +1,21 @@
 """The moduli space as a combinatorial cone complex.
 
 Cells are the strata of the catalog, indexed by (dimension, canonical
-order), each held as the sorted tuple of its ray indices.  Edges of a
-cell are its splits, so the face obtained by contracting a subset of
-edges is literally the cell with those rays removed, found by looking
-the shorter tuple up, and the retained-edge injection is the identity
-on splits.  :func:`build_complex` also checks every one-edge
-contraction on a bitmask clade tree (:func:`check_contractions`): each
-edge is merged into its parent vertex, the remaining clades are
-recomputed from the vertices' own legs, and the result must be a stable
-tree whose clades are the face found by index removal, with the faces
-of a cell all distinct.  This turns the rigidity of stable trees into a
-runtime check without building a tree object per cell.  The same walk
-records each cell's vertex profile (:attr:`ConeComplex.vertex_profiles`),
-which the counting check reads.
+order), each held as the sorted tuple of its ray indices and keyed in
+:attr:`ConeComplex.index` by its ray bitmask (bit r is ray r).  Edges
+of a cell are its splits, so the face obtained by contracting a subset
+of edges is literally the cell with those rays removed, found by
+clearing their bits and looking the mask up, and the retained-edge
+injection is the identity on splits.  :func:`build_complex` also checks
+every one-edge contraction on a bitmask clade tree
+(:func:`check_contractions`): each edge is merged into its parent
+vertex, the remaining clades are recomputed from the vertices' own
+legs, and the result must be a stable tree whose clades are the face
+found by index removal, with the faces of a cell all distinct.  This
+turns the rigidity of stable trees into a runtime check without
+building a tree object per cell.  The same walk records each cell's
+vertex profile (:attr:`ConeComplex.vertex_profiles`), which the
+counting check reads.
 """
 
 from __future__ import annotations
@@ -56,15 +58,23 @@ class ConeComplex:
         return tuple(map(len, self.cell_rays))
 
     @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {c: i for i, c in enumerate(self.cell_rays)}
+    def index(self) -> dict[int, int]:
+        """Cell index by the cell's ray bitmask (bit r is ray r), with the
+        keys in cell order."""
+        out = {}
+        for i, c in enumerate(self.cell_rays):
+            mask = 0
+            for r in c:
+                mask |= 1 << r
+            out[mask] = i
+        return out
 
     @cached_property
     def codim1(self) -> tuple[tuple[int, ...], ...]:
         """Per cell: the face index reached by dropping each ray, in ray order."""
         index = self.index
         return tuple(
-            tuple(index[c[:k] + c[k + 1:]] for k in range(len(c))) for c in self.cell_rays
+            tuple([index[mask ^ (1 << r)] for r in c]) for mask, c in zip(index, self.cell_rays)
         )
 
     @cached_property
@@ -193,11 +203,14 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
     must be stable.  Contracting edge e merges vertex e into its parent,
     which must stay stable (no other vertex changes), the remaining
     clade masks are recomputed bottom-up from the own legs, and they
-    must be exactly the rays of the face.  The faces of a cell must be
+    must be exactly the rays of the face: the OR of their rays' bits must
+    equal the face's key in ``cx.index`` (a clade that is no ray, or two
+    clades on one ray, leaves a bit out).  The faces of a cell must be
     distinct (rigidity).  Returns each cell's vertex profile, equal
     profiles as one shared tuple.
     """
-    ray_of = cx.ray_by_mask
+    bit_of = {m: 1 << r for m, r in cx.ray_by_mask.items()}
+    cell_masks = list(cx.index)
     profiles, seen = [], {}
     for i, ((parent, own), faces) in enumerate(zip(_clade_trees(cx), cx.codim1)):
         rays, root = cx.cell_rays[i], len(parent)
@@ -218,8 +231,10 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
             for k, p in enumerate(parent):
                 if k != e:
                     acc[up if p == e else p] |= acc[k]  # children precede their parent
-            face = tuple(sorted([ray_of.get(m, -1) for m in acc[:e] + acc[e + 1:root]]))
-            if face != cx.cell_rays[tgt]:
+            face = 0
+            for m in acc[:e] + acc[e + 1:root]:
+                face |= bit_of.get(m, 0)  # a clade that is no ray adds no bit
+            if face != cell_masks[tgt]:
                 raise AssertionError(
                     f"contracting edge {cx.ray_name(rays[e])} of cell "
                     f"{cx.cell_name(i)} disagrees with split removal"

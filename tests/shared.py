@@ -18,6 +18,19 @@ def complex_for(n):
     return build_complex(n, catalog(n))
 
 
+def ray_mask(rays) -> int:
+    """The bitmask of a set of ray indices (bit r is ray r)."""
+    mask = 0
+    for r in rays:
+        mask |= 1 << r
+    return mask
+
+
+def cell_of(cx, rays) -> int:
+    """The index of the cell with the given rays, looked up in ``cx.index``."""
+    return cx.index[ray_mask(rays)]
+
+
 def count_tree_objects(monkeypatch) -> Counter:
     """Count the LeggedTree and CanonicalForm objects built from now on
     (through ``__post_init__``), by class name."""

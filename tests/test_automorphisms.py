@@ -36,8 +36,8 @@ from tropmoduli.groups import (
     perm_cycles,
 )
 
-from shared import complex_for
-from tree_oracles import compose_marking_perms, face, permuted, split_image
+from shared import cell_of, complex_for
+from tree_oracles import compose_marking_perms, face, permuted, split_image, tuple_cell_map
 
 
 def induced(cx, sigma):
@@ -267,6 +267,28 @@ def test_cell_map_preserves_dimension_and_faces():
             assert f.cell_map[tgt] == image_face
 
 
+def test_cell_map_matches_tuple_route():
+    # the mask route builds each image from its prefix face's image; the
+    # reference maps, sorts and looks up each cell's ray tuple
+    for n in (4, 5, 6, 7):
+        cx = complex_for(n)
+        group, _ = aut_via_compat_graph(cx)
+        for p in group.generators + tuple(group.random_elements(50, DEFAULT_SEED)):
+            f = ComplexAutomorphism(cx, p)
+            assert f.cell_map == tuple_cell_map(f)
+
+
+def _both_routes_raise(f):
+    """The error message of the mask route's ``cell_map``, checked equal to
+    the tuple route's."""
+    with pytest.raises(ValueError) as mask_route:
+        f.cell_map
+    with pytest.raises(ValueError) as tuple_route:
+        tuple_cell_map(f)
+    assert str(mask_route.value) == str(tuple_route.value)
+    return str(mask_route.value)
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 
@@ -373,6 +395,7 @@ def test_cell_map_rejects_non_automorphism():
     )
     with pytest.raises(ValueError, match=rf"\bcell {bad}\b"):
         ComplexAutomorphism(cx, perm).cell_map
+    assert f"cell {bad} " in _both_routes_raise(ComplexAutomorphism(cx, perm))
 
 
 def test_cell_map_names_a_cell_sent_to_another_dimension():
@@ -380,7 +403,7 @@ def test_cell_map_names_a_cell_sent_to_another_dimension():
     # 4 sends the ray {2,3} there, and the error names {2,3}, which comes
     # first
     cx = complex_for(5)
-    c23, c34 = (cx.index[(ray_of(cx, s),)] for s in ([2, 3], [3, 4]))
+    c23, c34 = (cell_of(cx, (ray_of(cx, s),)) for s in ([2, 3], [3, 4]))
     assert c23 < c34
     dims = list(cx.dims)
     dims[c34] = 2
@@ -389,6 +412,7 @@ def test_cell_map_names_a_cell_sent_to_another_dimension():
     f = ComplexAutomorphism(broken, marking_ray_permutation(cx, (1, 4, 3, 2, 5)))
     with pytest.raises(ValueError, match=rf"map cell {c23} \(\{{2,3\}}\) to a cell"):
         f.cell_map
+    assert f"map cell {c23} " in _both_routes_raise(f)
 
 
 def test_list_given_automorphism_is_normalised():

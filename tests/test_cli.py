@@ -210,6 +210,9 @@ def test_payload_bytes_are_pinned():
     assert payload_sha256("complex", "--n", "5") == (
         "483fffa69596b0a2a7dcfea2e7926c6b68b29c33936c3df19ff9b0d75cb48d22"
     )
+    assert payload_sha256("complex", "--n", "7") == (
+        "7f32eff21dacdf49991696e72e7beab0a11d5a51f954b3690a1c733b0ef5ad12"
+    )
     assert payload_sha256("enumerate", "--n", "6") == (
         "b3f515e4d91369799b3edb8c1f276fafdb8d6445a90fe05a5476eb9301bf3cbe"
     )

@@ -10,8 +10,8 @@ import pytest
 from tropmoduli import Split, build_complex, splits_compatible, star_count
 from tropmoduli import cones
 from tropmoduli.cones import check_contractions
-from shared import complex_for, count_calls, count_tree_objects
-from tree_oracles import contract, face
+from shared import cell_of, complex_for, count_calls, count_tree_objects, ray_mask
+from tree_oracles import contract, face, tuple_codim1
 
 
 def test_n3_is_a_point():
@@ -57,6 +57,22 @@ def test_face_relation_is_graded():
             assert len(set(faces)) == len(faces)
 
 
+def test_index_keys_each_cell_by_its_ray_mask():
+    for n in (4, 5, 6, 7):
+        cx = complex_for(n)
+        masks = [ray_mask(c) for c in cx.cell_rays]
+        assert len(set(masks)) == len(masks)
+        for i, mask in enumerate(masks):
+            assert cx.index[mask] == i
+        assert len(cx.index) == len(masks)
+
+
+def test_codim1_matches_tuple_slicing():
+    for n in (4, 5, 6, 7):
+        cx = complex_for(n)
+        assert cx.codim1 == tuple_codim1(cx)
+
+
 def test_face_maps_compose():
     cx = complex_for(6)
     top = list(cx.dim_ranges[3])
@@ -98,10 +114,10 @@ def test_contraction_check_names_a_wrong_face():
     cx = complex_for(6)
     ray = {s: r for r, s in enumerate(cx.rays)}
     r23, r234, r24 = (ray[Split.from_side(6, side)] for side in ([2, 3], [2, 3, 4], [2, 4]))
-    cell = cx.index[(r23, r234)]
+    cell = cell_of(cx, (r23, r234))
     faces = list(cx.codim1)
-    assert faces[cell][1] == cx.index[(r23,)]
-    faces[cell] = (faces[cell][0], cx.index[(r24,)])
+    assert faces[cell][1] == cell_of(cx, (r23,))
+    faces[cell] = (faces[cell][0], cell_of(cx, (r24,)))
     broken = dataclasses.replace(cx)
     broken.__dict__["codim1"] = tuple(faces)
     with pytest.raises(AssertionError, match=r"edge \{2,3,4\} of cell \{2,3\} \| \{2,3,4\} "):
@@ -127,10 +143,28 @@ def test_contraction_check_names_an_unstable_cell(monkeypatch):
     # marking 2 alone it has valence + legs = 2
     cx = complex_for(5)
     ray = {s: r for r, s in enumerate(cx.rays)}
-    cell = cx.index[(ray[Split.from_side(5, [2, 3])],)]
+    cell = cell_of(cx, (ray[Split.from_side(5, [2, 3])],))
     marking_2 = 1 << 1
     _patched_tree(monkeypatch, cell, 0, marking_2)
     with pytest.raises(AssertionError, match=r"^cell \{2,3\} has an unstable vertex$"):
+        check_contractions(cx)
+
+
+def test_contraction_check_names_a_clade_that_is_no_ray(monkeypatch):
+    # at n = 5, give the vertex below edge {2,3,4} of the cell
+    # {2,3} | {2,3,4} marking 1 besides marking 4: every vertex stays
+    # stable, but contracting edge {2,3} recomputes the clade {1,2,3,4},
+    # which holds marking 1 and so is no ray
+    cx = complex_for(5)
+    ray = {s: r for r, s in enumerate(cx.rays)}
+    r23, r234 = (ray[Split.from_side(5, side)] for side in ([2, 3], [2, 3, 4]))
+    cell = cell_of(cx, (r23, r234))
+    marking_1, marking_4 = 1 << 0, 1 << 3
+    _patched_tree(monkeypatch, cell, 1, marking_1 | marking_4)
+    with pytest.raises(
+        AssertionError,
+        match=r"^contracting edge \{2,3\} of cell \{2,3\} \| \{2,3,4\} disagrees with split removal$",
+    ):
         check_contractions(cx)
 
 
@@ -142,7 +176,7 @@ def test_contraction_check_names_two_equal_faces(monkeypatch):
     cx = complex_for(5)
     ray = {s: r for r, s in enumerate(cx.rays)}
     r23, r234 = (ray[Split.from_side(5, side)] for side in ([2, 3], [2, 3, 4]))
-    cell = cx.index[(r23, r234)]
+    cell = cell_of(cx, (r23, r234))
     faces = list(cx.codim1)
     faces[cell] = (faces[cell][0], faces[cell][0])
     broken = dataclasses.replace(cx)

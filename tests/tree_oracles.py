@@ -1,17 +1,22 @@
 """Second routes the tests compare the package against: legged-tree
 contraction, isomorphism and rigidity, the marking action on trees and
-splits, face lookup by split, and vertex profiles read off a tree.
+splits, face lookup by split, vertex profiles read off a tree, and the
+face maps and automorphism cell maps on sorted ray tuples.
 
 The package computes each of these facts one way, on ray indices and
-bitmasks; these routes go through ``LeggedTree`` and ``Split`` objects
-instead and share no code with it beyond those classes.
+bitmasks; these routes go through ``LeggedTree`` and ``Split`` objects,
+or through cells keyed by their sorted ray tuples, instead and share no
+code with it beyond those classes.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from tropmoduli.trees import LeggedTree, Split, check_marking_perm
+
+from shared import cell_of
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +97,40 @@ def face(cx, cell_idx: int, drop: Iterable[Split]) -> tuple[int, dict[int, int]]
     target = tuple(r for r in cell if r not in dropped)
     pos = {r: k for k, r in enumerate(target)}
     retained = {k: pos[r] for k, r in enumerate(cell) if r in pos}
-    return cx.index[target], retained
+    return cell_of(cx, target), retained
+
+
+def tuple_index(cx) -> dict[tuple[int, ...], int]:
+    """Cell index by the cell's sorted tuple of ray indices."""
+    return {c: i for i, c in enumerate(cx.cell_rays)}
+
+
+def tuple_codim1(cx) -> tuple[tuple[int, ...], ...]:
+    """Per cell: the face index reached by dropping each ray, in ray order,
+    found by slicing the ray out of the cell's tuple."""
+    index = tuple_index(cx)
+    return tuple(
+        tuple(index[c[:k] + c[k + 1:]] for k in range(len(c))) for c in cx.cell_rays
+    )
+
+
+def tuple_cell_map(f) -> tuple[int, ...]:
+    """Image cell per cell index of a complex automorphism: each cell's
+    rays are mapped, sorted and looked up as a tuple.  Raises as
+    ``ComplexAutomorphism.cell_map`` does, naming the same first cell."""
+    cx = f.cx
+    index = tuple_index(cx)
+    image = f.ray_perm.__getitem__
+    images = map(tuple, map(sorted, map(map, itertools.repeat(image), cx.cell_rays)))
+    out = tuple(map(index.get, images))
+    dims = cx.dims
+    if None in out or tuple(map(dims.__getitem__, out)) != dims:
+        i = next(i for i, j in enumerate(out) if j is None or dims[j] != dims[i])
+        name = cx.cell_name(i)
+        raise ValueError(f"ray permutation does not map cell {i} ({name}) to a cell")
+    if len(set(out)) < len(out):
+        raise ValueError("cell images do not form a permutation")
+    return out
 
 
 def vertex_profile(t: LeggedTree) -> tuple[tuple[int, int], ...]:
