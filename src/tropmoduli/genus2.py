@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .groups import PermutationGroup, compose_perms
 
@@ -98,21 +98,15 @@ def weighted_graph_isomorphisms(
     h_slots: dict[tuple[int, int], list[int]] = {}
     for j, e in enumerate(h.edges):
         h_slots.setdefault(e, []).append(j)
+    h_sizes = {k: len(v) for k, v in h_slots.items()}
     for vmap in itertools.permutations(range(g.num_vertices)):
         if any(g.weights[v] != h.weights[vmap[v]] for v in range(g.num_vertices)):
             continue
         classes: dict[tuple[int, int], list[int]] = {}
-        ok = True
         for i, (u, v) in enumerate(g.edges):
             a, b = vmap[u], vmap[v]
-            key = (a, b) if a <= b else (b, a)
-            if key not in h_slots:
-                ok = False
-                break
-            classes.setdefault(key, []).append(i)
-        if not ok or any(
-            len(classes.get(k, [])) != len(v) for k, v in h_slots.items()
-        ):
+            classes.setdefault((a, b) if a <= b else (b, a), []).append(i)
+        if {k: len(v) for k, v in classes.items()} != h_sizes:
             continue
         keys = sorted(classes)
         pools = [itertools.permutations(h_slots[k]) for k in keys]
@@ -197,26 +191,15 @@ def m2_cells() -> tuple[QuotientCell, ...]:
 class M2Complex:
     """The quotient cone complex: cells plus, per cell and edge, the face
     cell reached by contracting that edge together with one retained-edge
-    identification (well defined up to the face's edge group)."""
+    identification (well defined up to the face's edge group), a dict
+    from each other edge of the cell to its edge of the face."""
 
     cells: tuple[QuotientCell, ...]
-    arrows: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    arrows: tuple[tuple[tuple[int, dict[int, int]], ...], ...]
 
     @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.cells)
-
-    @cached_property
-    def retained_maps(self) -> tuple[tuple[dict[int, int], ...], ...]:
-        """Per cell and edge: the arrow's retained-edge identification as
-        a dict from each other edge of the cell to its edge of the face."""
-        return tuple(
-            tuple(
-                dict(zip((x for x in range(cell.dimension) if x != e), retained))
-                for e, (_, retained) in enumerate(per_edge)
-            )
-            for cell, per_edge in zip(self.cells, self.arrows)
-        )
 
     def cell_index(self, name: str) -> int:
         return self.names.index(name)
@@ -224,7 +207,6 @@ class M2Complex:
     def f_vector(self) -> list[int]:
         dims = [c.dimension for c in self.cells]
         return [dims.count(d) for d in range(max(dims) + 1)]
-
 
 
 def build_m2_complex() -> M2Complex:
@@ -237,17 +219,14 @@ def build_m2_complex() -> M2Complex:
         if not cell.graph.is_stable():
             raise AssertionError(f"{cell.name} is not stable")
     arrows = []
-    for cell in cells:
+    for i, cell in enumerate(cells):
         per_edge = []
         for e in range(cell.dimension):
             contracted = contract_weighted_edge(cell.graph, e)
             matches = [
                 (j, iso)
                 for j, other in enumerate(cells)
-                for iso in [next(
-                    weighted_graph_isomorphisms(contracted, other.graph), None
-                )]
-                if iso is not None
+                if (iso := next(weighted_graph_isomorphisms(contracted, other.graph), None))
             ]
             if len(matches) != 1:
                 raise AssertionError(
@@ -255,13 +234,14 @@ def build_m2_complex() -> M2Complex:
                     f"{len(matches)} strata"
                 )
             j, (_, emap) = matches[0]
-            # retained map: edge i != e of the cell sits at position
-            # i - (i > e) in the contracted graph, then moves through emap
-            retained = tuple(
-                emap[i - (1 if i > e else 0)]
-                for i in range(cell.dimension)
-                if i != e
-            )
+            # the search checks a cell after its faces
+            if j >= i:
+                raise AssertionError(
+                    f"face {cells[j].name} of {cell.name} does not come before it"
+                )
+            # retained map: edge x != e of the cell sits at position
+            # x - (x > e) in the contracted graph, then moves through emap
+            retained = {x: emap[x - (x > e)] for x in range(cell.dimension) if x != e}
             per_edge.append((j, retained))
         arrows.append(tuple(per_edge))
     return M2Complex(cells, tuple(arrows))
@@ -293,123 +273,98 @@ class M2SearchResult:
     classes: int
 
 
-def _check_candidate(
-    cx: M2Complex, cell_map: tuple[int, ...], edge_maps: tuple[tuple[int, ...], ...]
+def _check_cell(
+    cx: M2Complex, cell_map: Sequence[int], edge_maps: Sequence[Sequence[int]], i: int
 ) -> M2Violation | None:
-    """Face compatibility of a candidate (cell bijection + per-cell edge
-    bijections), up to the face cells' edge groups."""
-    for i, cell in enumerate(cx.cells):
-        i2 = cell_map[i]
-        for e in range(cell.dimension):
-            j, _ = cx.arrows[i][e]
-            e2 = edge_maps[i][e]
-            j2, _ = cx.arrows[i2][e2]
-            if cell_map[j] != j2:
-                return M2Violation(
-                    cell=cell.name,
-                    edge=e,
-                    face=cx.cells[j].name,
-                    image_face=cx.cells[j2].name,
-                )
-            lhs = cx.retained_maps[i][e]
-            rhs = cx.retained_maps[i2][e2]
-            # the retained-edge identifications are canonical only up to
-            # the face edge groups, so the square has to commute up to a
-            # pre-twist h1 on the face and a post-twist h2 on its image:
-            # edge_maps[j](h1(lhs(x))) = h2(rhs(edge_maps[i](x)))
-            matched = any(
-                all(
-                    edge_maps[j][h1[lhs[x]]] == h2[rhs[edge_maps[i][x]]]
-                    for x in lhs
-                )
-                for h1 in cx.cells[j].edge_group_elements
-                for h2 in cx.cells[j2].edge_group_elements
-            )
-            if not matched:
-                return M2Violation(
-                    cell=cell.name,
-                    edge=e,
-                    face=cx.cells[j].name,
-                    image_face=cx.cells[j2].name,
-                )
+    """The first face arrow of cell i that a candidate (cell map plus
+    per-cell edge bijections) breaks, up to the face cells' edge groups.
+    Reads only the images of cell i and of its faces."""
+    cell, i2, phi = cx.cells[i], cell_map[i], edge_maps[i]
+    for e, (j, lhs) in enumerate(cx.arrows[i]):
+        j2, rhs = cx.arrows[i2][phi[e]]
+        # the retained-edge identifications are canonical only up to
+        # the face edge groups, so the square has to commute up to a
+        # pre-twist h1 on the face and a post-twist h2 on its image:
+        # edge_maps[j](h1(lhs(x))) = h2(rhs(phi(x)))
+        if cell_map[j] != j2 or not any(
+            all(edge_maps[j][h1[lhs[x]]] == h2[rhs[phi[x]]] for x in lhs)
+            for h1 in cx.cells[j].edge_group_elements
+            for h2 in cx.cells[j2].edge_group_elements
+        ):
+            return M2Violation(cell.name, e, cx.cells[j].name, cx.cells[j2].name)
     return None
 
 
-def _candidate_cell_maps(cx: M2Complex) -> Iterator[tuple[int, ...]]:
-    by_dim: dict[int, list[int]] = {}
-    for i, c in enumerate(cx.cells):
-        by_dim.setdefault(c.dimension, []).append(i)
-    pools = [
-        itertools.permutations(by_dim[d]) for d in sorted(by_dim)
-    ]
-    for choice in itertools.product(*pools):
-        out = [0] * len(cx.cells)
-        for d, perm in zip(sorted(by_dim), choice):
-            for src, dst in zip(by_dim[d], perm):
-                out[src] = dst
-        yield tuple(out)
+def _check_candidate(
+    cx: M2Complex, cell_map: tuple[int, ...], edge_maps: tuple[tuple[int, ...], ...]
+) -> M2Violation | None:
+    """The first face arrow a whole candidate (cell bijection plus
+    per-cell edge bijections) breaks, cells and edges in order."""
+    violations = (_check_cell(cx, cell_map, edge_maps, i) for i in range(len(cx.cells)))
+    return next((v for v in violations if v is not None), None)
 
 
-def _equivalent(cx, cell_map, ems1, ems2) -> bool:
-    """Candidates with the same cell map are the same quotient self-map
-    when each cell's edge bijections differ by pre/post composition with
-    the edge groups."""
-    for i, cell in enumerate(cx.cells):
-        found = any(
-            compose_perms(h, compose_perms(ems1[i], g)) == ems2[i]
-            for g in cell.edge_group_elements
-            for h in cx.cells[cell_map[i]].edge_group_elements
-        )
-        if not found:
-            return False
-    return True
-
-
-def aut_m2(cx: M2Complex | None = None) -> M2SearchResult:
-    """Exhaust all dimension-preserving cell bijections with edge
-    bijections and keep the face-compatible ones, identified modulo the
-    per-cell edge groups.  The result is the trivial group: each cell is
-    fixed and every surviving edge bijection is equivalent to the
-    identity."""
-    if cx is None:
-        cx = build_m2_complex()
-    candidates = 0
-    valid: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
-    for cell_map in _candidate_cell_maps(cx):
-        pools = [
-            itertools.permutations(range(cx.cells[cell_map[i]].dimension))
-            for i in range(len(cx.cells))
-        ]
-        for edge_maps in itertools.product(*pools):
-            candidates += 1
-            edge_maps = tuple(tuple(m) for m in edge_maps)
-            if _check_candidate(cx, cell_map, edge_maps) is None:
-                valid.append((cell_map, edge_maps))
-
-    classes: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
-    for cell_map, ems in valid:
-        if not any(
-            cm == cell_map and _equivalent(cx, cell_map, rep, ems)
-            for cm, rep in classes
-        ):
-            classes.append((cell_map, ems))
-    gens = tuple(cm for cm, _ in classes if any(i != x for i, x in enumerate(cm)))
-    group = PermutationGroup(len(cx.cells), gens)
-    return M2SearchResult(
-        group=group,
-        candidates=candidates,
-        valid=len(valid),
-        classes=len(classes),
+def _edge_class(cx: M2Complex, i: int, i2: int, phi: Sequence[int]) -> tuple[int, ...]:
+    """The least element h∘phi∘g of the double coset of an edge bijection
+    phi from cell i onto cell i2, g and h ranging over the two cells'
+    edge groups: two bijections give the same quotient map exactly when
+    their least elements agree."""
+    return min(
+        compose_perms(h, compose_perms(phi, g))
+        for g in cx.cells[i].edge_group_elements
+        for h in cx.cells[i2].edge_group_elements
     )
 
 
-def bridge_loop_swap_violation(cx: M2Complex | None = None) -> M2Violation:
+def aut_m2(cx: M2Complex) -> M2SearchResult:
+    """Walk the cells in order (faces come first), giving each an unused
+    image cell of its dimension and an edge bijection onto it, and drop
+    the branch as soon as a cell's face arrows fail.  `candidates` counts
+    these per-cell checks; `valid` counts the whole candidates that pass,
+    and `classes` those modulo the per-cell edge groups.  The result is
+    the trivial group: each cell is fixed and every surviving edge
+    bijection is equivalent to the identity."""
+    size = len(cx.cells)
+    cell_map = [0] * size
+    edge_maps: list[tuple[int, ...]] = [()] * size
+    checks = valid = 0
+    keys = set()
+
+    def walk(i: int) -> None:
+        nonlocal checks, valid
+        if i == size:
+            valid += 1
+            keys.add((
+                tuple(cell_map),
+                tuple(_edge_class(cx, k, cell_map[k], edge_maps[k]) for k in range(size)),
+            ))
+            return
+        dim = cx.cells[i].dimension
+        for i2, image in enumerate(cx.cells):
+            if image.dimension != dim or i2 in cell_map[:i]:
+                continue
+            cell_map[i] = i2
+            for phi in itertools.permutations(range(dim)):
+                checks += 1
+                edge_maps[i] = phi
+                if _check_cell(cx, cell_map, edge_maps, i) is None:
+                    walk(i + 1)
+
+    walk(0)
+    gens = tuple(sorted({cm for cm, _ in keys} - {tuple(range(size))}))
+    return M2SearchResult(
+        group=PermutationGroup(size, gens),
+        candidates=checks,
+        valid=valid,
+        classes=len(keys),
+    )
+
+
+def bridge_loop_swap_violation(cx: M2Complex) -> M2Violation:
     """The named rejected candidate: fix every cell, swap the dumbbell's
     bridge with one of its loops.  Face checking rejects it because the
     bridge contracts to the figure eight while a loop contracts to the
     lollipop."""
-    if cx is None:
-        cx = build_m2_complex()
     identity_cells = tuple(range(len(cx.cells)))
     edge_maps = []
     for cell in cx.cells:

@@ -237,6 +237,10 @@ def test_payload_bytes_are_pinned():
     assert payload_sha256("aut", "--n", "8") == (
         "9e71f3ace983d095d2a717e70cb1313e11123e80bd359507cdf0aaa0f6f5c055"
     )
+    # the genus-2 fixture: its class count and the swap witness text
+    assert payload_sha256("genus2") == (
+        "5eb1b83cc28aff57861e3a92daf91d92cfa70fa9aa36bc1568ddce9f626ccb13"
+    )
     # the split sides enumerate prints, as JSON and as raw CSV bytes
     assert payload_sha256("enumerate", "--n", "7", "--dim", "2") == (
         "fce8e096064baaaf82218e64262f583d25bd78e53e30cc601b5c3262d2613106"

@@ -1,10 +1,16 @@
 """The genus-2 fixture: integrity of the seven strata, edge groups,
 face arrows, and triviality of the automorphism search."""
 
+import itertools
+
 import pytest
 
+from tropmoduli import genus2
 from tropmoduli.genus2 import (
+    QuotientCell,
     WeightedGraph,
+    _check_candidate,
+    _edge_class,
     aut_m2,
     bridge_loop_swap_violation,
     build_m2_complex,
@@ -15,6 +21,13 @@ from tropmoduli.genus2 import (
 )
 
 from functools import lru_cache
+
+from genus2_reference import (
+    check_candidate,
+    edge_maps_equivalent,
+    reference_search,
+    whole_candidates,
+)
 
 
 @lru_cache(maxsize=1)
@@ -96,6 +109,22 @@ def test_isomorphism_respects_weights():
     assert next(weighted_graph_isomorphisms(g, k), None) is None
 
 
+def test_isomorphism_needs_matching_edge_classes():
+    # same weights and edge count, but three parallel edges against two
+    # loops and a bridge
+    dumbbell, theta = cell("dumbbell").graph, cell("theta").graph
+    assert next(weighted_graph_isomorphisms(dumbbell, theta), None) is None
+    assert next(weighted_graph_isomorphisms(theta, dumbbell), None) is None
+
+
+def test_theta_self_isomorphisms():
+    # 2 vertex maps times 6 bijections of the parallel class
+    theta = cell("theta").graph
+    pairs = list(weighted_graph_isomorphisms(theta, theta))
+    assert len(pairs) == 12 and len(set(pairs)) == 12
+    assert len({emap for _, emap in pairs}) == 6
+
+
 # ---------------------------------------------------------------------------
 # contraction and face arrows
 
@@ -135,6 +164,40 @@ def test_specialization_arrows_complete():
     }
 
 
+def with_cells(monkeypatch, cells):
+    monkeypatch.setattr(genus2, "m2_cells", lambda: cells)
+
+
+def test_build_rejects_wrong_genus(monkeypatch):
+    with_cells(monkeypatch, m2_cells() + (QuotientCell("point_w3", WeightedGraph((3,), ())),))
+    with pytest.raises(AssertionError, match="point_w3 does not have genus 2"):
+        build_m2_complex()
+
+
+def test_build_rejects_unstable_cell(monkeypatch):
+    bad = QuotientCell("bivalent", WeightedGraph((0, 1), ((0, 1), (0, 1))))
+    with_cells(monkeypatch, m2_cells() + (bad,))
+    with pytest.raises(AssertionError, match="bivalent is not stable"):
+        build_m2_complex()
+
+
+def test_build_rejects_ambiguous_contraction(monkeypatch):
+    cells = m2_cells()
+    loop = cells[2]
+    assert loop.name == "loop_w1"
+    with_cells(monkeypatch, cells[:3] + (loop,) + cells[3:])
+    with pytest.raises(AssertionError, match="edge 0 of figure_eight matches 2 strata"):
+        build_m2_complex()
+
+
+def test_build_rejects_face_after_its_cell(monkeypatch):
+    with_cells(monkeypatch, m2_cells()[::-1])
+    with pytest.raises(
+        AssertionError, match="face figure_eight of theta does not come before it"
+    ):
+        build_m2_complex()
+
+
 def test_face_arrows_commute_with_edge_groups():
     # contracting edge g(e) lands in the same face as contracting e, for
     # every edge-group element g of the source
@@ -161,9 +224,52 @@ def test_aut_is_trivial():
     assert result.valid == expected
 
 
-def test_identity_candidate_is_accepted():
-    from tropmoduli.genus2 import _check_candidate
+def test_search_work_bound():
+    # one check per (cell, image, edge bijection) on a surviving branch,
+    # against 1,152 whole candidates for the exhaustive product
+    result = aut_m2(m2())
+    assert result.candidates <= 100
+    assert result.valid == 24
 
+
+def test_check_candidate_matches_reference():
+    cx = m2()
+    ref = reference_search(cx)
+    assert ref.candidates == 1152
+    accepted = []
+    for cell_map, edge_maps in whole_candidates(cx):
+        violation = _check_candidate(cx, cell_map, edge_maps)
+        assert violation == check_candidate(cx, cell_map, edge_maps)
+        if violation is None:
+            accepted.append((cell_map, edge_maps))
+    assert accepted == ref.valid and len(accepted) == 24
+
+
+def test_aut_m2_matches_reference():
+    cx = m2()
+    ref = reference_search(cx)
+    result = aut_m2(cx)
+    assert (result.valid, result.classes) == (len(ref.valid), len(ref.classes))
+    assert result.classes == 1
+
+
+def test_class_key_matches_pairwise_equivalence():
+    cx = m2()
+    orders = set()
+    for i, c in enumerate(cx.cells):
+        for i2, image in enumerate(cx.cells):
+            if image.dimension != c.dimension:
+                continue
+            orders.add((c.edge_group.order(), image.edge_group.order()))
+            perms = list(itertools.permutations(range(c.dimension)))
+            for phi1, phi2 in itertools.product(perms, repeat=2):
+                same_key = _edge_class(cx, i, i2, phi1) == _edge_class(cx, i, i2, phi2)
+                assert same_key == edge_maps_equivalent(cx, i, i2, phi1, phi2)
+    # theta's order-6 group and the dumbbell's order-2 group, on either side
+    assert {(6, 6), (2, 2), (2, 6), (6, 2)} <= orders
+
+
+def test_identity_candidate_is_accepted():
     cx = m2()
     cell_map = tuple(range(len(cx.cells)))
     edge_maps = tuple(tuple(range(c.dimension)) for c in cx.cells)
