@@ -115,9 +115,10 @@ def _cmd_aut(args) -> tuple[str, dict, None]:
         raise ValueError(
             f"--n must be >= {VERIFY_MIN_N}: smaller runs check no automorphism group"
         )
-    expected = expected_order(args.n)
+    cx = build_complex(args.n)  # rejects n beyond the envelope before other work
     if args.method == "poset":
-        group = aut_via_poset(build_complex(args.n))
+        group = aut_via_poset(cx)
+        expected = expected_order(args.n)
         payload = {
             "n": args.n,
             "method": "poset",
@@ -127,9 +128,7 @@ def _cmd_aut(args) -> tuple[str, dict, None]:
             "verdict": "PASS" if group.order() == expected else "FAIL",
         }
         return payload["verdict"], payload, None
-    payload = main_theorem_report(
-        build_complex(args.n), args.seed, 0, poset=args.method == "both"
-    )
+    payload = main_theorem_report(cx, args.seed, 0, poset=args.method == "both")
     return payload["verdict"], payload, None
 
 

@@ -8,14 +8,13 @@ of edges is literally the cell with those rays removed, found by
 clearing their bits and looking the mask up, and the retained-edge
 injection is the identity on splits.  :func:`build_complex` also checks
 every one-edge contraction on a bitmask clade tree
-(:func:`check_contractions`): each edge is merged into its parent
-vertex, the remaining clades are recomputed from the vertices' own
-legs, and the result must be a stable tree whose clades are the face
-found by index removal, with the faces of a cell all distinct.  This
-turns the rigidity of stable trees into a runtime check without
-building a tree object per cell.  The same walk records each cell's
-vertex profile (:attr:`ConeComplex.vertex_profiles`), which the
-counting check reads.
+(:func:`check_contractions`): contracting an edge leaves every other
+clade unchanged as a set, so one bottom-up recompute per cell must give
+its ray masks, with every marking at the root, and each face must be the
+cell's mask with one ray's bit cleared.  This turns the rigidity of
+stable trees into a runtime check without building a tree object per
+cell.  The same walk records each cell's vertex profile
+(:attr:`ConeComplex.vertex_profiles`), which the counting check reads.
 """
 
 from __future__ import annotations
@@ -195,54 +194,42 @@ def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
 
 
 def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Contract every edge of every cell's tree and compare the result
-    with the face in ``cx.codim1``; raise ``AssertionError`` naming the
-    cell and the edge on the first disagreement.
+    """Check every one-edge contraction of every cell's tree against
+    ``cx.codim1``; raise ``AssertionError`` naming the cell, and the edge
+    if there is one, on the first disagreement.
 
-    The tree is the cell's clade tree (see :func:`_clade_trees`) and
-    must be stable.  Contracting edge e merges vertex e into its parent,
-    which must stay stable (no other vertex changes), the remaining
-    clade masks are recomputed bottom-up from the own legs, and they
-    must be exactly the rays of the face: the OR of their rays' bits must
-    equal the face's key in ``cx.index`` (a clade that is no ray, or two
-    clades on one ray, leaves a bit out).  The faces of a cell must be
-    distinct (rigidity).  Returns each cell's vertex profile, equal
-    profiles as one shared tuple.
+    The tree is the cell's clade tree (see :func:`_clade_trees`); it must
+    be stable and the faces of a cell distinct (rigidity).  Contracting
+    edge e merges vertex e into its parent and leaves every other clade
+    unchanged as a set, so one bottom-up recompute serves every edge: it
+    must put every marking at the root and give clade e as ray e's mask,
+    and face e must be the cell's mask minus ray e's bit.  A merged vertex
+    is stable: both ends weigh >= 3, so it weighs >= 3 + 3 - 2 = 4.
+    Returns each cell's vertex profile, equal profiles as one shared tuple.
     """
-    bit_of = {m: 1 << r for m, r in cx.ray_by_mask.items()}
+    masks = [s.mask for s in cx.rays]
+    full = (1 << cx.n) - 1
     cell_masks = list(cx.index)
     profiles, seen = [], {}
     for i, ((parent, own), faces) in enumerate(zip(_clade_trees(cx), cx.codim1)):
-        rays, root = cx.cell_rays[i], len(parent)
         legs, valence = [m.bit_count() for m in own], _valences(parent)
-        weight = [a + b for a, b in zip(legs, valence)]
-        if min(weight) < 3:
+        if min(a + b for a, b in zip(legs, valence)) < 3:
             raise AssertionError(f"cell {cx.cell_name(i)} has an unstable vertex")
-        for e, tgt in enumerate(faces):
-            up = parent[e]
-            # the merged vertex loses the contracted edge at both ends
-            if weight[up] + weight[e] - 2 < 3:
-                raise AssertionError(
-                    f"contracting edge {cx.ray_name(rays[e])} of cell "
-                    f"{cx.cell_name(i)} leaves an unstable vertex"
-                )
-            acc = own[:]
-            acc[up] |= own[e]
-            for k, p in enumerate(parent):
-                if k != e:
-                    acc[up if p == e else p] |= acc[k]  # children precede their parent
-            face = 0
-            for m in acc[:e] + acc[e + 1:root]:
-                face |= bit_of.get(m, 0)  # a clade that is no ray adds no bit
-            if face != cell_masks[tgt]:
-                raise AssertionError(
-                    f"contracting edge {cx.ray_name(rays[e])} of cell "
-                    f"{cx.cell_name(i)} disagrees with split removal"
-                )
         if len(set(faces)) < len(faces):
             raise AssertionError(
                 f"two one-edge contractions of cell {cx.cell_name(i)} hit the same face"
             )
+        acc = own[:]
+        for k, p in enumerate(parent):
+            acc[p] |= acc[k]  # children precede their parent
+        if acc[-1] != full:
+            raise AssertionError(f"the tree of cell {cx.cell_name(i)} misses a marking")
+        for e, (r, tgt) in enumerate(zip(cx.cell_rays[i], faces)):
+            if acc[e] != masks[r] or cell_masks[tgt] != cell_masks[i] ^ 1 << r:
+                raise AssertionError(
+                    f"contracting edge {cx.ray_name(r)} of cell "
+                    f"{cx.cell_name(i)} disagrees with split removal"
+                )
         pairs = tuple(sorted(zip(legs, valence)))
         profiles.append(seen.setdefault(pairs, pairs))
     return tuple(profiles)

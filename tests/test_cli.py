@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 from collections import Counter
 
 from tropmoduli.automorphisms import DEFAULT_SEED, main_theorem_report
@@ -504,3 +505,15 @@ def test_oversized_runs_exit_before_work():
         assert code == EXIT_ENVELOPE, argv
         assert out == "" and "envelope" in err
         assert "PASS" not in err
+
+
+def test_aut_checks_the_envelope_before_the_expected_order(monkeypatch):
+    # the expected order of a huge n is n!, which takes seconds to minutes
+    # to compute; the envelope must reject n before anything asks for it
+    asked = []
+    monkeypatch.setattr(math, "factorial", asked.append)
+    for method in ("graph", "poset", "both"):
+        code, out, err = invoke("aut", "--n", "1000000", "--method", method)
+        assert code == EXIT_ENVELOPE, method
+        assert out == "" and "envelope" in err
+    assert asked == []

@@ -1,9 +1,13 @@
 """Cone complex: structure at small n, the flag property, face-map
 consistency, the contraction check, star counts, and exports."""
 
+import ast
 import dataclasses
+import inspect
 import itertools
 import json
+import random
+import sys
 
 import pytest
 
@@ -11,7 +15,7 @@ from tropmoduli import Split, build_complex, splits_compatible, star_count
 from tropmoduli import cones
 from tropmoduli.cones import check_contractions
 from shared import cell_of, complex_for, count_calls, count_tree_objects, ray_mask
-from tree_oracles import contract, face, tuple_codim1
+from tree_oracles import contract, face, per_edge_contractions, tuple_codim1
 
 
 def test_n3_is_a_point():
@@ -153,8 +157,8 @@ def test_contraction_check_names_an_unstable_cell(monkeypatch):
 def test_contraction_check_names_a_clade_that_is_no_ray(monkeypatch):
     # at n = 5, give the vertex below edge {2,3,4} of the cell
     # {2,3} | {2,3,4} marking 1 besides marking 4: every vertex stays
-    # stable, but contracting edge {2,3} recomputes the clade {1,2,3,4},
-    # which holds marking 1 and so is no ray
+    # stable, but the clades recomputed bottom-up give edge {2,3,4} the
+    # clade {1,2,3,4}, which holds marking 1 and so is no ray
     cx = complex_for(5)
     ray = {s: r for r, s in enumerate(cx.rays)}
     r23, r234 = (ray[Split.from_side(5, side)] for side in ([2, 3], [2, 3, 4]))
@@ -163,7 +167,7 @@ def test_contraction_check_names_a_clade_that_is_no_ray(monkeypatch):
     _patched_tree(monkeypatch, cell, 1, marking_1 | marking_4)
     with pytest.raises(
         AssertionError,
-        match=r"^contracting edge \{2,3\} of cell \{2,3\} \| \{2,3,4\} disagrees with split removal$",
+        match=r"^contracting edge \{2,3,4\} of cell \{2,3\} \| \{2,3,4\} disagrees with split removal$",
     ):
         check_contractions(cx)
 
@@ -184,6 +188,148 @@ def test_contraction_check_names_two_equal_faces(monkeypatch):
     _patched_tree(monkeypatch, cell, 0, cx.rays[r234].mask)
     with pytest.raises(AssertionError, match=r"contractions of cell \{2,3\} \| \{2,3,4\} hit the same face"):
         check_contractions(broken)
+
+
+def test_contraction_check_names_a_tree_that_misses_a_marking(monkeypatch):
+    # at n = 5 the root of the cell {2,3} keeps markings 1, 4 and 5; on
+    # markings 4 and 5 alone it is still stable, but marking 1 is then on
+    # no vertex
+    cx = complex_for(5)
+    ray = {s: r for r, s in enumerate(cx.rays)}
+    cell = cell_of(cx, (ray[Split.from_side(5, [2, 3])],))
+    marking_4, marking_5 = 1 << 3, 1 << 4
+    _patched_tree(monkeypatch, cell, 1, marking_4 | marking_5)
+    with pytest.raises(AssertionError, match=r"^the tree of cell \{2,3\} misses a marking$"):
+        check_contractions(cx)
+
+
+def test_contraction_check_names_a_one_ray_clade_that_is_no_ray(monkeypatch):
+    # at n = 5, give the vertex below edge {2,3} of the cell {2,3} the
+    # legs 1, 2, 3: it stays stable and the root still sees every
+    # marking, but the edge's clade {1,2,3} is no ray
+    cx = complex_for(5)
+    ray = {s: r for r, s in enumerate(cx.rays)}
+    cell = cell_of(cx, (ray[Split.from_side(5, [2, 3])],))
+    _patched_tree(monkeypatch, cell, 0, 0b111)
+    with pytest.raises(
+        AssertionError,
+        match=r"^contracting edge \{2,3\} of cell \{2,3\} disagrees with split removal$",
+    ):
+        check_contractions(cx)
+
+
+CONTRACTION_FAULT_ROWS = (
+    test_contraction_check_names_a_wrong_face,
+    test_contraction_check_names_an_unstable_cell,
+    test_contraction_check_names_a_clade_that_is_no_ray,
+    test_contraction_check_names_two_equal_faces,
+    test_contraction_check_names_a_tree_that_misses_a_marking,
+    test_contraction_check_names_a_one_ray_clade_that_is_no_ray,
+)
+
+
+def _assertion_lines(row) -> set[int]:
+    """The lines of ``cones.py`` at which running ``row`` raises an
+    ``AssertionError``."""
+    lines = set()
+
+    def local(frame, event, arg):
+        if event == "exception" and arg[0] is AssertionError:
+            lines.add(frame.f_lineno)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == cones.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            row(mp) if inspect.signature(row).parameters else row()
+    except (AssertionError, pytest.fail.Exception):
+        pass  # the row's own test reports how it fails
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def test_every_contraction_check_raise_has_a_fault_row():
+    # a raise no fault row reaches is either untested or cannot fire
+    with open(cones.__file__) as f:
+        tree = ast.parse(f.read())
+    raises = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "AssertionError"
+    ]
+    assert raises
+    reached = set().union(*map(_assertion_lines, CONTRACTION_FAULT_ROWS))
+    for node in raises:
+        assert any(node.lineno <= line <= node.end_lineno for line in reached), (
+            f"no fault row reaches cones.py line {node.lineno}: {ast.unparse(node)}"
+        )
+
+
+def test_contraction_check_matches_the_per_edge_route():
+    for n in (4, 5, 6, 7):
+        cx = complex_for(n)
+        assert check_contractions(cx) == per_edge_contractions(cx)
+
+
+def _verdict(check, cx):
+    """``check``'s profiles for ``cx``, or its ``AssertionError`` message."""
+    try:
+        return check(cx)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_contraction_check_rejects_every_fault_the_per_edge_route_rejects(monkeypatch):
+    # one fault at a time: 6 random own-leg masks for every vertex of
+    # every cell, and one random wrong face for every edge.  Cell i is
+    # moved to the front of a copy of the complex, and the patched clade
+    # trees give that cell alone, so each check reads only the fault
+    rng = random.Random(17)
+    true_trees = {n: list(cones._clade_trees(complex_for(n))) for n in (5, 6)}
+    tree = []
+    monkeypatch.setattr(cones, "_clade_trees", lambda cx: iter(tree))
+    new_only, checked = set(), 0
+    for n, trees in true_trees.items():
+        cx = complex_for(n)
+        for i, (parent, own) in enumerate(trees):
+            rest = cx.cell_rays[:i] + cx.cell_rays[i + 1:]
+            view = dataclasses.replace(cx, cell_rays=(cx.cell_rays[i],) + rest)
+            faults = []
+            for v, legs in enumerate(own):
+                for _ in range(6):
+                    wrong = rng.randrange((1 << n) - 1)
+                    wrong += wrong >= legs
+                    faults.append((("vertex", v), view, own[:v] + [wrong] + own[v + 1:]))
+            for e, tgt in enumerate(view.codim1[0]):
+                wrong = rng.randrange(len(cx.cell_rays) - 1)
+                wrong += wrong >= tgt
+                faces = list(view.codim1[0])
+                faces[e] = wrong
+                broken = dataclasses.replace(view)
+                broken.__dict__["codim1"] = (tuple(faces),)
+                faults.append((("edge", e), broken, own))
+            for where, faulted, legs in faults:
+                tree[:] = [(parent, legs)]
+                checked += 1
+                new = _verdict(check_contractions, faulted)
+                old = _verdict(per_edge_contractions, faulted)
+                if isinstance(new, tuple):
+                    assert new == old, (n, cx.cell_name(i), where)
+                elif isinstance(old, tuple):
+                    # only a fault at the root or in a one-ray cell escapes
+                    # the per-edge route
+                    at_root = where == ("vertex", len(parent))
+                    assert at_root or len(parent) == 1, (n, cx.cell_name(i), where, new)
+                    new_only.add("root" if at_root else "one ray")
+    assert checked == 5702
+    assert new_only == {"root", "one ray"}
 
 
 def test_build_complex_walks_each_clade_tree_once(monkeypatch):

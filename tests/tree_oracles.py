@@ -1,12 +1,15 @@
 """Second routes the tests compare the package against: legged-tree
 contraction, isomorphism and rigidity, the marking action on trees and
-splits, face lookup by split, vertex profiles read off a tree, and the
-face maps and automorphism cell maps on sorted ray tuples.
+splits, face lookup by split, vertex profiles read off a tree, the face
+maps and automorphism cell maps on sorted ray tuples, and the
+contraction check that recomputes every clade once per edge.
 
 The package computes each of these facts one way, on ray indices and
 bitmasks; these routes go through ``LeggedTree`` and ``Split`` objects,
 or through cells keyed by their sorted ray tuples, instead and share no
-code with it beyond those classes.
+code with it beyond those classes.  The per-edge contraction check is
+the exception: it reads the package's clade trees, so that a fault
+patched into them reaches both checks.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from tropmoduli import cones
 from tropmoduli.trees import LeggedTree, Split, check_marking_perm
 
 from shared import cell_of
@@ -85,6 +89,60 @@ def contract(t: LeggedTree, edge_indices: Iterable[int]) -> Contraction:
     return Contraction(
         LeggedTree(t.n, len(roots), tuple(new_edges), new_legs), edge_map
     )
+
+
+def per_edge_contractions(cx) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Contract every edge of every cell's tree and compare the result
+    with the face in ``cx.codim1``; raise ``AssertionError`` naming the
+    cell and the edge on the first disagreement.
+
+    The tree is the cell's clade tree (see ``cones._clade_trees``) and
+    must be stable.  Contracting edge e merges vertex e into its parent,
+    which must stay stable (no other vertex changes), the remaining
+    clade masks are recomputed bottom-up from the own legs, and they
+    must be exactly the rays of the face: the OR of their rays' bits must
+    equal the face's key in ``cx.index`` (a clade that is no ray, or two
+    clades on one ray, leaves a bit out).  The faces of a cell must be
+    distinct (rigidity).  Returns each cell's vertex profile, equal
+    profiles as one shared tuple.
+    """
+    bit_of = {m: 1 << r for m, r in cx.ray_by_mask.items()}
+    cell_masks = list(cx.index)
+    profiles, seen = [], {}
+    for i, ((parent, own), faces) in enumerate(zip(cones._clade_trees(cx), cx.codim1)):
+        rays, root = cx.cell_rays[i], len(parent)
+        legs, valence = [m.bit_count() for m in own], cones._valences(parent)
+        weight = [a + b for a, b in zip(legs, valence)]
+        if min(weight) < 3:
+            raise AssertionError(f"cell {cx.cell_name(i)} has an unstable vertex")
+        for e, tgt in enumerate(faces):
+            up = parent[e]
+            # the merged vertex loses the contracted edge at both ends
+            if weight[up] + weight[e] - 2 < 3:
+                raise AssertionError(
+                    f"contracting edge {cx.ray_name(rays[e])} of cell "
+                    f"{cx.cell_name(i)} leaves an unstable vertex"
+                )
+            acc = own[:]
+            acc[up] |= own[e]
+            for k, p in enumerate(parent):
+                if k != e:
+                    acc[up if p == e else p] |= acc[k]  # children precede their parent
+            face = 0
+            for m in acc[:e] + acc[e + 1:root]:
+                face |= bit_of.get(m, 0)  # a clade that is no ray adds no bit
+            if face != cell_masks[tgt]:
+                raise AssertionError(
+                    f"contracting edge {cx.ray_name(rays[e])} of cell "
+                    f"{cx.cell_name(i)} disagrees with split removal"
+                )
+        if len(set(faces)) < len(faces):
+            raise AssertionError(
+                f"two one-edge contractions of cell {cx.cell_name(i)} hit the same face"
+            )
+        pairs = tuple(sorted(zip(legs, valence)))
+        profiles.append(seen.setdefault(pairs, pairs))
+    return tuple(profiles)
 
 
 def face(cx, cell_idx: int, drop: Iterable[Split]) -> tuple[int, dict[int, int]]:
