@@ -4,10 +4,10 @@ An automorphism permutes cells preserving dimension and restricts to a
 bijection of edges on every cell, so it is determined by its action on
 the rays.  This module computes the full group by two independent
 Sims-style searches (one-sided color refinement along one first path on
-the ray-compatibility graph, and a slower cell-system search on the face
-poset), realizes the action of marking permutations, reconstructs the inducing marking
-permutation from an abstract automorphism, and packages the comparison
-against the expected symmetric-group answer.
+the ray-compatibility graph, and a forward-checking search on the cells
+and 2-cells), realizes the action of marking permutations, reconstructs
+the inducing marking permutation from an abstract automorphism, and
+packages the comparison against the expected symmetric-group answer.
 """
 
 from __future__ import annotations
@@ -252,68 +252,56 @@ def aut_via_compat_graph(
 
 
 def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
-    """Independent recomputation of the automorphism group from the face
-    poset alone: backtracking over dimension-preserving assignments of
-    ray images, pruned by per-ray cell-membership signatures and by
-    2-cell preservation, with every candidate verified to map the whole
-    cell system to itself.  Only one verified completion per orbit of
-    the stabilizer of the rays already fixed is searched for.  Slower
-    than the graph route, and run at every n the complex is built for."""
+    """Independent recomputation of the automorphism group from the cells
+    and 2-cells, by backtracking with forward checking.  Each unassigned
+    ray keeps a bitmask domain: first the rays with its cells-per-dimension
+    signature; once ray k goes to w, each later ray j keeps the rays other
+    than w related to w as j is to k (a 2-cell or none).  An empty domain
+    drops the branch, and each completion must map every cell to a cell.
+    Rays are assigned and images tried in ascending order; one completion
+    is found per orbit of the stabilizer of the rays already fixed.  Reads
+    neither the compatibility graph nor ``cx.index``."""
     R = len(cx.rays)
-    cells = set(cx.cell_rays)
-    counts = [[0] * (cx.max_dimension + 1) for _ in range(R)]
-    pair_rows = [0] * R
-    for c in cells:
+    width = cx.max_dimension + 1  # a max over every cell: read it once
+    counts = [[0] * width for _ in range(R)]
+    rows = [0] * R  # rows[a]: the rays b with {a, b} a 2-cell
+    for c in cx.cell_rays:
         for r in c:
             counts[r][len(c)] += 1
         if len(c) == 2:
-            a, b = c
-            pair_rows[a] |= 1 << b
-            pair_rows[b] |= 1 << a
-    signature = [tuple(row) for row in counts]
+            rows[c[0]] |= 1 << c[1]
+            rows[c[1]] |= 1 << c[0]
+    cell_masks = {sum(1 << r for r in c) for c in cx.cell_rays}
+    perm = list(range(R))
 
-    assignment = [-1] * R
-    used = [False] * R
+    def members(mask):
+        return [v for v in range(R) if mask >> v & 1]
 
-    def verify(perm):
-        return all(
-            tuple(sorted(perm[r] for r in c)) in cells for c in cells if len(c) >= 2
-        )
+    def narrow(k, w, later):
+        """The domains of rays k+1.. once ray k goes to w; None if one empties."""
+        inside, outside = rows[w], ~(rows[w] | 1 << w)
+        out = [d & (inside if rows[k] >> j & 1 else outside) for j, d in enumerate(later, k + 1)]
+        return None if 0 in out else out
 
-    def candidates(k):
-        """Unused images for ray k consistent with assignment[:k]."""
-        return [
-            w
-            for w in range(R)
-            if not used[w]
-            and signature[w] == signature[k]
-            and all(
-                (pair_rows[k] >> j & 1) == (pair_rows[w] >> assignment[j] & 1)
-                for j in range(k)
-            )
-        ]
+    def complete(k, later, w):
+        """The first verified completion of perm[:k] sending ray k to w, or None."""
+        perm[k] = w
+        if (later := narrow(k, w, later)) is None:
+            return None
+        if later:
+            found = (complete(k + 1, later[1:], v) for v in members(later[0]))
+            return next(filter(None, found), None)
+        bits = [1 << v for v in perm]  # distinct, so a sum is their OR
+        ok = all(sum(map(bits.__getitem__, c)) in cell_masks for c in cx.cell_rays)
+        return tuple(perm) if ok else None
 
-    def complete(k, w):
-        """The first verified completion of assignment[:k] that sends ray
-        k to w, or None."""
-        assignment[k] = w
-        used[w] = True
-        if k + 1 == R:
-            found = tuple(assignment) if verify(assignment) else None
-        else:
-            found = next(filter(None, (complete(k + 1, v) for v in candidates(k + 1))), None)
-        used[w] = False
-        return found
-
-    # With rays 0..k-1 fixed, only one image of ray k per orbit needs a
-    # completion.
-    def levels():
-        for k in reversed(range(R)):
-            assignment[:k] = range(k)
-            used[:] = [r < k for r in range(R)]
-            yield k, candidates(k), partial(complete, k)
-
-    return _sims_group(R, levels())
+    # prefix[k]: the domains of rays k.. with rays 0..k-1 fixed pointwise,
+    # where only one image of ray k per orbit needs a completion
+    prefix = [[sum(1 << s for s in range(R) if counts[s] == row) for row in counts]]
+    for k in range(R - 1):
+        prefix.append(narrow(k, k, prefix[k][1:]))
+    levels = [(k, members(d[0]), partial(complete, k, d[1:])) for k, d in enumerate(prefix[:R])]
+    return _sims_group(R, reversed(levels))
 
 
 # ---------------------------------------------------------------------------

@@ -203,9 +203,11 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
     edge e merges vertex e into its parent and leaves every other clade
     unchanged as a set, so one bottom-up recompute serves every edge: it
     must put every marking at the root and give clade e as ray e's mask,
-    and face e must be the cell's mask minus ray e's bit.  A merged vertex
-    is stable: both ends weigh >= 3, so it weighs >= 3 + 3 - 2 = 4.
-    Returns each cell's vertex profile, equal profiles as one shared tuple.
+    and face e must be the cell's mask minus ray e's bit.  The leg counts
+    must sum to n, so that no marking sits on two vertices (the profile
+    would be wrong).  A merged vertex is stable: both ends weigh >= 3, so
+    it weighs >= 3 + 3 - 2 = 4.  Returns each cell's vertex profile, equal
+    profiles as one shared tuple.
     """
     masks = [s.mask for s in cx.rays]
     full = (1 << cx.n) - 1
@@ -230,6 +232,8 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
                     f"contracting edge {cx.ray_name(r)} of cell "
                     f"{cx.cell_name(i)} disagrees with split removal"
                 )
+        if sum(legs) != cx.n:
+            raise AssertionError(f"a marking of cell {cx.cell_name(i)} sits on two vertices")
         pairs = tuple(sorted(zip(legs, valence)))
         profiles.append(seen.setdefault(pairs, pairs))
     return tuple(profiles)

@@ -37,6 +37,7 @@ from tropmoduli.groups import (
 )
 
 from shared import cell_of, complex_for
+from poset_reference import aut_via_poset as reference_aut_via_poset
 from tree_oracles import compose_marking_perms, face, permuted, split_image, tuple_cell_map
 
 
@@ -173,17 +174,47 @@ def test_graph_method_orders(n, order):
     assert aut_via_compat_graph(complex_for(n))[0].order() == order
 
 
-@pytest.mark.parametrize("n,order", [(3, 1), (4, 6), (5, 120), (6, 720)])
+@pytest.mark.parametrize("n,order", [(3, 1), (4, 6), (5, 120), (6, 720), (7, 5040)])
 def test_poset_method_orders(n, order):
     assert aut_via_poset(complex_for(n)).order() == order
 
 
 def test_methods_agree_as_groups():
-    for n in (4, 5, 6):
+    for n in (4, 5, 6, 7):
         cx = complex_for(n)
         poset_group = aut_via_poset(cx)
         assert len(poset_group.generators) <= 10
         assert aut_via_compat_graph(cx)[0].equals(poset_group)
+
+
+def test_poset_search_matches_the_reference_generators():
+    # forward checking only drops branches the reference search abandons,
+    # so each level finds the same first completion
+    for n in (4, 5, 6, 7):
+        cx = complex_for(n)
+        assert aut_via_poset(cx).generators == reference_aut_via_poset(cx).generators
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_poset_search_finds_the_stabilizer_of_a_dropped_cell(n):
+    # without its last maximal cell the complex keeps only the marking
+    # permutations that fix that cell
+    cx = complex_for(n)
+    dropped = {1 << r for r in cx.cell_rays[-1]}
+    fixing = sum(
+        {1 << w for w in map(marking_ray_permutation(cx, sigma).__getitem__, cx.cell_rays[-1])}
+        == dropped
+        for sigma in itertools.permutations(range(1, n + 1))
+    )
+    assert fixing == 8
+    assert aut_via_poset(dataclasses.replace(cx, cell_rays=cx.cell_rays[:-1])).order() == fixing
+
+
+def test_poset_search_reads_neither_the_graph_nor_the_index():
+    cx = complex_for(6)
+    blind = dataclasses.replace(cx, compat_masks=None)
+    assert aut_via_poset(blind).generators == aut_via_poset(cx).generators
+    assert "index" not in blind.__dict__
 
 
 def test_poset_envelope():

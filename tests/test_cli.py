@@ -238,6 +238,16 @@ def test_payload_bytes_are_pinned():
     assert payload_sha256("aut", "--n", "8") == (
         "9e71f3ace983d095d2a717e70cb1313e11123e80bd359507cdf0aaa0f6f5c055"
     )
+    # the poset search's generators, alone and beside the graph search's
+    assert payload_sha256("aut", "--n", "7", "--method", "poset") == (
+        "7fec5bcb26d9ec2be67cb0a4d52c26c19c9d09da2a1f14fa7ef1702ba50694e3"
+    )
+    assert payload_sha256("aut", "--n", "8", "--method", "poset") == (
+        "af30b5864074874592c19c1747e6abbf164bc48546a2e2efa4d3ec67dcd42273"
+    )
+    assert payload_sha256("aut", "--n", "7", "--method", "both") == (
+        "ccc5ccb26e85e883a579c187efbbcf3ef0bdc9818f246a08b924c261a83f2b42"
+    )
     # the genus-2 fixture: its class count and the swap witness text
     assert payload_sha256("genus2") == (
         "5eb1b83cc28aff57861e3a92daf91d92cfa70fa9aa36bc1568ddce9f626ccb13"
@@ -285,6 +295,29 @@ def test_failed_generator_check_is_a_fail(monkeypatch):
     assert err.startswith(f"check failed: generator {format_cycles(swap)}: ")
     assert f"cell {bad} ({cx.cell_name(bad)})" in err
     assert err.count("\n") == 1
+
+
+def test_poset_search_that_misses_generators_is_a_fail(monkeypatch):
+    # a poset search keeping only its first generator at n = 5 finds a
+    # smaller group: the agreement check, and with it aut n=5 alone, fails
+    from tropmoduli import automorphisms
+    from tropmoduli.groups import PermutationGroup
+
+    search = automorphisms.aut_via_poset
+
+    def first_generator_only(cx):
+        group = search(cx)
+        return group if cx.n != 5 else PermutationGroup(group.degree, group.generators[:1])
+
+    monkeypatch.setattr(automorphisms, "aut_via_poset", first_generator_only)
+    code, report, _ = invoke_json("aut", "--n", "5", "--method", "both")
+    assert code == EXIT_FAIL
+    assert not report["payload"]["methods_agree"]
+    assert report["payload"]["poset_order"] < report["payload"]["order"] == 120
+    code, report, _ = invoke_json("report", "--max-n", "5")
+    assert code == EXIT_FAIL
+    failed = [c["name"] for c in report["payload"]["checks"] if c["verdict"] == "FAIL"]
+    assert failed == ["aut n=5"]
 
 
 def test_report_and_count_build_no_tree_objects(monkeypatch):

@@ -218,6 +218,18 @@ def test_contraction_check_names_a_one_ray_clade_that_is_no_ray(monkeypatch):
         check_contractions(cx)
 
 
+def test_contraction_check_names_a_marking_on_two_vertices(monkeypatch):
+    # at n = 5, give the root of the cell {2,3} marking 2 besides its
+    # markings 1, 4 and 5: every clade and every face is unchanged, but
+    # marking 2 then sits on two vertices
+    cx = complex_for(5)
+    ray = {s: r for r, s in enumerate(cx.rays)}
+    cell = cell_of(cx, (ray[Split.from_side(5, [2, 3])],))
+    _patched_tree(monkeypatch, cell, 1, 0b11011)
+    with pytest.raises(AssertionError, match=r"^a marking of cell \{2,3\} sits on two vertices$"):
+        check_contractions(cx)
+
+
 CONTRACTION_FAULT_ROWS = (
     test_contraction_check_names_a_wrong_face,
     test_contraction_check_names_an_unstable_cell,
@@ -225,6 +237,7 @@ CONTRACTION_FAULT_ROWS = (
     test_contraction_check_names_two_equal_faces,
     test_contraction_check_names_a_tree_that_misses_a_marking,
     test_contraction_check_names_a_one_ray_clade_that_is_no_ray,
+    test_contraction_check_names_a_marking_on_two_vertices,
 )
 
 
@@ -290,7 +303,8 @@ def test_contraction_check_rejects_every_fault_the_per_edge_route_rejects(monkey
     # one fault at a time: 6 random own-leg masks for every vertex of
     # every cell, and one random wrong face for every edge.  Cell i is
     # moved to the front of a copy of the complex, and the patched clade
-    # trees give that cell alone, so each check reads only the fault
+    # trees give that cell alone, so each check reads only the fault.
+    # The new route rejects every fault
     rng = random.Random(17)
     true_trees = {n: list(cones._clade_trees(complex_for(n))) for n in (5, 6)}
     tree = []
@@ -320,16 +334,18 @@ def test_contraction_check_rejects_every_fault_the_per_edge_route_rejects(monkey
                 checked += 1
                 new = _verdict(check_contractions, faulted)
                 old = _verdict(per_edge_contractions, faulted)
-                if isinstance(new, tuple):
-                    assert new == old, (n, cx.cell_name(i), where)
-                elif isinstance(old, tuple):
-                    # only a fault at the root or in a one-ray cell escapes
-                    # the per-edge route
+                assert isinstance(new, str), (n, cx.cell_name(i), where)  # rejects every fault
+                if isinstance(old, tuple):
+                    # only a marking on two vertices, or a fault at the root
+                    # or in a one-ray cell, escapes the per-edge route
                     at_root = where == ("vertex", len(parent))
-                    assert at_root or len(parent) == 1, (n, cx.cell_name(i), where, new)
-                    new_only.add("root" if at_root else "one ray")
+                    if new.endswith("sits on two vertices"):
+                        new_only.add("two vertices")
+                    else:
+                        assert at_root or len(parent) == 1, (n, cx.cell_name(i), where, new)
+                        new_only.add("root" if at_root else "one ray")
     assert checked == 5702
-    assert new_only == {"root", "one ray"}
+    assert new_only == {"root", "one ray", "two vertices"}
 
 
 def test_build_complex_walks_each_clade_tree_once(monkeypatch):
