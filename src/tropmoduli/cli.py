@@ -319,7 +319,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         "payload": payload,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    json.dump(report, stdout, indent=2, sort_keys=True)
+    json.dump(report, stdout, separators=(",", ":"), sort_keys=True)
     stdout.write("\n")
     return EXIT_FAIL if verdict == "FAIL" else EXIT_OK
 

@@ -70,11 +70,19 @@ class ConeComplex:
 
     @cached_property
     def codim1(self) -> tuple[tuple[int, ...], ...]:
-        """Per cell: the face index reached by dropping each ray, in ray order."""
+        """Per cell: the face index reached by dropping each ray, in ray
+        order; a face that is no cell raises ``AssertionError``."""
         index = self.index
-        return tuple(
-            tuple([index[mask ^ (1 << r)] for r in c]) for mask, c in zip(index, self.cell_rays)
-        )
+        try:
+            return tuple(
+                tuple([index[mask ^ (1 << r)] for r in c]) for mask, c in zip(index, self.cell_rays)
+            )
+        except KeyError:
+            cells = enumerate(zip(index, self.cell_rays))
+            i, r = next((i, r) for i, (mask, c) in cells for r in c if mask ^ 1 << r not in index)
+            raise AssertionError(
+                f"contracting edge {self.ray_name(r)} of cell {self.cell_name(i)} gives no cell"
+            ) from None
 
     @cached_property
     def dim_ranges(self) -> dict[int, range]:
@@ -196,7 +204,8 @@ def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
 def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Check every one-edge contraction of every cell's tree against
     ``cx.codim1``; raise ``AssertionError`` naming the cell, and the edge
-    if there is one, on the first disagreement.
+    if there is one, on the first disagreement.  First, no two cells may
+    have the same rays, so that ``cx.index`` keys every cell.
 
     The tree is the cell's clade tree (see :func:`_clade_trees`); it must
     be stable and the faces of a cell distinct (rigidity).  Contracting
@@ -209,6 +218,9 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
     it weighs >= 3 + 3 - 2 = 4.  Returns each cell's vertex profile, equal
     profiles as one shared tuple.
     """
+    if len(cx.index) < len(cx.cell_rays):  # the first cell listed again keys its last copy
+        i = next(k for k, j in enumerate(cx.index.values()) if j != k)
+        raise AssertionError(f"cell {cx.cell_name(i)} is listed twice")
     masks = [s.mask for s in cx.rays]
     full = (1 << cx.n) - 1
     cell_masks = list(cx.index)

@@ -419,27 +419,77 @@ def test_each_automorphism_fact_is_checked_once(monkeypatch):
 
 def test_each_generator_cell_map_runs_once(monkeypatch):
     # aut_via_compat_graph checks each generator's cells and the
-    # reconstruction reuses that check: 5 generators at n = 6, and the
+    # reconstruction reads rays only: 5 generators at n = 6, and the
     # n = 4 generators (not reconstructed) are still checked
-    from functools import cached_property
-
     from tropmoduli.automorphisms import ComplexAutomorphism
 
-    passes = Counter()
-    cell_map = ComplexAutomorphism.cell_map.func
-
-    def counted(self):
-        passes[self.cx.n] += 1
-        return cell_map(self)
-
-    prop = cached_property(counted)
-    prop.__set_name__(ComplexAutomorphism, "cell_map")
-    monkeypatch.setattr(ComplexAutomorphism, "cell_map", prop)
+    passes = count_calls(monkeypatch, ComplexAutomorphism, "check_cells", lambda f: f.cx.n)
     assert invoke("aut", "--n", "6", "--method", "graph")[0] == EXIT_OK
     assert passes == {6: 5}
     passes.clear()
     assert invoke("aut", "--n", "4")[0] == EXIT_OK
     assert passes == {4: 2}
+
+
+def test_cell_check_runs_once_per_generator_and_sample(monkeypatch):
+    # each generator once (2, 4 and 5 at n = 4, 5, 6) and each of the 100
+    # samples once from n = 5 on; aut draws no samples
+    from tropmoduli.automorphisms import ComplexAutomorphism
+
+    passes = count_calls(monkeypatch, ComplexAutomorphism, "check_cells", lambda f: f.cx.n)
+    assert invoke("report", "--max-n", "6")[0] == EXIT_OK
+    assert passes == {4: 2, 5: 104, 6: 105}
+    passes.clear()
+    assert invoke("aut", "--n", "7")[0] == EXIT_OK
+    assert passes == {7: 6}
+
+
+def _faulty_catalog(monkeypatch, fault):
+    """Let every complex be built from a catalog whose cells ``fault``
+    rewrites, given the cells by dimension."""
+    from dataclasses import replace
+
+    from tropmoduli import cones
+
+    enumerate_ = cones.enumerate_strata
+
+    def faulty(n):
+        catalog = enumerate_(n)
+        return replace(catalog, cell_rays=fault(dict(catalog.cell_rays)))
+
+    monkeypatch.setattr(cones, "enumerate_strata", faulty)
+
+
+def _one_check_failed(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("check failed: "), err
+    return lines[0]
+
+
+def test_a_catalog_missing_a_face_fails_the_check(monkeypatch):
+    # with one 2-cell dropped at n = 6, a 3-cell has a face that is no cell
+    def drop_a_two_cell(cells):
+        cells[2] = cells[2][1:]
+        return cells
+
+    _faulty_catalog(monkeypatch, drop_a_two_cell)
+    code, out, err = invoke("aut", "--n", "6")
+    assert (code, out) == (EXIT_FAIL, "")
+    assert " gives no cell" in _one_check_failed(err)
+
+
+def test_a_catalog_listing_a_cell_twice_fails_the_check(monkeypatch):
+    # the last maximal cell at n = 6 appended twice more
+    def repeat_the_last_cell(cells):
+        top = max(cells)
+        cells[top] += cells[top][-1:] * 2
+        return cells
+
+    _faulty_catalog(monkeypatch, repeat_the_last_cell)
+    for argv in (("count", "--check", "formula", "--n", "6"), ("aut", "--n", "6")):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (EXIT_FAIL, ""), argv
+        assert _one_check_failed(err).endswith(" is listed twice")
 
 
 def test_order_check_sifts_each_schreier_generator_once(monkeypatch):

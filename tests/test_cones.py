@@ -230,6 +230,29 @@ def test_contraction_check_names_a_marking_on_two_vertices(monkeypatch):
         check_contractions(cx)
 
 
+def test_contraction_check_names_a_face_that_is_no_cell():
+    # at n = 6, with the 2-cell {2,3} | {2,3,4} left out, contracting edge
+    # {5,6} of the first 3-cell holding it finds no cell
+    cx = complex_for(6)
+    ray = {s: r for r, s in enumerate(cx.rays)}
+    cell = cell_of(cx, (ray[Split.from_side(6, [2, 3])], ray[Split.from_side(6, [2, 3, 4])]))
+    broken = dataclasses.replace(cx, cell_rays=cx.cell_rays[:cell] + cx.cell_rays[cell + 1:])
+    with pytest.raises(
+        AssertionError,
+        match=r"^contracting edge \{5,6\} of cell \{2,3\} \| \{5,6\} \| \{2,3,4\} gives no cell$",
+    ):
+        check_contractions(broken)
+
+
+def test_contraction_check_names_a_cell_listed_twice():
+    # at n = 5 the last maximal cell listed again: the index keys one
+    # cell fewer than there are, so the face maps would be misaligned
+    cx = complex_for(5)
+    broken = dataclasses.replace(cx, cell_rays=cx.cell_rays + cx.cell_rays[-1:])
+    with pytest.raises(AssertionError, match=r"^cell \{4,5\} \| \{3,4,5\} is listed twice$"):
+        check_contractions(broken)
+
+
 CONTRACTION_FAULT_ROWS = (
     test_contraction_check_names_a_wrong_face,
     test_contraction_check_names_an_unstable_cell,
@@ -238,6 +261,8 @@ CONTRACTION_FAULT_ROWS = (
     test_contraction_check_names_a_tree_that_misses_a_marking,
     test_contraction_check_names_a_one_ray_clade_that_is_no_ray,
     test_contraction_check_names_a_marking_on_two_vertices,
+    test_contraction_check_names_a_face_that_is_no_cell,
+    test_contraction_check_names_a_cell_listed_twice,
 )
 
 

@@ -175,7 +175,8 @@ def tuple_codim1(cx) -> tuple[tuple[int, ...], ...]:
 def tuple_cell_map(f) -> tuple[int, ...]:
     """Image cell per cell index of a complex automorphism: each cell's
     rays are mapped, sorted and looked up as a tuple.  Raises as
-    ``ComplexAutomorphism.cell_map`` does, naming the same first cell."""
+    ``ComplexAutomorphism.check_cells`` does, naming the same first cell,
+    and also if the images change a dimension or are no permutation."""
     cx = f.cx
     index = tuple_index(cx)
     image = f.ray_perm.__getitem__
