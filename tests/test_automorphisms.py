@@ -36,7 +36,7 @@ from tropmoduli.groups import (
     perm_cycles,
 )
 
-from shared import cell_of, complex_for
+from shared import complex_for
 from poset_reference import aut_via_poset as reference_aut_via_poset
 from tree_oracles import compose_marking_perms, face, permuted, split_image, tuple_cell_map
 

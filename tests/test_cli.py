@@ -419,29 +419,21 @@ def test_each_automorphism_fact_is_checked_once(monkeypatch):
 
 def test_each_generator_cell_map_runs_once(monkeypatch):
     # aut_via_compat_graph checks each generator's cells and the
-    # reconstruction reads rays only: 5 generators at n = 6, and the
-    # n = 4 generators (not reconstructed) are still checked
+    # reconstruction reads rays only: 5 generators at n = 6 and 6 at
+    # n = 7, and the n = 4 generators (not reconstructed) are still
+    # checked; report also checks each of its 100 samples at n = 5, 6
     from tropmoduli.automorphisms import ComplexAutomorphism
 
     passes = count_calls(monkeypatch, ComplexAutomorphism, "check_cells", lambda f: f.cx.n)
-    assert invoke("aut", "--n", "6", "--method", "graph")[0] == EXIT_OK
-    assert passes == {6: 5}
-    passes.clear()
-    assert invoke("aut", "--n", "4")[0] == EXIT_OK
-    assert passes == {4: 2}
-
-
-def test_cell_check_runs_once_per_generator_and_sample(monkeypatch):
-    # each generator once (2, 4 and 5 at n = 4, 5, 6) and each of the 100
-    # samples once from n = 5 on; aut draws no samples
-    from tropmoduli.automorphisms import ComplexAutomorphism
-
-    passes = count_calls(monkeypatch, ComplexAutomorphism, "check_cells", lambda f: f.cx.n)
-    assert invoke("report", "--max-n", "6")[0] == EXIT_OK
-    assert passes == {4: 2, 5: 104, 6: 105}
-    passes.clear()
-    assert invoke("aut", "--n", "7")[0] == EXIT_OK
-    assert passes == {7: 6}
+    for argv, want in (
+        (("aut", "--n", "6", "--method", "graph"), {6: 5}),
+        (("aut", "--n", "4"), {4: 2}),
+        (("aut", "--n", "7"), {7: 6}),
+        (("report", "--max-n", "6"), {4: 2, 5: 104, 6: 105}),
+    ):
+        passes.clear()
+        assert invoke(*argv)[0] == EXIT_OK
+        assert passes == want, argv
 
 
 def _faulty_catalog(monkeypatch, fault):
