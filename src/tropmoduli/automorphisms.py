@@ -54,28 +54,61 @@ class ReconstructionError(RuntimeError):
 # graph automorphisms: color refinement + individualization along one path
 
 
-def _refine(nbrs, colors):
-    """Refine one coloring to its fixpoint: a vertex's new color is the
-    rank of its (color, neighbor-color counts) signature.  The trace holds
-    one hash of the sorted signatures per round (PYTHONHASHSEED does not
-    touch hashes of int tuples); isomorphic colorings have equal traces."""
+def _refine(adj, colors, new=None):
+    """Refine a coloring to its fixpoint.  Each round gives a vertex the
+    rank of its (color, sorted (neighbor color, count) pairs) signature,
+    but counts neighbors only in the cells the last round created, as
+    popcounts on the adjacency bitmasks ``adj``; the first round counts
+    the cells whose colors ``new`` lists, every cell by default.  A round
+    that creates no cell is the fixpoint.
+
+    This gives the full signatures' ranks.  Two members of a cell agree
+    on their count over each cell of the round before, so the first
+    difference of their sorted pair lists falls on a child of a split
+    cell.  A member with count 0 there has a nonzero count on a later
+    sibling, so comparing the lists restricted to the new cells orders
+    the members as comparing the full lists does.  The first round after
+    individualizing v in a refined coloring may count only v's old cell
+    and its singleton: they are the only children of a split cell.
+
+    The trace holds one hash per round of each cell's sorted restricted
+    signatures with their multiplicities (PYTHONHASHSEED does not touch
+    hashes of int tuples); isomorphic colorings have equal traces."""
+    order = sorted(range(len(colors)), key=colors.__getitem__)
+    cells = [list(g) for _, g in itertools.groupby(order, colors.__getitem__)]
+    counted = list(enumerate(cells)) if new is None else [(c, _members(colors, c)) for c in new]
     trace = []
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(Counter(colors[u] for u in nb).items())))
-            for v, nb in enumerate(nbrs)
-        ]
-        trace.append(hash(tuple(sorted(sigs))))
-        ids = {key: i for i, key in enumerate(sorted(set(sigs)))}
-        refined = tuple(ids[k] for k in sigs)
-        if refined == colors:
-            return refined, tuple(trace)
-        colors = refined
+        masks = [(c, sum(1 << u for u in cell)) for c, cell in counted]
+        out, counted, sigs = [], [], []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups = {}
+            for u in cell:
+                a = adj[u]
+                key = tuple([(c, k) for c, m in masks if (k := (a & m).bit_count())])
+                groups.setdefault(key, []).append(u)
+            keys = sorted(groups)
+            sigs.append(tuple((key, len(groups[key])) for key in keys))
+            if len(keys) > 1:
+                counted += [(len(out) + i, groups[key]) for i, key in enumerate(keys)]
+            out += map(groups.__getitem__, keys)
+        trace.append(hash(tuple(sigs)))
+        cells = out
+        if not counted:
+            break
+    refined = {u: c for c, cell in enumerate(cells) for u in cell}
+    return tuple(map(refined.__getitem__, range(len(colors)))), tuple(trace)
 
 
-def _individualize(colors, v):
+def _refine_at(adj, colors, v):
+    """Individualize v in a refined coloring, giving it the fresh last
+    color, and refine, counting only v's old cell and its singleton first."""
     fresh = max(colors) + 1
-    return tuple(fresh if i == v else c for i, c in enumerate(colors))
+    individualized = tuple(fresh if i == v else c for i, c in enumerate(colors))
+    return _refine(adj, individualized, (colors[v], fresh))
 
 
 def _first_nonsingleton(colors):
@@ -99,7 +132,7 @@ def _map_from_discrete(nbrs, ca, cb):
     return perm
 
 
-def _find_iso(nbrs, path, k, candidate):
+def _find_iso(nbrs, adj, path, k, candidate):
     """One automorphism carrying the first path's level-k coloring to the
     refined (coloring, trace) candidate, or None.  The candidate is dropped
     when its trace differs from the path's, else it individualizes each
@@ -111,19 +144,18 @@ def _find_iso(nbrs, path, k, candidate):
     if v is None:
         return _map_from_discrete(nbrs, path_colors, colors)
     for w in _members(colors, path_colors[v]):
-        found = _find_iso(nbrs, path, k + 1, _refine(nbrs, _individualize(colors, w)))
+        found = _find_iso(nbrs, adj, path, k + 1, _refine_at(adj, colors, w))
         if found is not None:
             return found
     return None
 
 
-def _coset_rep(nbrs, path, k, w):
+def _coset_rep(nbrs, adj, path, k, w):
     """An automorphism preserving the first path's level-k coloring that
     sends the vertex individualized there to w, or None."""
     colors, _, v = path[k]
-    source, target = _individualize(colors, v), _individualize(colors, w)
-    phi = _find_iso(nbrs, path, k + 1, _refine(nbrs, target))
-    if phi is not None and all(target[y] == c for y, c in zip(phi, source)):
+    phi = _find_iso(nbrs, adj, path, k + 1, _refine_at(adj, colors, w))
+    if phi is not None and phi[v] == w and all(colors[y] == c for y, c in zip(phi, colors)):
         return phi
     return None
 
@@ -136,16 +168,18 @@ def graph_automorphism_group(neighbors: list[list[int]]) -> PermutationGroup:
     the coloring is discrete.  Walking back up it, each coloring is refined
     once, refinement traces prune, and leaf maps are checked as
     automorphisms of the level's coloring; no canonical-labeling dependency.
+    The adjacency bitmasks that refinement counts on are built once here.
     """
+    adj = [sum(1 << u for u in nb) for nb in neighbors]
     path = []
-    colors, trace = _refine(neighbors, (0,) * len(neighbors))
+    colors, trace = _refine(adj, (0,) * len(neighbors))
     while (c := _first_nonsingleton(colors)) is not None:
         v = colors.index(c)
         path.append((colors, trace, v))
-        colors, trace = _refine(neighbors, _individualize(colors, v))
+        colors, trace = _refine_at(adj, colors, v)
     path.append((colors, trace, None))
     levels = (
-        (v, _members(colors, colors[v]), partial(_coset_rep, neighbors, path, k))
+        (v, _members(colors, colors[v]), partial(_coset_rep, neighbors, adj, path, k))
         for k, (colors, _, v) in reversed(list(enumerate(path[:-1])))
     )
     return _sims_group(len(neighbors), levels)
@@ -238,8 +272,12 @@ def aut_via_compat_graph(
     with its generators as complex automorphisms, each checked once to
     map cells to cells (:meth:`ComplexAutomorphism.check_cells`).  A
     generator that does not extend to the cells raises ``AssertionError``
-    naming it and the cell."""
-    group = graph_automorphism_group(cx.compat_neighbors())
+    naming it and the cell; a search order that its generators disagree
+    with raises one naming n."""
+    try:
+        group = graph_automorphism_group(cx.compat_neighbors())
+    except AssertionError as exc:
+        raise AssertionError(f"graph search at n={cx.n}: {exc}") from exc
     autos = [ComplexAutomorphism(cx, g) for g in group.generators]
     for f in autos:
         try:

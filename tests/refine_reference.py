@@ -1,0 +1,30 @@
+"""The color refinement ``automorphisms._refine`` replaced, kept as the
+reference the tests compare the counting-only-new-cells refinement
+against.
+
+Every round rebuilds each vertex's neighbor-color ``Counter`` from its
+adjacency list.  It shares no code with the package.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+
+def _refine(nbrs, colors):
+    """Refine one coloring to its fixpoint: a vertex's new color is the
+    rank of its (color, neighbor-color counts) signature.  The trace holds
+    one hash of the sorted signatures per round (PYTHONHASHSEED does not
+    touch hashes of int tuples); isomorphic colorings have equal traces."""
+    trace = []
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(Counter(colors[u] for u in nb).items())))
+            for v, nb in enumerate(nbrs)
+        ]
+        trace.append(hash(tuple(sorted(sigs))))
+        ids = {key: i for i, key in enumerate(sorted(set(sigs)))}
+        refined = tuple(ids[k] for k in sigs)
+        if refined == colors:
+            return refined, tuple(trace)
+        colors = refined

@@ -3,7 +3,9 @@ method agreement, the marking action, permutation reconstruction, and
 the assembled reports."""
 
 import dataclasses
+import hashlib
 import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -27,7 +29,7 @@ from tropmoduli.automorphisms import (
     marking_ray_permutation,
     sn_image_group,
 )
-from tropmoduli.enumeration import EnvelopeError
+from tropmoduli.enumeration import EnvelopeError, all_splits
 from tropmoduli.groups import (
     PermutationGroup,
     compose_perms,
@@ -38,6 +40,7 @@ from tropmoduli.groups import (
 
 from shared import complex_for
 from poset_reference import aut_via_poset as reference_aut_via_poset
+from refine_reference import _refine as reference_refine
 from tree_oracles import compose_marking_perms, face, permuted, split_image, tuple_cell_map
 
 
@@ -129,7 +132,7 @@ def test_traces_only_prune(monkeypatch):
 def test_leaf_checks_decide_without_refinement(monkeypatch):
     # with refinement switched off the search is plain individualization
     # backtracking, and only the leaf's adjacency check rejects maps
-    monkeypatch.setattr(automorphisms, "_refine", lambda nbrs, colors: (colors, ()))
+    monkeypatch.setattr(automorphisms, "_refine", lambda nbrs, colors, new=None: (colors, ()))
     for v, edges, order in random_graph_cases():
         assert graph_automorphism_group(_nbrs(v, edges)).order() == order, (v, edges)
 
@@ -143,6 +146,57 @@ def test_leaf_maps_must_carry_the_level_coloring(monkeypatch):
     group = graph_automorphism_group(_nbrs(4, k4))
     assert group.generators == ((1, 0, 2, 3),)
     assert group.order() == 2
+
+
+def splits_graph(n):
+    """The compatibility graph on ``all_splits(n)``, built with no cell:
+    two marking-1-free sides are compatible when disjoint or nested."""
+    masks = [s.mask for s in all_splits(n)]
+    return [
+        [j for j, b in enumerate(masks) if j != i and (a & b) in (0, a, b)]
+        for i, a in enumerate(masks)
+    ]
+
+
+def reference_search(monkeypatch, nbrs):
+    """The search run with the reference refinement, and the (coloring,
+    new cells) arguments and the result of each refinement it made."""
+    refined = []
+
+    def spy(adj, colors, new=None):
+        refined.append((colors, new, reference_refine(nbrs, colors)))
+        return refined[-1][2]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(automorphisms, "_refine", spy)
+        return graph_automorphism_group(nbrs), refined
+
+
+def test_refinement_matches_the_reference(monkeypatch):
+    # counting only the cells the last round created (after individualizing,
+    # v's old cell and its singleton) gives the reference's coloring in as
+    # many rounds on every coloring the search refines, so the search
+    # finds the reference's generators
+    graphs = [splits_graph(n) for n in range(4, 9)]
+    assert graphs[3] == complex_for(7).compat_neighbors()
+    cases = [(v, edges) for v, edges, _ in GRAPH_CASES + list(random_graph_cases())]
+    graphs += [_nbrs(v, edges) for v, edges in cases + _random_graphs(400, 16, 2016)]
+    for nbrs in graphs:
+        adj = [sum(1 << u for u in nb) for nb in nbrs]
+        group, refined = reference_search(monkeypatch, nbrs)
+        for colors, new, (want, want_trace) in refined:
+            got, trace = automorphisms._refine(adj, colors, new)
+            assert (got, len(trace)) == (want, len(want_trace)), (nbrs, colors, new)
+        assert graph_automorphism_group(nbrs).generators == group.generators, nbrs
+
+
+def test_generators_past_the_cell_envelope_are_pinned():
+    # the n = 9 compatibility graph alone (246 rays); the pin is the sha256
+    # of the generators' repr as the reference refinement finds them
+    group = graph_automorphism_group(splits_graph(9))
+    assert group.order() == math.factorial(9)
+    digest = hashlib.sha256(repr(group.generators).encode()).hexdigest()
+    assert digest == "0064a0781f82651fff3175fbe2a7aa025a701a75c8a8c9edf06ad2cd305c0d59"
 
 
 def test_petersen_graph():

@@ -320,6 +320,57 @@ def test_poset_search_that_misses_generators_is_a_fail(monkeypatch):
     assert failed == ["aut n=5"]
 
 
+def _drop_coset_reps(monkeypatch, rays, level):
+    """Make the graph search on ``rays`` rays find no coset representative
+    at the level ``level(path)`` of its first path; returns the images dropped."""
+    from tropmoduli import automorphisms
+
+    coset_rep = automorphisms._coset_rep
+    dropped = []
+
+    def faulty(nbrs, adj, path, k, w):
+        if len(nbrs) == rays and k == level(path):
+            dropped.append(w)
+            return None
+        return coset_rep(nbrs, adj, path, k, w)
+
+    monkeypatch.setattr(automorphisms, "_coset_rep", faulty)
+    return dropped
+
+
+def test_graph_search_that_misses_one_generator_fails_its_order_check(monkeypatch):
+    # the deepest level's one image outside its orbit finds nothing: the
+    # search's orbit product halves, while the generators found above
+    # still generate the whole group, so the order cross-check fires
+    # first and names n
+    dropped = _drop_coset_reps(monkeypatch, 10, lambda path: len(path) - 2)
+    code, out, err = invoke("report", "--max-n", "5")
+    assert (code, out, len(dropped)) == (EXIT_FAIL, "", 1)
+    assert "FAIL" not in err and err.count("check failed:") == 1
+    assert err.splitlines()[-1] == (
+        "check failed: graph search at n=5: search order 60 disagrees with generated group order 120"
+    )
+    _drop_coset_reps(monkeypatch, 25, lambda path: len(path) - 2)
+    code, out, err = invoke("aut", "--n", "6", "--method", "graph")
+    assert (code, out) == (EXIT_FAIL, "")
+    assert _one_check_failed(err).startswith("check failed: graph search at n=6: search order 360 ")
+
+
+def test_graph_search_that_misses_the_top_orbit_fails_aut_n(monkeypatch):
+    # no image at the top level finds a representative: the search gives
+    # the stabilizer of the first ray, a group of its own order, so only
+    # the order (and, with the poset search, agreement) check fails
+    dropped = _drop_coset_reps(monkeypatch, 10, lambda path: 0)
+    code, report, _ = invoke_json("report", "--max-n", "5")
+    assert (code, len(dropped)) == (EXIT_FAIL, 9)
+    failed = [c for c in report["payload"]["checks"] if c["verdict"] == "FAIL"]
+    assert [(c["name"], c["order"], c["expected"]) for c in failed] == [("aut n=5", 12, 120)]
+    _drop_coset_reps(monkeypatch, 25, lambda path: 0)
+    code, report, _ = invoke_json("aut", "--n", "6", "--method", "graph")
+    assert (code, report["verdict"]) == (EXIT_FAIL, "FAIL")
+    assert (report["payload"]["order"], report["payload"]["expected"]) == (72, 720)
+
+
 def test_report_and_count_build_no_tree_objects(monkeypatch):
     built = count_tree_objects(monkeypatch)
     assert invoke("report", "--max-n", "6")[0] == EXIT_OK
