@@ -296,7 +296,8 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
     drops the branch, and each completion must map every cell to a cell.
     Rays are assigned and images tried in ascending order; one completion
     is found per orbit of the stabilizer of the rays already fixed.  Reads
-    neither the compatibility graph nor ``cx.index``."""
+    neither the compatibility graph nor ``cx.index``.  A search order that
+    its generators disagree with raises ``AssertionError`` naming n."""
     R = len(cx.rays)
     width = cx.max_dimension + 1  # a max over every cell: read it once
     counts = [[0] * width for _ in range(R)]
@@ -337,7 +338,10 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
     for k in range(R - 1):
         prefix.append(narrow(k, k, prefix[k][1:]))
     levels = [(k, members(d[0]), partial(complete, k, d[1:])) for k, d in enumerate(prefix[:R])]
-    return _sims_group(R, reversed(levels))
+    try:
+        return _sims_group(R, reversed(levels))
+    except AssertionError as exc:
+        raise AssertionError(f"poset search at n={cx.n}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

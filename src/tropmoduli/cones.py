@@ -7,21 +7,23 @@ of a cell are its splits, so the face obtained by contracting a subset
 of edges is literally the cell with those rays removed, found by
 clearing their bits and looking the mask up, and the retained-edge
 injection is the identity on splits.  :func:`build_complex` also checks
-every one-edge contraction on a bitmask clade tree
-(:func:`check_contractions`): contracting an edge leaves every other
-clade unchanged as a set, so one bottom-up recompute per cell must give
-its ray masks, with every marking at the root, and each face must be the
-cell's mask with one ray's bit cleared.  This turns the rigidity of
-stable trees into a runtime check without building a tree object per
-cell.  The same walk records each cell's vertex profile
-(:attr:`ConeComplex.vertex_profiles`), which the counting check reads.
+every one-edge contraction (:func:`check_contractions`): each face must
+be the cell's mask with one ray's bit cleared, and a depth-first walk
+builds each cell's clade tree from its prefix face's (the cell minus its
+last ray), adding the two vertices the last ray makes.  Every cell's
+rays are then the clades of a stable tree, and contracting an edge
+leaves every other clade unchanged as a set, so the face is the
+contraction.  This turns the rigidity of stable trees into a runtime
+check without building a tree object per cell.  The same walk records
+each cell's vertex profile (:attr:`ConeComplex.vertex_profiles`), which
+the counting check reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .enumeration import StratumCatalog, enumerate_strata
 from .trees import CanonicalForm, Split
@@ -202,88 +204,86 @@ def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
 
 
 def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Check every one-edge contraction of every cell's tree against
-    ``cx.codim1``; raise ``AssertionError`` naming the cell, and the edge
-    if there is one, on the first disagreement.  First, no two cells may
-    have the same rays, so that ``cx.index`` keys every cell.
+    """Check that every cell's rays are the clades of a stable tree whose
+    one-edge contractions are the faces ``cx.codim1`` names; raise
+    ``AssertionError`` naming the cell, and the edge if there is one, on
+    the first disagreement.  First, no two cells may have the same rays.
 
-    The tree is the cell's clade tree (see :func:`_clade_trees`); it must
-    be stable and the faces of a cell distinct (rigidity).  Contracting
-    edge e merges vertex e into its parent and leaves every other clade
-    unchanged as a set, so one bottom-up recompute serves every edge: it
-    must put every marking at the root and give clade e as ray e's mask,
-    and face e must be the cell's mask minus ray e's bit.  The leg counts
-    must sum to n, so that no marking sits on two vertices (the profile
-    would be wrong).  A merged vertex is stable: both ends weigh >= 3, so
-    it weighs >= 3 + 3 - 2 = 4.  Returns each cell's vertex profile, equal
-    profiles as one shared tuple.
+    Each face must be the cell's mask with one ray's bit cleared, and the
+    faces of a cell distinct, so the last face is the prefix face: the
+    cell minus its last ray.  Cells are in dimension and then
+    lexicographic order, so a depth-first walk from the point, with one
+    pointer per dimension, reaches each cell from its prefix face (a cell
+    it misses is out of order) and builds the cell's tree from the
+    prefix's.  The last ray's mask M is the largest clade, so it hangs
+    from the root, and only two vertices are new: M's and the rest of the
+    root.  Each root child that meets M must lie inside M (else a marking
+    sits on two vertices), M must not hold marking 1, and the two new
+    vertices must be stable.  By induction on the prefix, every cell's
+    rays are then the clades of a stable tree.  Contracting edge e merges
+    vertex e into its parent and leaves every other clade unchanged as a
+    set, so it gives the face the face check found; the merged vertex
+    weighs >= 3 + 3 - 2 = 4.  Returns each cell's vertex profile, its
+    sorted (leg count, valence) pairs, equal profiles as one shared tuple.
     """
-    if len(cx.index) < len(cx.cell_rays):  # the first cell listed again keys its last copy
+    cell_rays, codim1 = cx.cell_rays, cx.codim1
+    if len(cx.index) < len(cell_rays):  # the first cell listed again keys its last copy
         i = next(k for k, j in enumerate(cx.index.values()) if j != k)
         raise AssertionError(f"cell {cx.cell_name(i)} is listed twice")
-    masks = [s.mask for s in cx.rays]
-    full = (1 << cx.n) - 1
     cell_masks = list(cx.index)
-    profiles, seen = [], {}
-    for i, ((parent, own), faces) in enumerate(zip(_clade_trees(cx), cx.codim1)):
-        legs, valence = [m.bit_count() for m in own], _valences(parent)
-        if min(a + b for a, b in zip(legs, valence)) < 3:
-            raise AssertionError(f"cell {cx.cell_name(i)} has an unstable vertex")
+    for i, (mask, rays, faces) in enumerate(zip(cell_masks, cell_rays, codim1)):
         if len(set(faces)) < len(faces):
             raise AssertionError(
                 f"two one-edge contractions of cell {cx.cell_name(i)} hit the same face"
             )
-        acc = own[:]
-        for k, p in enumerate(parent):
-            acc[p] |= acc[k]  # children precede their parent
-        if acc[-1] != full:
-            raise AssertionError(f"the tree of cell {cx.cell_name(i)} misses a marking")
-        for e, (r, tgt) in enumerate(zip(cx.cell_rays[i], faces)):
-            if acc[e] != masks[r] or cell_masks[tgt] != cell_masks[i] ^ 1 << r:
+        for r, tgt in zip(rays, faces):
+            if cell_masks[tgt] != mask ^ 1 << r:
                 raise AssertionError(
                     f"contracting edge {cx.ray_name(r)} of cell "
                     f"{cx.cell_name(i)} disagrees with split removal"
                 )
-        if sum(legs) != cx.n:
-            raise AssertionError(f"a marking of cell {cx.cell_name(i)} sits on two vertices")
-        pairs = tuple(sorted(zip(legs, valence)))
-        profiles.append(seen.setdefault(pairs, pairs))
-    return tuple(profiles)
-
-
-def _clade_trees(cx: ConeComplex) -> Iterator[tuple[list[int], list[int]]]:
-    """Per cell, its tree on bitmasks: the parent of each clade and the
-    own legs of each vertex.  A cell's clades are its ray masks (the
-    marking-1-free sides) in (size, mask) order, so the parent of clade i
-    is the first later clade containing it, or else the root
-    ``len(parent)`` (the vertex of marking 1).  A vertex's own legs are
-    its mask minus its children's."""
     masks = [s.mask for s in cx.rays]
-    full = (1 << cx.n) - 1
-    for rays in cx.cell_rays:
-        clades = [masks[r] for r in rays]
-        root = len(clades)
-        parent = []
-        for k, m in enumerate(clades):
-            for j in range(k + 1, root):
-                if clades[j] & m == m:
-                    break
-            else:
-                j = root
-            parent.append(j)
-        own = clades + [full]
-        for k, p in enumerate(parent):
-            own[p] ^= clades[k]  # children are disjoint parts of their parent
-        yield parent, own
+    # bounds[d]: the first cell of dimension d; ptr[d]: the next one to visit
+    bounds = [bisect_left(cell_rays, d, key=len) for d in range(len(cell_rays[-1]) + 3)]
+    ptr = bounds[:-1]
+    profiles = [None] * len(cell_rays)
+    seen, steps = {}, {}  # steps: the profile each (profile, root, new vertex) step gives
 
+    def visit(p, d, children, legs, profile):
+        # the cofaces of cell p, given its root's children (clade masks) and legs
+        j, end = ptr[d + 1], bounds[d + 2]
+        while j < end and codim1[j][-1] == p:
+            m = masks[cell_rays[j][-1]]  # the largest clade, hung from the root
+            inside = [c for c in children if c & m]
+            cover = sum(inside)  # the root's children are disjoint
+            if cover & ~m:
+                raise AssertionError(f"a marking of cell {cx.cell_name(j)} sits on two vertices")
+            if m & 1:
+                raise AssertionError(f"the tree of cell {cx.cell_name(j)} misses a marking")
+            own, k = (m ^ cover).bit_count(), len(inside)
+            rest = [c for c in children if not c & m] + [m]
+            if own + k < 2 or legs - own + len(rest) < 3:
+                raise AssertionError(f"cell {cx.cell_name(j)} has an unstable vertex")
+            key = (id(profile), legs, len(children), own, k)
+            if (new := steps.get(key)) is None:
+                pairs = list(profile)
+                pairs.remove((legs, len(children)))
+                pairs += ((own, k + 1), (legs - own, len(rest)))
+                pairs = tuple(sorted(pairs))
+                new = steps[key] = seen.setdefault(pairs, pairs)
+            profiles[j] = new
+            visit(j, d + 1, rest, legs - own, new)
+            j += 1
+        ptr[d + 1] = j
 
-def _valences(parent: list[int]) -> list[int]:
-    """Each vertex's valence; vertex ``len(parent)`` is the root, and every
-    other vertex also carries the edge to its parent."""
-    valence = [1] * len(parent) + [0]
-    for p in parent:
-        valence[p] += 1
-    return valence
+    if not cell_rays[0]:  # the walk starts at the point
+        ptr[0] = 1
+        profiles[0] = point = ((cx.n, 0),)
+        visit(0, 0, [], cx.n, point)
+    for j, end in zip(ptr, bounds[1:]):
+        if j != end:
+            raise AssertionError(f"cell {cx.cell_name(j)} is listed out of order")
+    return tuple(profiles)
 
 
 def star_count(cx: ConeComplex, cell_idx: int) -> int:

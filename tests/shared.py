@@ -1,8 +1,15 @@
 """Cached builders shared across test modules (catalogs and complexes
-are immutable, so one instance per n serves the whole run)."""
+are immutable, so one instance per n serves the whole run), call and
+object counters, and the guard that every ``raise AssertionError`` of a
+module has a fault row."""
 
+import ast
+import inspect
+import sys
 from collections import Counter
 from functools import lru_cache
+
+import pytest
 
 from tropmoduli import build_complex, enumerate_strata
 from tropmoduli.trees import CanonicalForm, LeggedTree
@@ -68,3 +75,49 @@ def _counted(counter, cls):
         original(self)
 
     return wrapper
+
+
+def unreached_raises(module, rows) -> list[str]:
+    """The ``raise AssertionError(...)`` statements of ``module`` that no
+    fault row in ``rows`` reaches, by line and source."""
+    with open(module.__file__) as f:
+        tree = ast.parse(f.read())
+    raises = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "AssertionError"
+    ]
+    assert raises
+    reached = set().union(*(_assertion_lines(module, row) for row in rows))
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in raises
+        if not any(node.lineno <= line <= node.end_lineno for line in reached)
+    ]
+
+
+def _assertion_lines(module, row) -> set[int]:
+    """The lines of ``module`` at which running ``row`` raises an
+    ``AssertionError``."""
+    lines = set()
+
+    def local(frame, event, arg):
+        if event == "exception" and arg[0] is AssertionError:
+            lines.add(frame.f_lineno)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == module.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            row(mp) if inspect.signature(row).parameters else row()
+    except (AssertionError, pytest.fail.Exception):
+        pass  # the row's own test reports how it fails
+    finally:
+        sys.settrace(previous)
+    return lines

@@ -12,7 +12,7 @@ from tropmoduli.counting import LEMMA_MAX_BOUND
 from tropmoduli.enumeration import ENVELOPE_MAX_N
 from tropmoduli.trees import Split
 
-from shared import complex_for, count_built, count_calls, count_tree_objects
+from shared import complex_for, count_built, count_calls, count_tree_objects, unreached_raises
 
 
 def invoke(*argv):
@@ -316,8 +316,7 @@ def test_poset_search_that_misses_generators_is_a_fail(monkeypatch):
     assert report["payload"]["poset_order"] < report["payload"]["order"] == 120
     code, report, _ = invoke_json("report", "--max-n", "5")
     assert code == EXIT_FAIL
-    failed = [c["name"] for c in report["payload"]["checks"] if c["verdict"] == "FAIL"]
-    assert failed == ["aut n=5"]
+    assert _failed_checks(report) == ["aut n=5"]
 
 
 def _drop_coset_reps(monkeypatch, rays, level):
@@ -356,6 +355,37 @@ def test_graph_search_that_misses_one_generator_fails_its_order_check(monkeypatc
     assert _one_check_failed(err).startswith("check failed: graph search at n=6: search order 360 ")
 
 
+def test_poset_search_that_misses_one_generator_fails_its_order_check(monkeypatch):
+    # the first coset representative the poset search finds is dropped:
+    # its orbit product shrinks, while the generators found above still
+    # generate the whole group, so the order cross-check fires and names
+    # the search and n
+    from tropmoduli import automorphisms
+
+    sims_group = automorphisms._sims_group
+    dropped = []
+
+    def drop_first(find):
+        def faulty(w):
+            g = find(w)
+            if g is not None and not dropped:
+                dropped.append(w)
+                return None
+            return g
+
+        return faulty
+
+    def faulty_sims_group(degree, levels):
+        return sims_group(degree, ((v, images, drop_first(find)) for v, images, find in levels))
+
+    monkeypatch.setattr(automorphisms, "_sims_group", faulty_sims_group)
+    code, out, err = invoke("aut", "--n", "5", "--method", "poset")
+    assert (code, out, len(dropped)) == (EXIT_FAIL, "", 1)
+    assert _one_check_failed(err) == (
+        "check failed: poset search at n=5: search order 60 disagrees with generated group order 120"
+    )
+
+
 def test_graph_search_that_misses_the_top_orbit_fails_aut_n(monkeypatch):
     # no image at the top level finds a representative: the search gives
     # the stabilizer of the first ray, a group of its own order, so only
@@ -369,6 +399,47 @@ def test_graph_search_that_misses_the_top_orbit_fails_aut_n(monkeypatch):
     code, report, _ = invoke_json("aut", "--n", "6", "--method", "graph")
     assert (code, report["verdict"]) == (EXIT_FAIL, "FAIL")
     assert (report["payload"]["order"], report["payload"]["expected"]) == (72, 720)
+
+
+AUTOMORPHISM_FAULT_ROWS = (
+    test_failed_generator_check_is_a_fail,
+    test_graph_search_that_misses_one_generator_fails_its_order_check,
+    test_poset_search_that_misses_one_generator_fails_its_order_check,
+)
+
+
+def test_every_automorphism_check_raise_has_a_fault_row():
+    # a raise no fault row reaches is either untested or cannot fire
+    from tropmoduli import automorphisms
+
+    assert unreached_raises(automorphisms, AUTOMORPHISM_FAULT_ROWS) == []
+
+
+def _failed_checks(report):
+    return [c["name"] for c in report["payload"]["checks"] if c["verdict"] == "FAIL"]
+
+
+def test_a_wrong_f_vector_fails_its_enumeration_check(monkeypatch):
+    # the closed count disagreeing at n = 5 fails that check alone
+    from tropmoduli import cli
+
+    count = cli.count_f_vector
+    monkeypatch.setattr(cli, "count_f_vector", lambda n: count(n) if n != 5 else [1, 10, 16])
+    code, report, _ = invoke_json("report", "--max-n", "5")
+    assert code == EXIT_FAIL
+    assert _failed_checks(report) == ["enumeration n=5"]
+
+
+def test_a_wrong_kernel_fails_the_klein_kernel_check(monkeypatch):
+    # a marking-action kernel missing one element fails the kernel check,
+    # and with it the n = 4 theorem check
+    from tropmoduli import automorphisms
+
+    kernel = automorphisms.sn_kernel
+    monkeypatch.setattr(automorphisms, "sn_kernel", lambda cx: kernel(cx)[:-1])
+    code, report, _ = invoke_json("report", "--max-n", "5")
+    assert code == EXIT_FAIL
+    assert _failed_checks(report) == ["aut n=4", "klein kernel n=4"]
 
 
 def test_report_and_count_build_no_tree_objects(monkeypatch):
@@ -422,7 +493,7 @@ def test_count_and_report_walk_each_clade_tree_once(monkeypatch):
     # the counting check reads
     from tropmoduli import cones
 
-    walks = count_calls(monkeypatch, cones, "_clade_trees", lambda cx: cx.n)
+    walks = count_calls(monkeypatch, cones, "check_contractions", lambda cx: cx.n)
     assert invoke("count", "--check", "formula", "--n", "7")[0] == EXIT_OK
     assert walks == {7: 1}
     walks.clear()

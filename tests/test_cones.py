@@ -1,20 +1,26 @@
 """Cone complex: structure at small n, the flag property, face-map
 consistency, the contraction check, star counts, and exports."""
 
-import ast
 import dataclasses
-import inspect
+import hashlib
 import itertools
 import json
 import random
-import sys
+from collections import Counter
 
 import pytest
 
 from tropmoduli import Split, build_complex, splits_compatible, star_count
 from tropmoduli import cones
 from tropmoduli.cones import check_contractions
-from shared import cell_of, complex_for, count_calls, count_tree_objects, ray_mask
+from shared import (
+    cell_of,
+    complex_for,
+    count_calls,
+    count_tree_objects,
+    ray_mask,
+    unreached_raises,
+)
 from tree_oracles import contract, face, per_edge_contractions, tuple_codim1
 
 
@@ -129,54 +135,28 @@ def test_contraction_check_names_a_wrong_face():
     check_contractions(cx)
 
 
-def _patched_tree(monkeypatch, cell, vertex, legs):
-    """Let ``_clade_trees`` give one cell's vertex other own legs."""
-    trees = cones._clade_trees
-
-    def patched(cx):
-        for i, (parent, own) in enumerate(trees(cx)):
-            if i == cell:
-                own = own[:vertex] + [legs] + own[vertex + 1:]
-            yield parent, own
-
-    monkeypatch.setattr(cones, "_clade_trees", patched)
+def _with_ray(cx, side, mask_side):
+    """``cx`` with the ray of ``side`` given the mask of ``mask_side``,
+    unchecked, as a corrupted ray list would hold it."""
+    split = object.__new__(Split)  # skips Split's own checks
+    object.__setattr__(split, "n", cx.n)
+    object.__setattr__(split, "mask", sum(1 << (i - 1) for i in mask_side))
+    rays = list(cx.rays)
+    rays[cx.ray_by_mask[Split.from_side(cx.n, side).mask]] = split
+    return dataclasses.replace(cx, rays=tuple(rays))
 
 
-def test_contraction_check_names_an_unstable_cell(monkeypatch):
-    # at n = 5 the vertex below edge {2,3} keeps markings 2 and 3; with
-    # marking 2 alone it has valence + legs = 2
-    cx = complex_for(5)
-    ray = {s: r for r, s in enumerate(cx.rays)}
-    cell = cell_of(cx, (ray[Split.from_side(5, [2, 3])],))
-    marking_2 = 1 << 1
-    _patched_tree(monkeypatch, cell, 0, marking_2)
-    with pytest.raises(AssertionError, match=r"^cell \{2,3\} has an unstable vertex$"):
-        check_contractions(cx)
+def test_contraction_check_names_an_unstable_cell():
+    # at n = 5, with the ray {2,3,4} a second copy of the split {2,3}, the
+    # vertex below the last edge of {2,3} | {2,3,4} keeps no marking and
+    # has valence 2
+    with pytest.raises(AssertionError, match=r"^cell \{2,3\} \| \{2,3\} has an unstable vertex$"):
+        check_contractions(_with_ray(complex_for(5), [2, 3, 4], [2, 3]))
 
 
-def test_contraction_check_names_a_clade_that_is_no_ray(monkeypatch):
-    # at n = 5, give the vertex below edge {2,3,4} of the cell
-    # {2,3} | {2,3,4} marking 1 besides marking 4: every vertex stays
-    # stable, but the clades recomputed bottom-up give edge {2,3,4} the
-    # clade {1,2,3,4}, which holds marking 1 and so is no ray
-    cx = complex_for(5)
-    ray = {s: r for r, s in enumerate(cx.rays)}
-    r23, r234 = (ray[Split.from_side(5, side)] for side in ([2, 3], [2, 3, 4]))
-    cell = cell_of(cx, (r23, r234))
-    marking_1, marking_4 = 1 << 0, 1 << 3
-    _patched_tree(monkeypatch, cell, 1, marking_1 | marking_4)
-    with pytest.raises(
-        AssertionError,
-        match=r"^contracting edge \{2,3,4\} of cell \{2,3\} \| \{2,3,4\} disagrees with split removal$",
-    ):
-        check_contractions(cx)
-
-
-def test_contraction_check_names_two_equal_faces(monkeypatch):
-    # at n = 5, give the vertex below edge {2,3} of the cell
-    # {2,3} | {2,3,4} the legs 2, 3, 4: both contractions then recompute
-    # the clade {2,3,4}, and with both faces pointing at that ray every
-    # face agrees with its contraction, but the two faces coincide
+def test_contraction_check_names_two_equal_faces():
+    # at n = 5, both faces of the cell {2,3} | {2,3,4} pointed at the ray
+    # {2,3,4}
     cx = complex_for(5)
     ray = {s: r for r, s in enumerate(cx.rays)}
     r23, r234 = (ray[Split.from_side(5, side)] for side in ([2, 3], [2, 3, 4]))
@@ -185,49 +165,50 @@ def test_contraction_check_names_two_equal_faces(monkeypatch):
     faces[cell] = (faces[cell][0], faces[cell][0])
     broken = dataclasses.replace(cx)
     broken.__dict__["codim1"] = tuple(faces)
-    _patched_tree(monkeypatch, cell, 0, cx.rays[r234].mask)
     with pytest.raises(AssertionError, match=r"contractions of cell \{2,3\} \| \{2,3,4\} hit the same face"):
         check_contractions(broken)
 
 
-def test_contraction_check_names_a_tree_that_misses_a_marking(monkeypatch):
-    # at n = 5 the root of the cell {2,3} keeps markings 1, 4 and 5; on
-    # markings 4 and 5 alone it is still stable, but marking 1 is then on
-    # no vertex
-    cx = complex_for(5)
-    ray = {s: r for r, s in enumerate(cx.rays)}
-    cell = cell_of(cx, (ray[Split.from_side(5, [2, 3])],))
-    marking_4, marking_5 = 1 << 3, 1 << 4
-    _patched_tree(monkeypatch, cell, 1, marking_4 | marking_5)
-    with pytest.raises(AssertionError, match=r"^the tree of cell \{2,3\} misses a marking$"):
-        check_contractions(cx)
-
-
-def test_contraction_check_names_a_one_ray_clade_that_is_no_ray(monkeypatch):
-    # at n = 5, give the vertex below edge {2,3} of the cell {2,3} the
-    # legs 1, 2, 3: it stays stable and the root still sees every
-    # marking, but the edge's clade {1,2,3} is no ray
-    cx = complex_for(5)
-    ray = {s: r for r, s in enumerate(cx.rays)}
-    cell = cell_of(cx, (ray[Split.from_side(5, [2, 3])],))
-    _patched_tree(monkeypatch, cell, 0, 0b111)
+def test_contraction_check_names_a_tree_that_misses_a_marking():
+    # at n = 5, with the ray {2,3,4} given the side {1,2,3,4}, a clade
+    # holds marking 1: the root, the vertex of marking 1, would miss it
     with pytest.raises(
-        AssertionError,
-        match=r"^contracting edge \{2,3\} of cell \{2,3\} disagrees with split removal$",
+        AssertionError, match=r"^the tree of cell \{2,3\} \| \{1,2,3,4\} misses a marking$"
     ):
-        check_contractions(cx)
+        check_contractions(_with_ray(complex_for(5), [2, 3, 4], [1, 2, 3, 4]))
 
 
-def test_contraction_check_names_a_marking_on_two_vertices(monkeypatch):
-    # at n = 5, give the root of the cell {2,3} marking 2 besides its
-    # markings 1, 4 and 5: every clade and every face is unchanged, but
-    # marking 2 then sits on two vertices
+def test_contraction_check_names_a_marking_on_two_vertices():
+    # at n = 5, the cell {2,3} | {2,3,4} listed as {2,3} | {2,4,5}: every
+    # face is a cell, but the clades cross, so marking 2 would sit below
+    # both edges
     cx = complex_for(5)
     ray = {s: r for r, s in enumerate(cx.rays)}
-    cell = cell_of(cx, (ray[Split.from_side(5, [2, 3])],))
-    _patched_tree(monkeypatch, cell, 1, 0b11011)
-    with pytest.raises(AssertionError, match=r"^a marking of cell \{2,3\} sits on two vertices$"):
-        check_contractions(cx)
+    r23, r234, r245 = (ray[Split.from_side(5, side)] for side in ([2, 3], [2, 3, 4], [2, 4, 5]))
+    cells = list(cx.cell_rays)
+    cells[cell_of(cx, (r23, r234))] = (r23, r245)
+    broken = dataclasses.replace(cx, cell_rays=tuple(cells))
+    with pytest.raises(
+        AssertionError, match=r"^a marking of cell \{2,3\} \| \{2,4,5\} sits on two vertices$"
+    ):
+        check_contractions(broken)
+
+
+def test_contraction_check_names_a_cell_out_of_order():
+    # at n = 5, the last 2-cell moved to the front of the 2-cells: the
+    # walk reaches it from its prefix face, but then no longer reaches the
+    # cells of the first ray's prefix; with the point listed after the
+    # first ray, the walk cannot start
+    cx = complex_for(5)
+    two = list(cx.dim_ranges[2])
+    cells = list(cx.cell_rays)
+    cells[two[0]:] = [cells[two[-1]]] + cells[two[0]:two[-1]]
+    with pytest.raises(AssertionError, match=r"^cell \{2,3\} \| \{4,5\} is listed out of order$"):
+        check_contractions(dataclasses.replace(cx, cell_rays=tuple(cells)))
+    cells = list(cx.cell_rays)
+    cells[:2] = cells[1::-1]
+    with pytest.raises(AssertionError, match=r"^cell \{2,3\} is listed out of order$"):
+        check_contractions(dataclasses.replace(cx, cell_rays=tuple(cells)))
 
 
 def test_contraction_check_names_a_face_that_is_no_cell():
@@ -256,58 +237,18 @@ def test_contraction_check_names_a_cell_listed_twice():
 CONTRACTION_FAULT_ROWS = (
     test_contraction_check_names_a_wrong_face,
     test_contraction_check_names_an_unstable_cell,
-    test_contraction_check_names_a_clade_that_is_no_ray,
     test_contraction_check_names_two_equal_faces,
     test_contraction_check_names_a_tree_that_misses_a_marking,
-    test_contraction_check_names_a_one_ray_clade_that_is_no_ray,
     test_contraction_check_names_a_marking_on_two_vertices,
+    test_contraction_check_names_a_cell_out_of_order,
     test_contraction_check_names_a_face_that_is_no_cell,
     test_contraction_check_names_a_cell_listed_twice,
 )
 
 
-def _assertion_lines(row) -> set[int]:
-    """The lines of ``cones.py`` at which running ``row`` raises an
-    ``AssertionError``."""
-    lines = set()
-
-    def local(frame, event, arg):
-        if event == "exception" and arg[0] is AssertionError:
-            lines.add(frame.f_lineno)
-        return local
-
-    def calls(frame, event, arg):
-        return local if frame.f_code.co_filename == cones.__file__ else None
-
-    previous = sys.gettrace()
-    sys.settrace(calls)
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            row(mp) if inspect.signature(row).parameters else row()
-    except (AssertionError, pytest.fail.Exception):
-        pass  # the row's own test reports how it fails
-    finally:
-        sys.settrace(previous)
-    return lines
-
-
 def test_every_contraction_check_raise_has_a_fault_row():
     # a raise no fault row reaches is either untested or cannot fire
-    with open(cones.__file__) as f:
-        tree = ast.parse(f.read())
-    raises = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Raise)
-        and isinstance(node.exc, ast.Call)
-        and getattr(node.exc.func, "id", None) == "AssertionError"
-    ]
-    assert raises
-    reached = set().union(*map(_assertion_lines, CONTRACTION_FAULT_ROWS))
-    for node in raises:
-        assert any(node.lineno <= line <= node.end_lineno for line in reached), (
-            f"no fault row reaches cones.py line {node.lineno}: {ast.unparse(node)}"
-        )
+    assert unreached_raises(cones, CONTRACTION_FAULT_ROWS) == []
 
 
 def test_contraction_check_matches_the_per_edge_route():
@@ -324,57 +265,52 @@ def _verdict(check, cx):
         return str(exc)
 
 
-def test_contraction_check_rejects_every_fault_the_per_edge_route_rejects(monkeypatch):
-    # one fault at a time: 6 random own-leg masks for every vertex of
-    # every cell, and one random wrong face for every edge.  Cell i is
-    # moved to the front of a copy of the complex, and the patched clade
-    # trees give that cell alone, so each check reads only the fault.
-    # The new route rejects every fault
+def test_contraction_check_rejects_every_fault_the_per_edge_route_rejects():
+    # one fault at a time, in a copy holding one cell and its faces: for
+    # every cell, one of its rays swapped in the ray list with a random
+    # other ray, and for every edge, one random wrong face.  The new check
+    # rejects every fault the per-edge route rejects, and where it accepts
+    # one, both give the same profiles
     rng = random.Random(17)
-    true_trees = {n: list(cones._clade_trees(complex_for(n))) for n in (5, 6)}
-    tree = []
-    monkeypatch.setattr(cones, "_clade_trees", lambda cx: iter(tree))
-    new_only, checked = set(), 0
-    for n, trees in true_trees.items():
+    verdicts = Counter()
+    for n in (5, 6):
         cx = complex_for(n)
-        for i, (parent, own) in enumerate(trees):
-            rest = cx.cell_rays[:i] + cx.cell_rays[i + 1:]
-            view = dataclasses.replace(cx, cell_rays=(cx.cell_rays[i],) + rest)
-            faults = []
-            for v, legs in enumerate(own):
-                for _ in range(6):
-                    wrong = rng.randrange((1 << n) - 1)
-                    wrong += wrong >= legs
-                    faults.append((("vertex", v), view, own[:v] + [wrong] + own[v + 1:]))
-            for e, tgt in enumerate(view.codim1[0]):
-                wrong = rng.randrange(len(cx.cell_rays) - 1)
+        for i, cell in enumerate(cx.cell_rays[1:], 1):
+            closure = tuple(
+                sub for k in range(len(cell) + 1) for sub in itertools.combinations(cell, k)
+            )
+            view = dataclasses.replace(cx, cell_rays=closure)
+            rays = list(cx.rays)
+            a = rng.choice(cell)
+            b = rng.randrange(len(rays) - 1)
+            b += b >= a
+            rays[a], rays[b] = rays[b], rays[a]
+            faults = [(("swap", a, b), dataclasses.replace(view, rays=tuple(rays)))]
+            top = view.codim1[-1]
+            for e, tgt in enumerate(top):
+                wrong = rng.randrange(len(closure) - 1)
                 wrong += wrong >= tgt
-                faces = list(view.codim1[0])
-                faces[e] = wrong
                 broken = dataclasses.replace(view)
-                broken.__dict__["codim1"] = (tuple(faces),)
-                faults.append((("edge", e), broken, own))
-            for where, faulted, legs in faults:
-                tree[:] = [(parent, legs)]
-                checked += 1
+                broken.__dict__["codim1"] = view.codim1[:-1] + (top[:e] + (wrong,) + top[e + 1:],)
+                faults.append((("edge", e), broken))
+            for where, faulted in faults:
                 new = _verdict(check_contractions, faulted)
                 old = _verdict(per_edge_contractions, faulted)
-                assert isinstance(new, str), (n, cx.cell_name(i), where)  # rejects every fault
-                if isinstance(old, tuple):
-                    # only a marking on two vertices, or a fault at the root
-                    # or in a one-ray cell, escapes the per-edge route
-                    at_root = where == ("vertex", len(parent))
-                    if new.endswith("sits on two vertices"):
-                        new_only.add("two vertices")
-                    else:
-                        assert at_root or len(parent) == 1, (n, cx.cell_name(i), where, new)
-                        new_only.add("root" if at_root else "one ray")
-    assert checked == 5702
-    assert new_only == {"root", "one ray", "two vertices"}
+                if isinstance(new, tuple):  # a swap that leaves a stable tree
+                    assert new == old, (n, cx.cell_name(i), where)
+                    verdicts["both accept"] += 1
+                elif isinstance(old, tuple):
+                    # only crossing clades escape the per-edge route
+                    assert new.endswith(" sits on two vertices"), (n, cx.cell_name(i), where, new)
+                    verdicts["new rejects"] += 1
+                else:
+                    verdicts["both reject"] += 1
+    assert sum(verdicts.values()) == 850  # 260 swaps, 590 wrong faces
+    assert verdicts == {"both accept": 78, "new rejects": 182, "both reject": 590}
 
 
 def test_build_complex_walks_each_clade_tree_once(monkeypatch):
-    walks = count_calls(monkeypatch, cones, "_clade_trees", lambda cx: cx.n)
+    walks = count_calls(monkeypatch, cones, "check_contractions", lambda cx: cx.n)
     cx = build_complex(6)
     assert walks == {6: 1}
     # the profiles were recorded by that walk; equal ones are one tuple
@@ -391,6 +327,18 @@ def test_build_complex_builds_no_tree_objects(monkeypatch):
     # the counters do see the forms once they are asked for
     assert len(cx.cells) == 2752
     assert built == {"CanonicalForm": 2752}
+
+
+def test_vertex_profiles_past_the_per_edge_route_are_pinned():
+    # the per-edge route is too slow past n = 7, so digests pin the
+    # profiles there
+    for n, distinct, digest in (
+        (7, 13, "ca1831a58f6a287a298c90a2938fba8c77ed3ca1b1f2b238d4b632e6c471a5e3"),
+        (8, 28, "555ed0cafb4328f545b8abd829c91b141bb687504fb6f67ac9387c9ce1279f0e"),
+    ):
+        profiles = complex_for(n).vertex_profiles
+        assert len(set(profiles)) == distinct
+        assert hashlib.sha256(repr(profiles).encode()).hexdigest() == digest
 
 
 def test_unique_minimum():

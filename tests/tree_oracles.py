@@ -2,14 +2,13 @@
 contraction, isomorphism and rigidity, the marking action on trees and
 splits, face lookup by split, vertex profiles read off a tree, the face
 maps and automorphism cell maps on sorted ray tuples, and the
-contraction check that recomputes every clade once per edge.
+contraction check that builds each cell's clade tree from scratch and
+recomputes every clade once per edge.
 
 The package computes each of these facts one way, on ray indices and
 bitmasks; these routes go through ``LeggedTree`` and ``Split`` objects,
-or through cells keyed by their sorted ray tuples, instead and share no
-code with it beyond those classes.  The per-edge contraction check is
-the exception: it reads the package's clade trees, so that a fault
-patched into them reaches both checks.
+through cells keyed by their sorted ray tuples, or through each cell's
+own clade tree, instead and share no code with it beyond those classes.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from tropmoduli import cones
 from tropmoduli.trees import LeggedTree, Split, check_marking_perm
 
 from shared import cell_of
@@ -91,12 +89,47 @@ def contract(t: LeggedTree, edge_indices: Iterable[int]) -> Contraction:
     )
 
 
+def clade_trees(cx) -> Iterator[tuple[list[int], list[int]]]:
+    """Per cell, its tree on bitmasks: the parent of each clade and the
+    own legs of each vertex.  A cell's clades are its ray masks (the
+    marking-1-free sides) in (size, mask) order, so the parent of clade i
+    is the first later clade containing it, or else the root
+    ``len(parent)`` (the vertex of marking 1).  A vertex's own legs are
+    its mask minus its children's."""
+    masks = [s.mask for s in cx.rays]
+    full = (1 << cx.n) - 1
+    for rays in cx.cell_rays:
+        clades = [masks[r] for r in rays]
+        root = len(clades)
+        parent = []
+        for k, m in enumerate(clades):
+            for j in range(k + 1, root):
+                if clades[j] & m == m:
+                    break
+            else:
+                j = root
+            parent.append(j)
+        own = clades + [full]
+        for k, p in enumerate(parent):
+            own[p] ^= clades[k]  # children are disjoint parts of their parent
+        yield parent, own
+
+
+def valences(parent: list[int]) -> list[int]:
+    """Each vertex's valence; vertex ``len(parent)`` is the root, and every
+    other vertex also carries the edge to its parent."""
+    valence = [1] * len(parent) + [0]
+    for p in parent:
+        valence[p] += 1
+    return valence
+
+
 def per_edge_contractions(cx) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Contract every edge of every cell's tree and compare the result
     with the face in ``cx.codim1``; raise ``AssertionError`` naming the
     cell and the edge on the first disagreement.
 
-    The tree is the cell's clade tree (see ``cones._clade_trees``) and
+    The tree is the cell's clade tree (see :func:`clade_trees`) and
     must be stable.  Contracting edge e merges vertex e into its parent,
     which must stay stable (no other vertex changes), the remaining
     clade masks are recomputed bottom-up from the own legs, and they
@@ -109,9 +142,9 @@ def per_edge_contractions(cx) -> tuple[tuple[tuple[int, int], ...], ...]:
     bit_of = {m: 1 << r for m, r in cx.ray_by_mask.items()}
     cell_masks = list(cx.index)
     profiles, seen = [], {}
-    for i, ((parent, own), faces) in enumerate(zip(cones._clade_trees(cx), cx.codim1)):
+    for i, ((parent, own), faces) in enumerate(zip(clade_trees(cx), cx.codim1)):
         rays, root = cx.cell_rays[i], len(parent)
-        legs, valence = [m.bit_count() for m in own], cones._valences(parent)
+        legs, valence = [m.bit_count() for m in own], valences(parent)
         weight = [a + b for a, b in zip(legs, valence)]
         if min(weight) < 3:
             raise AssertionError(f"cell {cx.cell_name(i)} has an unstable vertex")
