@@ -249,7 +249,7 @@ class ComplexAutomorphism:
         ``cx.index`` maps it to the cell with exactly those rays.  The
         images are distinct cells: ``ray_perm`` is a permutation, and
         distinct cells have distinct ray sets (checked by
-        :func:`~tropmoduli.cones.check_contractions`)."""
+        :attr:`~tropmoduli.cones.ConeComplex.index`)."""
         cx = self.cx
         bits = [1 << r for r in self.ray_perm]
         images = [0]  # cell 0 is the point
@@ -299,7 +299,7 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
     neither the compatibility graph nor ``cx.index``.  A search order that
     its generators disagree with raises ``AssertionError`` naming n."""
     R = len(cx.rays)
-    width = cx.max_dimension + 1  # a max over every cell: read it once
+    width = cx.max_dimension + 1
     counts = [[0] * width for _ in range(R)]
     rows = [0] * R  # rows[a]: the rays b with {a, b} a 2-cell
     for c in cx.cell_rays:

@@ -2,21 +2,21 @@
 
 Cells are the strata of the catalog, indexed by (dimension, canonical
 order), each held as the sorted tuple of its ray indices and keyed in
-:attr:`ConeComplex.index` by its ray bitmask (bit r is ray r).  Edges
-of a cell are its splits, so the face obtained by contracting a subset
-of edges is literally the cell with those rays removed, found by
+:attr:`ConeComplex.index` by its ray bitmask (bit r is ray r).  The
+index rejects a mask listed twice, so it is a bijection onto the cells.
+Edges of a cell are its splits, so the face obtained by contracting a
+subset of edges is literally the cell with those rays removed, found by
 clearing their bits and looking the mask up, and the retained-edge
 injection is the identity on splits.  :func:`build_complex` also checks
 every one-edge contraction (:func:`check_contractions`): each face must
-be the cell's mask with one ray's bit cleared, and a depth-first walk
-builds each cell's clade tree from its prefix face's (the cell minus its
-last ray), adding the two vertices the last ray makes.  Every cell's
-rays are then the clades of a stable tree, and contracting an edge
-leaves every other clade unchanged as a set, so the face is the
-contraction.  This turns the rigidity of stable trees into a runtime
-check without building a tree object per cell.  The same walk records
-each cell's vertex profile (:attr:`ConeComplex.vertex_profiles`), which
-the counting check reads.
+be a cell, and a depth-first walk builds each cell's clade tree from its
+prefix face's (the cell minus its last ray), adding the two vertices the
+last ray makes.  Every cell's rays are then the clades of a stable tree,
+and contracting an edge leaves every other clade unchanged as a set, so
+the face is the contraction.  This turns the rigidity of stable trees
+into a runtime check without building a tree object per cell.  The same
+walk records each cell's vertex profile
+(:attr:`ConeComplex.vertex_profiles`), which the counting check reads.
 """
 
 from __future__ import annotations
@@ -61,13 +61,16 @@ class ConeComplex:
     @cached_property
     def index(self) -> dict[int, int]:
         """Cell index by the cell's ray bitmask (bit r is ray r), with the
-        keys in cell order."""
+        keys in cell order.  A mask that repeats raises ``AssertionError``
+        naming the cell listed twice, so the index is a bijection between
+        the masks and the cell positions."""
         out = {}
         for i, c in enumerate(self.cell_rays):
             mask = 0
             for r in c:
                 mask |= 1 << r
-            out[mask] = i
+            if out.setdefault(mask, i) != i:
+                raise AssertionError(f"cell {self.cell_name(i)} is listed twice")
         return out
 
     @cached_property
@@ -88,20 +91,18 @@ class ConeComplex:
 
     @cached_property
     def dim_ranges(self) -> dict[int, range]:
-        out = {}
-        start = 0
-        for d in range(max(self.dims) + 1):
-            count = sum(1 for x in self.dims if x == d)
-            out[d] = range(start, start + count)
-            start += count
-        return out
+        """The cells of each dimension, as a range of cell indices, found
+        by bisection: cells are in dimension order."""
+        cells = self.cell_rays
+        bounds = [bisect_left(cells, d, key=len) for d in range(len(cells[-1]) + 2)]
+        return {d: range(a, b) for d, (a, b) in enumerate(zip(bounds, bounds[1:]))}
 
     @property
     def max_dimension(self) -> int:
-        return max(self.dims)
+        return len(self.dim_ranges) - 1
 
     def f_vector(self) -> list[int]:
-        return [len(self.dim_ranges[d]) for d in sorted(self.dim_ranges)]
+        return list(map(len, self.dim_ranges.values()))
 
     @cached_property
     def ray_by_mask(self) -> dict[int, int]:
@@ -207,44 +208,36 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
     """Check that every cell's rays are the clades of a stable tree whose
     one-edge contractions are the faces ``cx.codim1`` names; raise
     ``AssertionError`` naming the cell, and the edge if there is one, on
-    the first disagreement.  First, no two cells may have the same rays.
+    the first disagreement.
 
-    Each face must be the cell's mask with one ray's bit cleared, and the
-    faces of a cell distinct, so the last face is the prefix face: the
-    cell minus its last ray.  Cells are in dimension and then
-    lexicographic order, so a depth-first walk from the point, with one
-    pointer per dimension, reaches each cell from its prefix face (a cell
-    it misses is out of order) and builds the cell's tree from the
-    prefix's.  The last ray's mask M is the largest clade, so it hangs
-    from the root, and only two vertices are new: M's and the rest of the
-    root.  Each root child that meets M must lie inside M (else a marking
-    sits on two vertices), M must not hold marking 1, and the two new
-    vertices must be stable.  By induction on the prefix, every cell's
-    rays are then the clades of a stable tree.  Contracting edge e merges
-    vertex e into its parent and leaves every other clade unchanged as a
-    set, so it gives the face the face check found; the merged vertex
-    weighs >= 3 + 3 - 2 = 4.  Returns each cell's vertex profile, its
-    sorted (leg count, valence) pairs, equal profiles as one shared tuple.
+    Reading ``cx.codim1`` checks the face table.  ``cx.index`` rejects a
+    cell listed twice, so it is a bijection from ray masks to cells, and
+    ``codim1[i][k]`` is by construction the cell whose mask is cell i's
+    with its k-th ray's bit cleared, or raises if no cell has that mask.
+    So the last face is the prefix face: the cell minus its last ray.
+    Cells are in dimension and then lexicographic order, so a depth-first
+    walk from the point, with one pointer per dimension, reaches each
+    cell from its prefix face (a cell it misses is out of order) and
+    builds the cell's tree from the prefix's.  A reached cell's mask is
+    its prefix's with one more bit, so by induction it has one bit per
+    dimension; the walk reaches only tuples of the dimension's length, so
+    no reached cell repeats a ray, and its faces are distinct.  The last
+    ray's mask M is the largest clade, so it hangs from the root, and
+    only two vertices are new: M's and the rest of the root.  Each root
+    child that meets M must lie inside M (else a marking sits on two
+    vertices), M must not hold marking 1, and the two new vertices must
+    be stable.  By induction on the prefix, every cell's rays are then
+    the clades of a stable tree.  Contracting edge e merges vertex e into
+    its parent and leaves every other clade unchanged as a set, so it
+    gives the face with e's ray removed, which is the face ``codim1``
+    names; the merged vertex weighs >= 3 + 3 - 2 = 4.  Returns each
+    cell's vertex profile, its sorted (leg count, valence) pairs, equal
+    profiles as one shared tuple.
     """
     cell_rays, codim1 = cx.cell_rays, cx.codim1
-    if len(cx.index) < len(cell_rays):  # the first cell listed again keys its last copy
-        i = next(k for k, j in enumerate(cx.index.values()) if j != k)
-        raise AssertionError(f"cell {cx.cell_name(i)} is listed twice")
-    cell_masks = list(cx.index)
-    for i, (mask, rays, faces) in enumerate(zip(cell_masks, cell_rays, codim1)):
-        if len(set(faces)) < len(faces):
-            raise AssertionError(
-                f"two one-edge contractions of cell {cx.cell_name(i)} hit the same face"
-            )
-        for r, tgt in zip(rays, faces):
-            if cell_masks[tgt] != mask ^ 1 << r:
-                raise AssertionError(
-                    f"contracting edge {cx.ray_name(r)} of cell "
-                    f"{cx.cell_name(i)} disagrees with split removal"
-                )
     masks = [s.mask for s in cx.rays]
     # bounds[d]: the first cell of dimension d; ptr[d]: the next one to visit
-    bounds = [bisect_left(cell_rays, d, key=len) for d in range(len(cell_rays[-1]) + 3)]
+    bounds = [r.start for r in cx.dim_ranges.values()] + [len(cell_rays)] * 2
     ptr = bounds[:-1]
     profiles = [None] * len(cell_rays)
     seen, steps = {}, {}  # steps: the profile each (profile, root, new vertex) step gives
@@ -252,8 +245,9 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
     def visit(p, d, children, legs, profile):
         # the cofaces of cell p, given its root's children (clade masks) and legs
         j, end = ptr[d + 1], bounds[d + 2]
-        while j < end and codim1[j][-1] == p:
-            m = masks[cell_rays[j][-1]]  # the largest clade, hung from the root
+        # a coface's mask has d + 1 bits: a tuple of another length is out of order
+        while j < end and codim1[j][-1] == p and len(rays := cell_rays[j]) == d + 1:
+            m = masks[rays[-1]]  # the largest clade, hung from the root
             inside = [c for c in children if c & m]
             cover = sum(inside)  # the root's children are disjoint
             if cover & ~m:

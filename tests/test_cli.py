@@ -1,10 +1,15 @@
 """CLI: payload shapes, exit codes, and determinism."""
 
+import ast
 import hashlib
+import inspect
 import io
+import itertools
 import json
 import math
 from collections import Counter
+
+import pytest
 
 from tropmoduli.automorphisms import DEFAULT_SEED, main_theorem_report
 from tropmoduli.cli import EXIT_ENVELOPE, EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
@@ -442,6 +447,116 @@ def test_a_wrong_kernel_fails_the_klein_kernel_check(monkeypatch):
     assert _failed_checks(report) == ["aut n=4", "klein kernel n=4"]
 
 
+def test_a_wrong_maximal_count_fails_its_enumeration_check(monkeypatch):
+    # the closed maximal count disagreeing at n = 5 fails that check alone
+    from tropmoduli import cli
+
+    count = cli.count_maximal
+    monkeypatch.setattr(cli, "count_maximal", lambda n: count(n) + (n == 5))
+    code, report, _ = invoke_json("report", "--max-n", "5")
+    assert code == EXIT_FAIL
+    assert _failed_checks(report) == ["enumeration n=5"]
+
+
+def test_a_wrong_star_count_fails_its_counting_check(monkeypatch):
+    # one star count off at n = 5 fails that counting check alone
+    from tropmoduli import cli
+
+    star_count = cli.star_count
+    monkeypatch.setattr(cli, "star_count", lambda cx, i: star_count(cx, i) + (cx.n == 5 and i == 7))
+    code, report, _ = invoke_json("report", "--max-n", "5")
+    assert code == EXIT_FAIL
+    assert _failed_checks(report) == ["counting formula n=5"]
+
+
+def test_a_lemma_counterexample_fails_the_lemma_sweep_check(monkeypatch):
+    # one counterexample added to the sweep's result fails that check alone
+    from tropmoduli import cli
+
+    sweep = cli.lemma_power_sweep
+
+    def violated(bound):
+        checked, violations = sweep(bound)
+        return checked, violations + [((1, 1, 4), (2, 2, 2))]
+
+    monkeypatch.setattr(cli, "lemma_power_sweep", violated)
+    code, report, _ = invoke_json("report", "--max-n", "5")
+    assert code == EXIT_FAIL
+    assert _failed_checks(report) == ["lemma sweep bound=20"]
+
+
+def test_a_wrong_genus2_result_fails_the_genus2_check(monkeypatch):
+    # a second class of automorphisms, or a group with a nontrivial
+    # element, fails the genus-2 check alone
+    from dataclasses import replace
+
+    from tropmoduli import cli
+    from tropmoduli.groups import PermutationGroup
+
+    aut_m2 = cli.aut_m2
+    swap = PermutationGroup(7, ((1, 0, 2, 3, 4, 5, 6),))
+    for fault in (
+        lambda result: replace(result, classes=2),
+        lambda result: replace(result, group=swap),
+    ):
+        monkeypatch.setattr(cli, "aut_m2", lambda cx: fault(aut_m2(cx)))
+        code, report, _ = invoke_json("report", "--max-n", "5")
+        assert code == EXIT_FAIL
+        assert _failed_checks(report) == ["genus2"]
+
+
+BATTERY_FAULT_ROWS = (
+    test_poset_search_that_misses_generators_is_a_fail,
+    test_graph_search_that_misses_the_top_orbit_fails_aut_n,
+    test_a_wrong_f_vector_fails_its_enumeration_check,
+    test_a_wrong_maximal_count_fails_its_enumeration_check,
+    test_a_wrong_star_count_fails_its_counting_check,
+    test_a_lemma_counterexample_fails_the_lemma_sweep_check,
+    test_a_wrong_kernel_fails_the_klein_kernel_check,
+    test_a_wrong_genus2_result_fails_the_genus2_check,
+)
+
+
+def _battery_check_names():
+    """The name of each check ``cli._battery`` adds, up to the first
+    placeholder of an f-string."""
+    from tropmoduli import cli
+
+    names = []
+    for node in ast.walk(ast.parse(inspect.getsource(cli._battery))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "add":
+            arg = node.args[0]
+            parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+            text = itertools.takewhile(lambda part: isinstance(part, ast.Constant), parts)
+            names.append("".join(part.value for part in text))
+    return names
+
+
+def _battery_failures(row) -> set[str]:
+    """The names of the battery checks that running ``row`` turns to FAIL."""
+    from tropmoduli import cli
+
+    battery, failed = cli._battery, set()
+
+    def spy(*args):
+        payload = battery(*args)
+        failed.update(c["name"] for c in payload["checks"] if c["verdict"] == "FAIL")
+        return payload
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_battery", spy)
+        row(mp)
+    return failed
+
+
+def test_every_battery_check_has_a_fault_row():
+    # a check no row can make fail earns no PASS
+    names = _battery_check_names()
+    assert "genus2" in names and "aut n=" in names
+    failed = set().union(*map(_battery_failures, BATTERY_FAULT_ROWS))
+    assert [name for name in names if not any(f.startswith(name) for f in failed)] == []
+
+
 def test_report_and_count_build_no_tree_objects(monkeypatch):
     built = count_tree_objects(monkeypatch)
     assert invoke("report", "--max-n", "6")[0] == EXIT_OK
@@ -592,18 +707,28 @@ def test_a_catalog_missing_a_face_fails_the_check(monkeypatch):
     assert " gives no cell" in _one_check_failed(err)
 
 
-def test_a_catalog_listing_a_cell_twice_fails_the_check(monkeypatch):
-    # the last maximal cell at n = 6 appended twice more
+def test_a_catalog_listing_a_cell_twice_fails_the_check():
+    # the last maximal cell at n = 6 appended twice more, and the first
+    # ray listed twice in place
     def repeat_the_last_cell(cells):
         top = max(cells)
         cells[top] += cells[top][-1:] * 2
         return cells
 
-    _faulty_catalog(monkeypatch, repeat_the_last_cell)
-    for argv in (("count", "--check", "formula", "--n", "6"), ("aut", "--n", "6")):
-        code, out, err = invoke(*argv)
-        assert (code, out) == (EXIT_FAIL, ""), argv
-        assert _one_check_failed(err).endswith(" is listed twice")
+    def repeat_the_first_ray(cells):
+        cells[1] = cells[1][:1] + cells[1]
+        return cells
+
+    for fault, line in (
+        (repeat_the_last_cell, "check failed: cell {5,6} | {4,5,6} | {3,4,5,6} is listed twice"),
+        (repeat_the_first_ray, "check failed: cell {2,3} is listed twice"),
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            _faulty_catalog(mp, fault)
+            for argv in (("count", "--check", "formula", "--n", "6"), ("aut", "--n", "6")):
+                code, out, err = invoke(*argv)
+                assert (code, out) == (EXIT_FAIL, ""), argv
+                assert _one_check_failed(err) == line, argv
 
 
 def test_order_check_sifts_each_schreier_generator_once(monkeypatch):

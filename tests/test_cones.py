@@ -78,7 +78,7 @@ def test_index_keys_each_cell_by_its_ray_mask():
 
 
 def test_codim1_matches_tuple_slicing():
-    for n in (4, 5, 6, 7):
+    for n in (4, 5, 6, 7, 8):
         cx = complex_for(n)
         assert cx.codim1 == tuple_codim1(cx)
 
@@ -118,23 +118,6 @@ def test_bitmask_contractions_match_tree_contraction():
             assert len(set(face_of.values())) == len(faces)
 
 
-def test_contraction_check_names_a_wrong_face():
-    # at n = 6 the cell {2,3} | {2,3,4} loses edge {2,3,4} to the ray
-    # {2,3}; pointing that face at the ray {2,4} must fail
-    cx = complex_for(6)
-    ray = {s: r for r, s in enumerate(cx.rays)}
-    r23, r234, r24 = (ray[Split.from_side(6, side)] for side in ([2, 3], [2, 3, 4], [2, 4]))
-    cell = cell_of(cx, (r23, r234))
-    faces = list(cx.codim1)
-    assert faces[cell][1] == cell_of(cx, (r23,))
-    faces[cell] = (faces[cell][0], cell_of(cx, (r24,)))
-    broken = dataclasses.replace(cx)
-    broken.__dict__["codim1"] = tuple(faces)
-    with pytest.raises(AssertionError, match=r"edge \{2,3,4\} of cell \{2,3\} \| \{2,3,4\} "):
-        check_contractions(broken)
-    check_contractions(cx)
-
-
 def _with_ray(cx, side, mask_side):
     """``cx`` with the ray of ``side`` given the mask of ``mask_side``,
     unchecked, as a corrupted ray list would hold it."""
@@ -152,21 +135,6 @@ def test_contraction_check_names_an_unstable_cell():
     # has valence 2
     with pytest.raises(AssertionError, match=r"^cell \{2,3\} \| \{2,3\} has an unstable vertex$"):
         check_contractions(_with_ray(complex_for(5), [2, 3, 4], [2, 3]))
-
-
-def test_contraction_check_names_two_equal_faces():
-    # at n = 5, both faces of the cell {2,3} | {2,3,4} pointed at the ray
-    # {2,3,4}
-    cx = complex_for(5)
-    ray = {s: r for r, s in enumerate(cx.rays)}
-    r23, r234 = (ray[Split.from_side(5, side)] for side in ([2, 3], [2, 3, 4]))
-    cell = cell_of(cx, (r23, r234))
-    faces = list(cx.codim1)
-    faces[cell] = (faces[cell][0], faces[cell][0])
-    broken = dataclasses.replace(cx)
-    broken.__dict__["codim1"] = tuple(faces)
-    with pytest.raises(AssertionError, match=r"contractions of cell \{2,3\} \| \{2,3,4\} hit the same face"):
-        check_contractions(broken)
 
 
 def test_contraction_check_names_a_tree_that_misses_a_marking():
@@ -194,6 +162,11 @@ def test_contraction_check_names_a_marking_on_two_vertices():
         check_contractions(broken)
 
 
+def _rays(cx, *sides):
+    """The ray indices of the given marking-1-free sides."""
+    return [cx.ray_by_mask[Split.from_side(cx.n, side).mask] for side in sides]
+
+
 def test_contraction_check_names_a_cell_out_of_order():
     # at n = 5, the last 2-cell moved to the front of the 2-cells: the
     # walk reaches it from its prefix face, but then no longer reaches the
@@ -209,6 +182,30 @@ def test_contraction_check_names_a_cell_out_of_order():
     cells[:2] = cells[1::-1]
     with pytest.raises(AssertionError, match=r"^cell \{2,3\} is listed out of order$"):
         check_contractions(dataclasses.replace(cx, cell_rays=tuple(cells)))
+    # the 1-cell of ray {3,4,5} replaced by that ray repeated, placed
+    # first among the 2-cells: its mask is one ray's, so its last face is
+    # the point, and no ray's walk reaches it
+    r345, = _rays(cx, [3, 4, 5])
+    cells = list(cx.cell_rays)
+    cells.remove((r345,))
+    cells.insert(two[0] - 1, (r345, r345))
+    with pytest.raises(
+        AssertionError, match=r"^cell \{3,4,5\} \| \{3,4,5\} is listed out of order$"
+    ):
+        check_contractions(dataclasses.replace(cx, cell_rays=tuple(cells)))
+    # the 2-cell {2,3} | {2,3,4} listed with its last ray repeated, in
+    # place: its mask and last face are the 2-cell's, and the dimension
+    # bisection counts it among the 2-cells, but the walk reaches only
+    # tuples of the dimension's length
+    r23, r234 = _rays(cx, [2, 3], [2, 3, 4])
+    cells = list(cx.cell_rays)
+    cells[cell_of(cx, (r23, r234))] = (r23, r234, r234)
+    broken = dataclasses.replace(cx, cell_rays=tuple(cells))
+    assert broken.f_vector() == [1, 10, 15]
+    with pytest.raises(
+        AssertionError, match=r"^cell \{2,3\} \| \{2,3,4\} \| \{2,3,4\} is listed out of order$"
+    ):
+        check_contractions(broken)
 
 
 def test_contraction_check_names_a_face_that_is_no_cell():
@@ -226,18 +223,27 @@ def test_contraction_check_names_a_face_that_is_no_cell():
 
 
 def test_contraction_check_names_a_cell_listed_twice():
-    # at n = 5 the last maximal cell listed again: the index keys one
-    # cell fewer than there are, so the face maps would be misaligned
+    # at n = 5 the last maximal cell listed again: the index rejects the
+    # second copy of its mask, so the face maps stay aligned with the cells
     cx = complex_for(5)
     broken = dataclasses.replace(cx, cell_rays=cx.cell_rays + cx.cell_rays[-1:])
     with pytest.raises(AssertionError, match=r"^cell \{4,5\} \| \{3,4,5\} is listed twice$"):
         check_contractions(broken)
+    # the first ray listed twice in place
+    cells = cx.cell_rays[:2] + cx.cell_rays[1:]
+    with pytest.raises(AssertionError, match=r"^cell \{2,3\} is listed twice$"):
+        check_contractions(dataclasses.replace(cx, cell_rays=cells))
+    # the 2-cell {2,3} | {2,3,4} replaced by the ray {2,3} repeated: its
+    # mask is the ray's
+    r23, r234 = _rays(cx, [2, 3], [2, 3, 4])
+    cells = list(cx.cell_rays)
+    cells[cell_of(cx, (r23, r234))] = (r23, r23)
+    with pytest.raises(AssertionError, match=r"^cell \{2,3\} \| \{2,3\} is listed twice$"):
+        check_contractions(dataclasses.replace(cx, cell_rays=tuple(cells)))
 
 
 CONTRACTION_FAULT_ROWS = (
-    test_contraction_check_names_a_wrong_face,
     test_contraction_check_names_an_unstable_cell,
-    test_contraction_check_names_two_equal_faces,
     test_contraction_check_names_a_tree_that_misses_a_marking,
     test_contraction_check_names_a_marking_on_two_vertices,
     test_contraction_check_names_a_cell_out_of_order,
@@ -268,9 +274,9 @@ def _verdict(check, cx):
 def test_contraction_check_rejects_every_fault_the_per_edge_route_rejects():
     # one fault at a time, in a copy holding one cell and its faces: for
     # every cell, one of its rays swapped in the ray list with a random
-    # other ray, and for every edge, one random wrong face.  The new check
-    # rejects every fault the per-edge route rejects, and where it accepts
-    # one, both give the same profiles
+    # other ray, and for every edge, the copy without that edge's face.
+    # The new check rejects every fault the per-edge route rejects, and
+    # where it accepts one, both give the same profiles
     rng = random.Random(17)
     verdicts = Counter()
     for n in (5, 6):
@@ -285,28 +291,29 @@ def test_contraction_check_rejects_every_fault_the_per_edge_route_rejects():
             b = rng.randrange(len(rays) - 1)
             b += b >= a
             rays[a], rays[b] = rays[b], rays[a]
-            faults = [(("swap", a, b), dataclasses.replace(view, rays=tuple(rays)))]
-            top = view.codim1[-1]
-            for e, tgt in enumerate(top):
-                wrong = rng.randrange(len(closure) - 1)
-                wrong += wrong >= tgt
-                broken = dataclasses.replace(view)
-                broken.__dict__["codim1"] = view.codim1[:-1] + (top[:e] + (wrong,) + top[e + 1:],)
-                faults.append((("edge", e), broken))
-            for where, faulted in faults:
+            swapped = dataclasses.replace(view, rays=tuple(rays))
+            new, old = _verdict(check_contractions, swapped), _verdict(per_edge_contractions, swapped)
+            where = (n, cx.cell_name(i), a, b)
+            if isinstance(new, tuple):  # a swap that leaves a stable tree
+                assert new == old, where
+                verdicts["both accept"] += 1
+            elif isinstance(old, tuple):
+                # only crossing clades escape the per-edge route
+                assert new.endswith(" sits on two vertices"), (where, new)
+                verdicts["new rejects"] += 1
+            else:
+                verdicts["both reject"] += 1
+            for e in range(len(cell)):
+                face = cell[:e] + cell[e + 1:]
+                faulted = dataclasses.replace(view, cell_rays=tuple(c for c in closure if c != face))
                 new = _verdict(check_contractions, faulted)
                 old = _verdict(per_edge_contractions, faulted)
-                if isinstance(new, tuple):  # a swap that leaves a stable tree
-                    assert new == old, (n, cx.cell_name(i), where)
-                    verdicts["both accept"] += 1
-                elif isinstance(old, tuple):
-                    # only crossing clades escape the per-edge route
-                    assert new.endswith(" sits on two vertices"), (n, cx.cell_name(i), where, new)
-                    verdicts["new rejects"] += 1
-                else:
-                    verdicts["both reject"] += 1
-    assert sum(verdicts.values()) == 850  # 260 swaps, 590 wrong faces
-    assert verdicts == {"both accept": 78, "new rejects": 182, "both reject": 590}
+                assert new == old, (n, cx.cell_name(i), e, new, old)
+                assert new.startswith(f"contracting edge {cx.ray_name(cell[e])} of cell ")
+                assert new.endswith(" gives no cell")
+                verdicts["no face"] += 1
+    assert sum(verdicts.values()) == 850  # 260 swaps, 590 removed faces
+    assert verdicts == {"both accept": 73, "new rejects": 187, "no face": 590}
 
 
 def test_build_complex_walks_each_clade_tree_once(monkeypatch):
