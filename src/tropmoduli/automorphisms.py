@@ -296,8 +296,10 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
     drops the branch, and each completion must map every cell to a cell.
     Rays are assigned and images tried in ascending order; one completion
     is found per orbit of the stabilizer of the rays already fixed.  Reads
-    neither the compatibility graph nor ``cx.index``.  A search order that
-    its generators disagree with raises ``AssertionError`` naming n."""
+    no part of the compatibility graph; a completion's cell images are
+    looked up in ``cx.index``, whose keys are the cells' ray masks.  A
+    search order that its generators disagree with raises
+    ``AssertionError`` naming n."""
     R = len(cx.rays)
     width = cx.max_dimension + 1
     counts = [[0] * width for _ in range(R)]
@@ -308,7 +310,7 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
         if len(c) == 2:
             rows[c[0]] |= 1 << c[1]
             rows[c[1]] |= 1 << c[0]
-    cell_masks = {sum(1 << r for r in c) for c in cx.cell_rays}
+    index = cx.index
     perm = list(range(R))
 
     def members(mask):
@@ -329,7 +331,7 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
             found = (complete(k + 1, later[1:], v) for v in members(later[0]))
             return next(filter(None, found), None)
         bits = [1 << v for v in perm]  # distinct, so a sum is their OR
-        ok = all(sum(map(bits.__getitem__, c)) in cell_masks for c in cx.cell_rays)
+        ok = all(sum(map(bits.__getitem__, c)) in index for c in cx.cell_rays)
         return tuple(perm) if ok else None
 
     # prefix[k]: the domains of rays k.. with rays 0..k-1 fixed pointwise,

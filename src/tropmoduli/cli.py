@@ -83,22 +83,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_enumerate(args) -> tuple[str | None, dict, str | None]:
     catalog = enumerate_strata(args.n)
-    dims = sorted(catalog.cell_rays)
+    ranges = catalog.dim_ranges
     if args.dim is not None:
-        if args.dim not in catalog.cell_rays:
+        if args.dim not in ranges:
             raise ValueError(f"no strata of dimension {args.dim} for n={args.n}")
-        dims = [args.dim]
+        ranges = {args.dim: ranges[args.dim]}
+    cells = catalog.cell_rays
     sides = [list(s.side()) for s in catalog.rays]
     if args.format == "csv":
         names = [" ".join(map(str, side)) for side in sides]
         lines = ["dim,splits"]
-        for d in dims:
-            lines.extend(f"{d}," + "|".join(names[r] for r in c) for c in catalog.cell_rays[d])
+        for d, rng in ranges.items():
+            lines.extend(f"{d}," + "|".join(names[r] for r in cells[i]) for i in rng)
         return None, {}, "\n".join(lines) + "\n"
     payload = {
         "n": args.n,
         "f_vector": catalog.f_vector(),
-        "strata": {str(d): [[sides[r] for r in c] for c in catalog.cell_rays[d]] for d in dims},
+        "strata": {
+            str(d): [[sides[r] for r in cells[i]] for i in rng] for d, rng in ranges.items()
+        },
     }
     return None, payload, None
 
@@ -219,21 +222,20 @@ def _battery(max_n: int, seed: int, log) -> dict:
         checks.append({"name": name, "verdict": "PASS" if ok else "FAIL", **details})
         log(f"  {'PASS' if ok else 'FAIL'} {name}")
 
-    # Each n is enumerated once and its complex built once: the aut checks
-    # take the complexes the counting check built.
-    catalogs = {}
+    # Each n is enumerated once: the counting check builds each complex on
+    # its catalog's cell table, and the aut checks take those complexes.
     complexes = {}
 
     log(f"enumeration counts up to n={max_n}")
     for n in range(3, max_n + 1):
-        catalogs[n] = catalog = enumerate_strata(n)
+        complexes[n] = catalog = enumerate_strata(n)
         fv = catalog.f_vector()
         ok = fv == count_f_vector(n) and fv[-1] == count_maximal(n)
         add(f"enumeration n={n}", ok, f_vector=fv)
 
     log("expansion formula against brute force and star counts")
     for n in range(VERIFY_MIN_N, max_n + 1):
-        complexes[n] = cx = build_complex(n, catalogs.pop(n))
+        complexes[n] = cx = build_complex(n, complexes[n])
         mismatches, star_bad = _formula_mismatches(cx)
         bad = len(mismatches) + len(star_bad)
         add(f"counting formula n={n}", bad == 0, mismatches=bad)

@@ -1,6 +1,7 @@
 """The moduli space as a combinatorial cone complex.
 
-Cells are the strata of the catalog, indexed by (dimension, canonical
+:class:`ConeComplex` extends the stratum catalog with the face structure
+and shares its cell table: cells are indexed by (dimension, canonical
 order), each held as the sorted tuple of its ray indices and keyed in
 :attr:`ConeComplex.index` by its ray bitmask (bit r is ray r).  The
 index rejects a mask listed twice, so it is a bijection onto the cells.
@@ -21,12 +22,10 @@ walk records each cell's vertex profile
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 from .enumeration import StratumCatalog, enumerate_strata
-from .trees import CanonicalForm, Split
 
 __all__ = [
     "ConeComplex",
@@ -37,26 +36,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConeComplex:
-    """Face poset of the stratum catalog plus the compatibility graph on
-    rays (the dimension-1 cells)."""
-
-    n: int
-    rays: tuple[Split, ...]  # ray r is cell dim_ranges[1][r]
-    compat_masks: tuple[int, ...]  # adjacency rows of the ray-compatibility graph
-    cell_rays: tuple[tuple[int, ...], ...]  # per cell: its sorted ray indices
-
-    @cached_property
-    def cells(self) -> tuple[CanonicalForm, ...]:
-        """Each cell as a canonical form, built on first use (tests and
-        the benchmark's replay)."""
-        return tuple(
-            CanonicalForm(self.n, tuple(self.rays[r] for r in c)) for c in self.cell_rays
-        )
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(map(len, self.cell_rays))
+class ConeComplex(StratumCatalog):
+    """The stratum catalog's cells with their face poset, plus the
+    compatibility graph on rays (the dimension-1 cells): ray r is cell
+    ``dim_ranges[1][r]``."""
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -88,21 +71,6 @@ class ConeComplex:
             raise AssertionError(
                 f"contracting edge {self.ray_name(r)} of cell {self.cell_name(i)} gives no cell"
             ) from None
-
-    @cached_property
-    def dim_ranges(self) -> dict[int, range]:
-        """The cells of each dimension, as a range of cell indices, found
-        by bisection: cells are in dimension order."""
-        cells = self.cell_rays
-        bounds = [bisect_left(cells, d, key=len) for d in range(len(cells[-1]) + 2)]
-        return {d: range(a, b) for d, (a, b) in enumerate(zip(bounds, bounds[1:]))}
-
-    @property
-    def max_dimension(self) -> int:
-        return len(self.dim_ranges) - 1
-
-    def f_vector(self) -> list[int]:
-        return list(map(len, self.dim_ranges.values()))
 
     @cached_property
     def ray_by_mask(self) -> dict[int, int]:
@@ -144,7 +112,8 @@ class ConeComplex:
 
     def to_json_obj(self) -> dict:
         cells = [
-            {"index": i, "dim": d, "splits": self.cell_sides(i)} for i, d in enumerate(self.dims)
+            {"index": i, "dim": len(c), "splits": self.cell_sides(i)}
+            for i, c in enumerate(self.cell_rays)
         ]
         faces = {}
         for i, (c, targets) in enumerate(zip(self.cell_rays, self.codim1)):
@@ -166,9 +135,9 @@ class ConeComplex:
         if kind == "hasse":
             lines.append("digraph hasse {")
             lines.append('  rankdir="BT";')
-            for i, d in enumerate(self.dims):
+            for i, c in enumerate(self.cell_rays):
                 sides = " | ".join(",".join(map(str, side)) for side in self.cell_sides(i))
-                label = f"d{d}: " + (sides or "pt")
+                label = f"d{len(c)}: " + (sides or "pt")
                 lines.append(f'  c{i} [label="{label}"];')
             for i, entries in enumerate(self.codim1):
                 for tgt in entries:
@@ -191,15 +160,11 @@ class ConeComplex:
 def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
     """Materialize the cone complex: all cells in (dimension, canonical)
     order plus the codimension-1 face maps by index removal, each checked
-    by :func:`check_contractions`, which also records the vertex profiles."""
+    by :func:`check_contractions`, which also records the vertex profiles.
+    The complex shares the catalog's tables."""
     if catalog is None:
         catalog = enumerate_strata(n)
-    cx = ConeComplex(
-        n,
-        catalog.rays,
-        catalog.compat_rows,
-        tuple(c for d in sorted(catalog.cell_rays) for c in catalog.cell_rays[d]),
-    )
+    cx = ConeComplex(n, catalog.rays, catalog.compat_masks, catalog.cell_rays)
     cx.vertex_profiles  # force the contraction check
     return cx
 

@@ -4,7 +4,9 @@ A stable tree is determined by its split set, and the split sets that
 occur are exactly the pairwise-compatible ones, so the strata are the
 cliques of the compatibility graph on the rays (the splits, in (size,
 mask) order).  Each stratum is the sorted tuple of its ray indices, and
-cliques are grown level by level from bitmask rows of that graph.  The
+cliques are grown level by level from bitmask rows of that graph into
+one flat table in (dimension, lexicographic) order; the per-dimension
+ranges, the f-vector and the canonical forms are views of it.  The
 one-edge expansion route (:func:`expansions`) is only a test oracle for
 the expansion formula, whose production brute force counts subsets per
 vertex; :func:`count_f_vector` is an independent closed count of every
@@ -14,6 +16,7 @@ dimension.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,38 +58,51 @@ def _check_n(n: int) -> None:
 
 @dataclass(frozen=True)
 class StratumCatalog:
-    """All strata of the moduli space for one n, keyed by dimension
-    (= edge count).  A stratum is the sorted tuple of its indices into
-    ``rays``; each dimension is in lexicographic order, which is
-    canonical-form order because the rays are in (size, mask) order.
-    ``compat_rows[r]`` is the bitmask of the rays compatible with ray r."""
+    """All strata of the moduli space for one n, in one flat table in
+    (dimension, lexicographic) order, which is canonical-form order
+    because the rays are in (size, mask) order.  A stratum is the sorted
+    tuple of its indices into ``rays``, and its dimension (edge count)
+    is its length.  ``compat_masks[r]`` is the bitmask of the rays
+    compatible with ray r."""
 
     n: int
     rays: tuple[Split, ...]
-    compat_rows: tuple[int, ...]
-    cell_rays: dict[int, tuple[tuple[int, ...], ...]]
+    compat_masks: tuple[int, ...]
+    cell_rays: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def by_dimension(self) -> dict[int, tuple[CanonicalForm, ...]]:
-        """The strata as canonical forms, in the same order."""
-        return {
-            m: tuple(CanonicalForm(self.n, tuple(self.rays[r] for r in c)) for c in cells)
-            for m, cells in self.cell_rays.items()
-        }
+    def dim_ranges(self) -> dict[int, range]:
+        """The cells of each dimension, as a range of cell indices, found
+        by bisection: cells are in dimension order."""
+        cells = self.cell_rays
+        bounds = [bisect_left(cells, d, key=len) for d in range(len(cells[-1]) + 2)]
+        return {d: range(a, b) for d, (a, b) in enumerate(zip(bounds, bounds[1:]))}
 
     @property
     def max_dimension(self) -> int:
-        return max(self.cell_rays)
+        return len(self.dim_ranges) - 1
 
     def f_vector(self) -> list[int]:
-        return [len(self.cell_rays[m]) for m in sorted(self.cell_rays)]
+        return list(map(len, self.dim_ranges.values()))
+
+    @cached_property
+    def cells(self) -> tuple[CanonicalForm, ...]:
+        """Each cell as a canonical form, built on first use (tests and
+        the benchmark's replay)."""
+        return tuple(
+            CanonicalForm(self.n, tuple(self.rays[r] for r in c)) for c in self.cell_rays
+        )
+
+    @property
+    def by_dimension(self) -> dict[int, tuple[CanonicalForm, ...]]:
+        """The canonical forms of each dimension."""
+        return {d: self.cells[r.start:r.stop] for d, r in self.dim_ranges.items()}
 
     def total(self) -> int:
-        return sum(self.f_vector())
+        return len(self.cell_rays)
 
     def all_forms(self):
-        for m in sorted(self.by_dimension):
-            yield from self.by_dimension[m]
+        return iter(self.cells)
 
 
 def expansions(t: LeggedTree) -> list[tuple[LeggedTree, int]]:
@@ -138,10 +154,10 @@ def enumerate_strata(n: int) -> StratumCatalog:
         sum(1 << j for j, b in enumerate(rays) if j != i and splits_compatible(a, b))
         for i, a in enumerate(rays)
     )
-    cell_rays: dict[int, tuple[tuple[int, ...], ...]] = {}
+    cell_rays: list[tuple[int, ...]] = []
     level: list[tuple[tuple[int, ...], int]] = [((), (1 << len(rays)) - 1)]
     while level:
-        cell_rays[len(cell_rays)] = tuple(cell for cell, _ in level)
+        cell_rays += (cell for cell, _ in level)
         grown = []
         for cell, candidates in level:
             while candidates:
@@ -150,7 +166,7 @@ def enumerate_strata(n: int) -> StratumCatalog:
                 r = low.bit_length() - 1
                 grown.append((cell + (r,), candidates & rows[r]))
         level = grown
-    return StratumCatalog(n, rays, rows, cell_rays)
+    return StratumCatalog(n, rays, rows, tuple(cell_rays))
 
 
 def count_maximal(n: int) -> int:

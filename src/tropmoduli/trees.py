@@ -249,10 +249,11 @@ class LeggedTree:
     def canonical_form(self) -> CanonicalForm:
         if not self.is_stable:
             raise ValueError("canonical forms are defined for stable trees only")
-        form = CanonicalForm.from_splits(self.n, self.splits)
-        if len(form.splits) != len(self.edges):
-            raise AssertionError("distinct edges induced the same split")
-        return form
+        # one split per edge: cutting edges e and f leaves an end part A
+        # and a middle part B, and summing valence + legs - 2 >= 1 over
+        # their vertices gives legs(A) >= 2 and legs(B) >= 1, so the
+        # splits {A, B + C} and {A + B, C} differ
+        return CanonicalForm.from_splits(self.n, self.splits)
 
     def __eq__(self, other):
         if not isinstance(other, LeggedTree):

@@ -1,10 +1,11 @@
 """Cached builders shared across test modules (catalogs and complexes
-are immutable, so one instance per n serves the whole run), call and
-object counters, and the guard that every ``raise AssertionError`` of a
-module has a fault row."""
+are immutable, so one instance per n serves the whole run), the CLI run
+in-process, call and object counters, and the guard that every
+``raise AssertionError`` of a module has a fault row."""
 
 import ast
 import inspect
+import io
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -12,6 +13,7 @@ from functools import lru_cache
 import pytest
 
 from tropmoduli import build_complex, enumerate_strata
+from tropmoduli.cli import run
 from tropmoduli.trees import CanonicalForm, LeggedTree
 
 
@@ -23,6 +25,20 @@ def catalog(n):
 @lru_cache(maxsize=None)
 def complex_for(n):
     return build_complex(n, catalog(n))
+
+
+def invoke(*argv):
+    """Run the CLI in-process: (exit status, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = run(list(argv), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def one_check_failed(err):
+    """The one ``check failed:`` line a failed internal check prints."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("check failed: "), err
+    return lines[0]
 
 
 def ray_mask(rays) -> int:
@@ -77,18 +93,23 @@ def _counted(counter, cls):
     return wrapper
 
 
-def unreached_raises(module, rows) -> list[str]:
-    """The ``raise AssertionError(...)`` statements of ``module`` that no
-    fault row in ``rows`` reaches, by line and source."""
+def assertion_raises(module) -> list[ast.Raise]:
+    """The ``raise AssertionError(...)`` statements of ``module``."""
     with open(module.__file__) as f:
         tree = ast.parse(f.read())
-    raises = [
+    return [
         node
         for node in ast.walk(tree)
         if isinstance(node, ast.Raise)
         and isinstance(node.exc, ast.Call)
         and getattr(node.exc.func, "id", None) == "AssertionError"
     ]
+
+
+def unreached_raises(module, rows) -> list[str]:
+    """The ``raise AssertionError(...)`` statements of ``module`` that no
+    fault row in ``rows`` reaches, by line and source."""
+    raises = assertion_raises(module)
     assert raises
     reached = set().union(*(_assertion_lines(module, row) for row in rows))
     return [

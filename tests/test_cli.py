@@ -3,7 +3,6 @@
 import ast
 import hashlib
 import inspect
-import io
 import itertools
 import json
 import math
@@ -12,18 +11,20 @@ from collections import Counter
 import pytest
 
 from tropmoduli.automorphisms import DEFAULT_SEED, main_theorem_report
-from tropmoduli.cli import EXIT_ENVELOPE, EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
+from tropmoduli.cli import EXIT_ENVELOPE, EXIT_FAIL, EXIT_OK, EXIT_USAGE
 from tropmoduli.counting import LEMMA_MAX_BOUND
 from tropmoduli.enumeration import ENVELOPE_MAX_N
 from tropmoduli.trees import Split
 
-from shared import complex_for, count_built, count_calls, count_tree_objects, unreached_raises
-
-
-def invoke(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    code = run(list(argv), stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
+from shared import (
+    complex_for,
+    count_built,
+    count_calls,
+    count_tree_objects,
+    invoke,
+    one_check_failed,
+    unreached_raises,
+)
 
 
 def invoke_json(*argv):
@@ -357,7 +358,7 @@ def test_graph_search_that_misses_one_generator_fails_its_order_check(monkeypatc
     _drop_coset_reps(monkeypatch, 25, lambda path: len(path) - 2)
     code, out, err = invoke("aut", "--n", "6", "--method", "graph")
     assert (code, out) == (EXIT_FAIL, "")
-    assert _one_check_failed(err).startswith("check failed: graph search at n=6: search order 360 ")
+    assert one_check_failed(err).startswith("check failed: graph search at n=6: search order 360 ")
 
 
 def test_poset_search_that_misses_one_generator_fails_its_order_check(monkeypatch):
@@ -386,7 +387,7 @@ def test_poset_search_that_misses_one_generator_fails_its_order_check(monkeypatc
     monkeypatch.setattr(automorphisms, "_sims_group", faulty_sims_group)
     code, out, err = invoke("aut", "--n", "5", "--method", "poset")
     assert (code, out, len(dropped)) == (EXIT_FAIL, "", 1)
-    assert _one_check_failed(err) == (
+    assert one_check_failed(err) == (
         "check failed: poset search at n=5: search order 60 disagrees with generated group order 120"
     )
 
@@ -674,8 +675,8 @@ def test_each_generator_cell_map_runs_once(monkeypatch):
 
 
 def _faulty_catalog(monkeypatch, fault):
-    """Let every complex be built from a catalog whose cells ``fault``
-    rewrites, given the cells by dimension."""
+    """Let every complex be built from a catalog whose cell table
+    ``fault`` rewrites, given the catalog."""
     from dataclasses import replace
 
     from tropmoduli import cones
@@ -684,40 +685,31 @@ def _faulty_catalog(monkeypatch, fault):
 
     def faulty(n):
         catalog = enumerate_(n)
-        return replace(catalog, cell_rays=fault(dict(catalog.cell_rays)))
+        return replace(catalog, cell_rays=fault(catalog))
 
     monkeypatch.setattr(cones, "enumerate_strata", faulty)
 
 
-def _one_check_failed(err):
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("check failed: "), err
-    return lines[0]
-
-
 def test_a_catalog_missing_a_face_fails_the_check(monkeypatch):
     # with one 2-cell dropped at n = 6, a 3-cell has a face that is no cell
-    def drop_a_two_cell(cells):
-        cells[2] = cells[2][1:]
-        return cells
+    def drop_a_two_cell(catalog):
+        first = catalog.dim_ranges[2].start
+        return catalog.cell_rays[:first] + catalog.cell_rays[first + 1:]
 
     _faulty_catalog(monkeypatch, drop_a_two_cell)
     code, out, err = invoke("aut", "--n", "6")
     assert (code, out) == (EXIT_FAIL, "")
-    assert " gives no cell" in _one_check_failed(err)
+    assert " gives no cell" in one_check_failed(err)
 
 
 def test_a_catalog_listing_a_cell_twice_fails_the_check():
     # the last maximal cell at n = 6 appended twice more, and the first
     # ray listed twice in place
-    def repeat_the_last_cell(cells):
-        top = max(cells)
-        cells[top] += cells[top][-1:] * 2
-        return cells
+    def repeat_the_last_cell(catalog):
+        return catalog.cell_rays + catalog.cell_rays[-1:] * 2
 
-    def repeat_the_first_ray(cells):
-        cells[1] = cells[1][:1] + cells[1]
-        return cells
+    def repeat_the_first_ray(catalog):
+        return catalog.cell_rays[:2] + catalog.cell_rays[1:]
 
     for fault, line in (
         (repeat_the_last_cell, "check failed: cell {5,6} | {4,5,6} | {3,4,5,6} is listed twice"),
@@ -728,7 +720,7 @@ def test_a_catalog_listing_a_cell_twice_fails_the_check():
             for argv in (("count", "--check", "formula", "--n", "6"), ("aut", "--n", "6")):
                 code, out, err = invoke(*argv)
                 assert (code, out) == (EXIT_FAIL, ""), argv
-                assert _one_check_failed(err) == line, argv
+                assert one_check_failed(err) == line, argv
 
 
 def test_order_check_sifts_each_schreier_generator_once(monkeypatch):

@@ -14,6 +14,7 @@ from tropmoduli import Split, build_complex, splits_compatible, star_count
 from tropmoduli import cones
 from tropmoduli.cones import check_contractions
 from shared import (
+    catalog,
     cell_of,
     complex_for,
     count_calls,
@@ -53,17 +54,18 @@ def test_n5_structure():
 def test_cells_sorted_by_dimension_then_form():
     for n in (4, 5, 6):
         cx = complex_for(n)
-        keys = [(cx.dims[i], cx.cells[i].sort_key()) for i in range(len(cx.cells))]
+        keys = [(len(c), form.sort_key()) for c, form in zip(cx.cell_rays, cx.cells)]
         assert keys == sorted(keys)
 
 
 def test_face_relation_is_graded():
     for n in (4, 5, 6):
         cx = complex_for(n)
+        dims = list(map(len, cx.cell_rays))
         for i, faces in enumerate(cx.codim1):
-            assert len(faces) == cx.dims[i]
+            assert len(faces) == dims[i]
             for tgt in faces:
-                assert cx.dims[tgt] == cx.dims[i] - 1
+                assert dims[tgt] == dims[i] - 1
             assert len(set(faces)) == len(faces)
 
 
@@ -91,7 +93,7 @@ def test_face_maps_compose():
         for k in (1, 2, 3):
             for drop in itertools.combinations(splits, k):
                 tgt, retained = face(cx, i, drop)
-                assert cx.dims[tgt] == 3 - k
+                assert len(cx.cell_rays[tgt]) == 3 - k
                 # stepwise contraction reaches the same cell
                 step = i
                 for s in drop:
@@ -327,6 +329,16 @@ def test_build_complex_walks_each_clade_tree_once(monkeypatch):
     assert len({id(p) for p in profiles}) == len(set(profiles))
 
 
+def test_build_complex_shares_the_catalog_tables():
+    # the complex is the catalog with its face structure: no table is copied
+    for n in (4, 6, 8):
+        cat = catalog(n)
+        cx = build_complex(n, cat)
+        assert cx.cell_rays is cat.cell_rays
+        assert cx.rays is cat.rays
+        assert cx.compat_masks is cat.compat_masks
+
+
 def test_build_complex_builds_no_tree_objects(monkeypatch):
     built = count_tree_objects(monkeypatch)
     cx = build_complex(7)
@@ -351,8 +363,8 @@ def test_vertex_profiles_past_the_per_edge_route_are_pinned():
 def test_unique_minimum():
     for n in (4, 5, 6):
         cx = complex_for(n)
-        assert cx.dims[0] == 0
-        assert all(d > 0 for d in cx.dims[1:])
+        assert cx.cell_rays[0] == ()
+        assert all(cx.cell_rays[1:])
 
 
 def test_maximal_cell_count_matches_double_factorial():
@@ -384,8 +396,6 @@ def test_flag_property():
                 )
         assert set(cliques) == cells_as_sets
         assert len(cliques) == len(cx.cells)
-        for s, d in zip(cx.cell_rays, cx.dims):
-            assert len(s) == d
 
 
 def test_star_counts_n4():
@@ -416,7 +426,7 @@ def test_every_cell_star_equals_coface_scan():
         direct = sum(
             1
             for j in range(len(cx.cells))
-            if cx.dims[j] == cx.dims[i] + 1 and sets[i] < sets[j]
+            if len(sets[j]) == len(sets[i]) + 1 and sets[i] < sets[j]
         )
         assert star_count(cx, i) == direct
 

@@ -79,7 +79,7 @@ def test_vertex_profile_invariants():
     # edge per ray of the cell
     for n in (4, 5, 6, 7):
         cx = complex_for(n)
-        for pairs, dim in zip(cx.vertex_profiles, cx.dims):
+        for pairs, dim in zip(cx.vertex_profiles, map(len, cx.cell_rays)):
             assert len(pairs) == dim + 1
             assert sum(legs for legs, _ in pairs) == n
             assert sum(val for _, val in pairs) == 2 * dim

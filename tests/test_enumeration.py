@@ -36,6 +36,19 @@ def test_f_vectors(n, expected):
     assert catalog(n).f_vector() == expected
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_catalog_is_one_flat_table_in_dimension_order(n):
+    cat = catalog(n)
+    assert type(cat.cell_rays) is tuple
+    assert all(type(c) is tuple for c in cat.cell_rays)
+    ranges = list(cat.dim_ranges.values())
+    assert [len(r) for r in ranges] == count_f_vector(n)
+    assert [r.start for r in ranges[1:]] == [r.stop for r in ranges[:-1]]
+    assert (ranges[0].start, ranges[-1].stop) == (0, len(cat.cell_rays))
+    for d, r in cat.dim_ranges.items():
+        assert {len(cat.cell_rays[i]) for i in r} == {d}
+
+
 def expansion_catalog(n):
     """Strata by dimension through the tree route: breadth-first one-edge
     expansions from the single-vertex tree, deduplicated by canonical

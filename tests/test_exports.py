@@ -1,6 +1,6 @@
 """Each module's ``__all__`` lists exactly the public functions and
 classes it defines, every entry resolves, and every entry has a caller
-outside the tests."""
+outside the tests; so does every public member of the cell tables."""
 
 import ast
 import importlib
@@ -74,3 +74,34 @@ def test_every_public_name_has_a_caller():
         if name not in used
     ]
     assert unused == []
+
+
+def _read_attributes(path):
+    """Every attribute name a file reads from an object other than
+    ``self``, as in ``cx.name``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) != "self"
+    }
+
+
+@pytest.mark.parametrize("cls", [tropmoduli.StratumCatalog, tropmoduli.ConeComplex])
+def test_every_public_table_member_has_a_reader(cls):
+    # a public method or property of the cell tables must be read from
+    # outside its class by package code or by the benchmark: one that only
+    # tests read belongs in tests/, and one only its class reads is private
+    read = set()
+    for path in SRC.glob("*.py"):
+        read |= _read_attributes(path)
+    for path in PERFBENCH.glob("*.py"):
+        if not path.name.startswith("test_"):
+            read |= _read_attributes(path) | _used_names(path, imports_only=True)
+    members = [
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_") and callable(getattr(value, "__get__", None))
+    ]
+    assert members
+    assert [name for name in members if name not in read] == []

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from tropmoduli import genus2
+from tropmoduli.cli import EXIT_FAIL
 from tropmoduli.genus2 import (
     QuotientCell,
     WeightedGraph,
@@ -28,6 +29,7 @@ from genus2_reference import (
     reference_search,
     whole_candidates,
 )
+from shared import invoke, one_check_failed, unreached_raises
 
 
 @lru_cache(maxsize=1)
@@ -146,6 +148,19 @@ def test_contract_rejects_bad_index():
         contract_weighted_edge(cell("theta").graph, 5)
 
 
+def test_contraction_keeps_the_genus():
+    # every edge of every fixture cell, and of a few graphs whose other
+    # edges become loops or stay parallel when an edge is contracted
+    graphs = [c.graph for c in m2_cells()] + [
+        WeightedGraph((0, 0, 0), ((0, 1), (1, 2), (2, 0), (0, 1))),
+        WeightedGraph((1, 0, 2), ((0, 1), (1, 2), (1, 1), (2, 2))),
+        WeightedGraph((0, 3), ((0, 1), (0, 1), (0, 0))),
+    ]
+    for g in graphs:
+        for e in range(len(g.edges)):
+            assert contract_weighted_edge(g, e).genus == g.genus
+
+
 def test_specialization_arrows_complete():
     # the covering relations of the face poset, by cell name
     cx = m2()
@@ -168,10 +183,18 @@ def with_cells(monkeypatch, cells):
     monkeypatch.setattr(genus2, "m2_cells", lambda: cells)
 
 
+def genus2_check_failed():
+    """The one line that ``tropmoduli genus2`` prints when it fails a check."""
+    code, out, err = invoke("genus2")
+    assert (code, out) == (EXIT_FAIL, "")
+    return one_check_failed(err)
+
+
 def test_build_rejects_wrong_genus(monkeypatch):
     with_cells(monkeypatch, m2_cells() + (QuotientCell("point_w3", WeightedGraph((3,), ())),))
     with pytest.raises(AssertionError, match="point_w3 does not have genus 2"):
         build_m2_complex()
+    assert genus2_check_failed() == "check failed: point_w3 does not have genus 2"
 
 
 def test_build_rejects_unstable_cell(monkeypatch):
@@ -179,6 +202,7 @@ def test_build_rejects_unstable_cell(monkeypatch):
     with_cells(monkeypatch, m2_cells() + (bad,))
     with pytest.raises(AssertionError, match="bivalent is not stable"):
         build_m2_complex()
+    assert genus2_check_failed() == "check failed: bivalent is not stable"
 
 
 def test_build_rejects_ambiguous_contraction(monkeypatch):
@@ -188,6 +212,20 @@ def test_build_rejects_ambiguous_contraction(monkeypatch):
     with_cells(monkeypatch, cells[:3] + (loop,) + cells[3:])
     with pytest.raises(AssertionError, match="edge 0 of figure_eight matches 2 strata"):
         build_m2_complex()
+    assert genus2_check_failed() == (
+        "check failed: contracting edge 0 of figure_eight matches 2 strata"
+    )
+
+
+def test_build_rejects_contraction_to_no_stratum(monkeypatch):
+    # without the weight-1 loop, contracting a loop of the figure eight
+    # gives no cell
+    cells = m2_cells()
+    assert cells[2].name == "loop_w1"
+    with_cells(monkeypatch, cells[:2] + cells[3:])
+    assert genus2_check_failed() == (
+        "check failed: contracting edge 0 of figure_eight matches 0 strata"
+    )
 
 
 def test_build_rejects_face_after_its_cell(monkeypatch):
@@ -196,6 +234,31 @@ def test_build_rejects_face_after_its_cell(monkeypatch):
         AssertionError, match="face figure_eight of theta does not come before it"
     ):
         build_m2_complex()
+    assert genus2_check_failed() == (
+        "check failed: face figure_eight of theta does not come before it"
+    )
+
+
+def test_a_face_check_that_accepts_everything_fails_the_swap_witness(monkeypatch):
+    monkeypatch.setattr(genus2, "_check_cell", lambda cx, cell_map, edge_maps, i: None)
+    assert genus2_check_failed() == (
+        "check failed: the bridge/loop swap was unexpectedly accepted"
+    )
+
+
+GENUS2_FAULT_ROWS = (
+    test_build_rejects_wrong_genus,
+    test_build_rejects_unstable_cell,
+    test_build_rejects_ambiguous_contraction,
+    test_build_rejects_contraction_to_no_stratum,
+    test_build_rejects_face_after_its_cell,
+    test_a_face_check_that_accepts_everything_fails_the_swap_witness,
+)
+
+
+def test_every_genus2_check_raise_has_a_fault_row():
+    # a raise no fault row reaches is either untested or cannot fire
+    assert unreached_raises(genus2, GENUS2_FAULT_ROWS) == []
 
 
 def test_face_arrows_commute_with_edge_groups():

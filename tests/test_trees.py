@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropmoduli import CanonicalForm, LeggedTree, Split, splits_compatible, tree_from_splits
+from tropmoduli import trees
 
-from shared import catalog
+from shared import assertion_raises, catalog
 from tree_oracles import (
     apply_marking_permutation,
     are_isomorphic,
@@ -152,6 +153,16 @@ def test_round_trip_over_catalog():
             t = form.to_tree()
             assert t.is_stable
             assert t.canonical_form == form
+
+
+def test_distinct_edges_give_distinct_splits():
+    # LeggedTree.canonical_form proves this instead of checking it at run
+    # time, so the module keeps no AssertionError for a fault row to reach
+    assert assertion_raises(trees) == []
+    for n in (4, 5, 6, 7):
+        for form in catalog(n).all_forms():
+            t = form.to_tree()
+            assert len(set(t.splits)) == len(t.edges)
 
 
 # ---------------------------------------------------------------------------

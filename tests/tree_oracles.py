@@ -215,7 +215,7 @@ def tuple_cell_map(f) -> tuple[int, ...]:
     image = f.ray_perm.__getitem__
     images = map(tuple, map(sorted, map(map, itertools.repeat(image), cx.cell_rays)))
     out = tuple(map(index.get, images))
-    dims = cx.dims
+    dims = tuple(map(len, cx.cell_rays))
     if None in out or tuple(map(dims.__getitem__, out)) != dims:
         i = next(i for i, j in enumerate(out) if j is None or dims[j] != dims[i])
         name = cx.cell_name(i)
