@@ -29,6 +29,7 @@ from .counting import brute_force_partition_count, lemma_power_sweep, per_vertex
 from .enumeration import (
     ENVELOPE_MAX_N,
     EnvelopeError,
+    check_n,
     count_f_vector,
     count_maximal,
     enumerate_strata,
@@ -82,11 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> tuple[str | None, dict, str | None]:
+    check_n(args.n)
+    if args.dim is not None and args.dim not in range(args.n - 2):
+        raise ValueError(f"no strata of dimension {args.dim} for n={args.n}")
     catalog = enumerate_strata(args.n)
     ranges = catalog.dim_ranges
     if args.dim is not None:
-        if args.dim not in ranges:
-            raise ValueError(f"no strata of dimension {args.dim} for n={args.n}")
         ranges = {args.dim: ranges[args.dim]}
     cells = catalog.cell_rays
     sides = [list(s.side()) for s in catalog.rays]

@@ -31,6 +31,7 @@ from .trees import (
 __all__ = [
     "ENVELOPE_MAX_N",
     "EnvelopeError",
+    "check_n",
     "StratumCatalog",
     "enumerate_strata",
     "expansions",
@@ -46,7 +47,9 @@ class EnvelopeError(RuntimeError):
     """A request exceeds the supported problem size."""
 
 
-def _check_n(n: int) -> None:
+def check_n(n: int) -> None:
+    """Reject an n below the stable range (ValueError) or beyond the
+    envelope (EnvelopeError)."""
     if n < MIN_MARKINGS:
         raise ValueError(f"need n >= {MIN_MARKINGS}, got {n}")
     if n > ENVELOPE_MAX_N:
@@ -148,7 +151,7 @@ def enumerate_strata(n: int) -> StratumCatalog:
     increasing order, from parents in lexicographic order, yields every
     clique exactly once and each level already sorted.
     """
-    _check_n(n)
+    check_n(n)
     rays = tuple(all_splits(n))
     rows = tuple(
         sum(1 << j for j, b in enumerate(rays) if j != i and splits_compatible(a, b))

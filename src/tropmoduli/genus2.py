@@ -193,12 +193,8 @@ class M2Complex:
     cells: tuple[QuotientCell, ...]
     arrows: tuple[tuple[tuple[int, dict[int, int]], ...], ...]
 
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.cells)
-
     def cell_index(self, name: str) -> int:
-        return self.names.index(name)
+        return [c.name for c in self.cells].index(name)
 
     def f_vector(self) -> list[int]:
         dims = [c.dimension for c in self.cells]

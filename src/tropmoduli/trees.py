@@ -85,9 +85,6 @@ class Split:
     def sort_key(self) -> tuple[int, int]:
         return (self.mask.bit_count(), self.mask)
 
-    def __lt__(self, other: "Split"):
-        return self.sort_key() < other.sort_key()
-
     def __repr__(self):
         return f"Split({self.n}, {{{','.join(map(str, self.side()))}}})"
 

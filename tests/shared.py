@@ -12,8 +12,9 @@ from functools import lru_cache
 
 import pytest
 
-from tropmoduli import build_complex, enumerate_strata
 from tropmoduli.cli import run
+from tropmoduli.cones import build_complex
+from tropmoduli.enumeration import enumerate_strata
 from tropmoduli.trees import CanonicalForm, LeggedTree
 
 

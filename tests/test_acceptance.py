@@ -6,22 +6,18 @@ import io
 import json
 import time
 
-from tropmoduli import (
+from tropmoduli.automorphisms import (
+    DEFAULT_SEED,
     aut_via_compat_graph,
     aut_via_poset,
-    bridge_loop_swap_violation,
-    build_m2_complex,
-    count_maximal,
-    enumerate_strata,
-    expansion_count_formula,
-    expansions,
-    lemma_power_sweep,
+    main_theorem_report,
     sn_kernel,
-    star_count,
 )
-from tropmoduli.automorphisms import DEFAULT_SEED, main_theorem_report
 from tropmoduli.cli import run
-from tropmoduli.genus2 import aut_m2
+from tropmoduli.cones import star_count
+from tropmoduli.counting import expansion_count_formula, lemma_power_sweep
+from tropmoduli.enumeration import count_maximal, enumerate_strata, expansions
+from tropmoduli.genus2 import aut_m2, bridge_loop_swap_violation, build_m2_complex
 
 from shared import catalog, complex_for
 from tree_oracles import automorphisms_of_tree

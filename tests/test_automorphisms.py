@@ -14,22 +14,19 @@ from functools import lru_cache
 import pytest
 
 from tropmoduli import automorphisms
-from tropmoduli import (
-    ComplexAutomorphism,
-    Split,
-    aut_via_compat_graph,
-    aut_via_poset,
-    reconstruct_sigma,
-    sn_kernel,
-)
 from tropmoduli.automorphisms import (
     DEFAULT_SEED,
+    ComplexAutomorphism,
     ReconstructionError,
+    aut_via_compat_graph,
+    aut_via_poset,
     expected_order,
     graph_automorphism_group,
     main_theorem_report,
     marking_ray_permutation,
+    reconstruct_sigma,
     sn_image_group,
+    sn_kernel,
 )
 from tropmoduli.enumeration import EnvelopeError, all_splits
 from tropmoduli.groups import (
@@ -39,6 +36,7 @@ from tropmoduli.groups import (
     identity_perm,
     perm_cycles,
 )
+from tropmoduli.trees import Split
 
 from shared import complex_for
 from poset_reference import aut_via_poset as reference_aut_via_poset

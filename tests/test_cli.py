@@ -63,6 +63,22 @@ def test_enumerate_bad_dim_is_usage_error():
     assert code == EXIT_USAGE
 
 
+def test_enumerate_checks_dim_before_enumerating(monkeypatch):
+    from tropmoduli import cli
+
+    calls = count_calls(monkeypatch, cli, "enumerate_strata")
+    for dim in ("9", "-1"):
+        code, out, err = invoke("enumerate", "--n", "8", "--dim", dim)
+        assert code == EXIT_USAGE, dim
+        assert out == "" and err == f"error: no strata of dimension {dim} for n=8\n"
+    # n's own checks still come first
+    code, _, err = invoke("enumerate", "--n", "2", "--dim", "0")
+    assert code == EXIT_USAGE and "need n >= 3" in err
+    code, _, err = invoke("enumerate", "--n", "9", "--dim", "99")
+    assert code == EXIT_ENVELOPE and "envelope" in err
+    assert calls == Counter()
+
+
 def test_bad_usage_exit():
     code, _, _ = invoke("enumerate")
     assert code == EXIT_USAGE
@@ -234,6 +250,9 @@ def test_payload_bytes_are_pinned():
     assert payload_sha256("count", "--check", "formula", "--n", "7") == (
         "72e6f9deec53fd44e31092c41f56a7f472abdb46f9925571e7a95b746ad3a6ec"
     )
+    assert payload_sha256("report", "--max-n", "6") == (
+        "0bf21e54b53e342983d3ecbff94772915bc0c716ccf31e0343e8a00ec12cc7c7"
+    )
     assert payload_sha256("report", "--max-n", "7") == (
         "59b42cdf11c06475528345f17e5128222c4dd9c8b3682557bb02157bca488e0b"
     )
@@ -267,6 +286,14 @@ def test_payload_bytes_are_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "454e5f8b7a0c04a6474957d532cd6d69c82a5492289c262fa0b6605fc8e9cd34"
     )
+    # the DOT exports, as raw bytes
+    for kind, digest in (
+        ("hasse", "79a4cacc122da66f247cfc9ff55f5737132023d852d41876fa6a6a7733fca750"),
+        ("compat", "fff55293610b0ce8803de05b0e65e37be63bc141306f80a3f5b06d30127fd202"),
+    ):
+        code, out, _ = invoke("complex", "--n", "6", "--dot", kind)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
 
 
 def test_enumerate_builds_no_tree_objects(monkeypatch):

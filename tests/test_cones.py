@@ -10,9 +10,9 @@ from collections import Counter
 
 import pytest
 
-from tropmoduli import Split, build_complex, splits_compatible, star_count
 from tropmoduli import cones
-from tropmoduli.cones import check_contractions
+from tropmoduli.cones import build_complex, check_contractions, star_count
+from tropmoduli.trees import Split, splits_compatible
 from shared import (
     catalog,
     cell_of,
@@ -368,7 +368,7 @@ def test_unique_minimum():
 
 
 def test_maximal_cell_count_matches_double_factorial():
-    from tropmoduli import count_maximal
+    from tropmoduli.enumeration import count_maximal
 
     for n in (4, 5, 6):
         cx = complex_for(n)
@@ -466,7 +466,7 @@ def test_dot_exports():
 
 
 def test_build_rejects_envelope():
-    from tropmoduli import EnvelopeError
+    from tropmoduli.enumeration import EnvelopeError
 
     with pytest.raises(EnvelopeError):
         build_complex(9)

@@ -3,15 +3,15 @@ the power-of-two sweep."""
 
 import pytest
 
-from tropmoduli import (
+from tropmoduli.cones import star_count
+from tropmoduli.counting import (
+    brute_force_partition_count,
     expansion_count_formula,
-    expansions,
     lemma_power_check,
     lemma_power_sweep,
     per_vertex_partition_count,
-    star_count,
 )
-from tropmoduli.counting import brute_force_partition_count
+from tropmoduli.enumeration import expansions
 
 from shared import catalog, complex_for
 from tree_oracles import single_vertex_tree, vertex_profile

@@ -6,15 +6,15 @@ import itertools
 
 import pytest
 
-from tropmoduli import (
-    CanonicalForm,
+from tropmoduli.enumeration import (
     EnvelopeError,
+    all_splits,
     count_f_vector,
     count_maximal,
     enumerate_strata,
     expansions,
 )
-from tropmoduli.enumeration import all_splits
+from tropmoduli.trees import CanonicalForm
 
 from shared import catalog
 from tree_oracles import apply_marking_permutation, contract, single_vertex_tree, two_vertex_tree

@@ -11,6 +11,10 @@ from pathlib import Path
 import pytest
 
 import tropmoduli
+from tropmoduli.cones import ConeComplex
+from tropmoduli.enumeration import StratumCatalog
+
+from shared import assertion_raises
 
 MODULES = [tropmoduli] + [
     importlib.import_module(f"tropmoduli.{m.name}")
@@ -87,7 +91,7 @@ def _read_attributes(path):
     }
 
 
-@pytest.mark.parametrize("cls", [tropmoduli.StratumCatalog, tropmoduli.ConeComplex])
+@pytest.mark.parametrize("cls", [StratumCatalog, ConeComplex])
 def test_every_public_table_member_has_a_reader(cls):
     # a public method or property of the cell tables must be read from
     # outside its class by package code or by the benchmark: one that only
@@ -105,3 +109,34 @@ def test_every_public_table_member_has_a_reader(cls):
     ]
     assert members
     assert [name for name in members if name not in read] == []
+
+
+# what every module has, before it binds anything of its own
+MODULE_DUNDERS = {
+    "__builtins__", "__cached__", "__doc__", "__file__",
+    "__loader__", "__name__", "__package__", "__path__", "__spec__",
+}
+
+
+def test_the_package_binds_only_its_version():
+    # each public name is reached one way, from the module that defines
+    # it; importing a submodule binds it on the package, which is no
+    # second copy of a name
+    bound = {
+        name
+        for name, value in vars(tropmoduli).items()
+        if getattr(value, "__name__", None) != f"tropmoduli.{name}"
+    }
+    assert bound - MODULE_DUNDERS == {"__version__"}
+
+
+# each ``raise AssertionError`` of these modules is reached by a fault row
+# (the ``unreached_raises`` tests in test_cones, test_cli and test_genus2)
+FAULT_ROW_MODULES = {"tropmoduli.cones", "tropmoduli.automorphisms", "tropmoduli.genus2"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_only_modules_with_fault_rows_raise_assertion_error(module):
+    # a new ``raise AssertionError`` elsewhere fails here until the module
+    # gets fault rows that reach it
+    assert bool(assertion_raises(module)) == (module.__name__ in FAULT_ROW_MODULES)
