@@ -5,8 +5,10 @@ markings ``{1, ..., n}`` to its vertices.  It is *stable* when every
 vertex has valence + marking count at least 3.  Each edge separates
 the markings into an unordered bipartition, recorded as a
 :class:`Split`; because stable legged trees are rigid, the sorted
-split set is a complete isomorphism invariant and is used as the
-canonical form throughout the package.
+split set is a complete isomorphism invariant, the
+:class:`CanonicalForm`.  The package only goes from a canonical form
+to its tree (:func:`tree_from_splits`); the way back, from a tree to
+its splits, is a test oracle.
 """
 
 from __future__ import annotations
@@ -118,19 +120,8 @@ class CanonicalForm:
             if not splits_compatible(a, b):
                 raise ValueError(f"incompatible splits {a} and {b}")
 
-    @classmethod
-    def from_splits(cls, n: int, splits: Iterable[Split]) -> "CanonicalForm":
-        return cls(n, tuple(sorted(set(splits), key=Split.sort_key)))
-
     def to_tree(self) -> "LeggedTree":
         return tree_from_splits(self.n, self.splits)
-
-    def sort_key(self):
-        return tuple(s.sort_key() for s in self.splits)
-
-    def __repr__(self):
-        inner = ", ".join(repr(s) for s in self.splits)
-        return f"CanonicalForm(n={self.n}, [{inner}])"
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +129,8 @@ class LeggedTree:
     """A tree with vertices 0..num_vertices-1, an indexed edge list, and
     an assignment of markings 1..n to vertices (legs[i-1] carries marking i).
 
-    Vertex identifiers are arbitrary: equality and hashing go through the
-    canonical form whenever the tree is stable.
+    Vertex identifiers are arbitrary, so equality is identity: compare
+    trees by their canonical forms.
     """
 
     n: int
@@ -208,74 +199,6 @@ class LeggedTree:
             self.valence(v) + self.leg_count(v) >= 3 for v in range(self.num_vertices)
         )
 
-    @cached_property
-    def _edge_child_masks(self) -> tuple[tuple[int, int], ...]:
-        """Per edge, (child vertex, bitmask of markings in the child-side
-        component) for the tree rooted at vertex 0."""
-        parent_edge = [-1] * self.num_vertices
-        order = [0]
-        seen = {0}
-        for v in order:
-            for w, idx in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    parent_edge[w] = idx
-                    order.append(w)
-        masks = [0] * self.num_vertices
-        for i, v in enumerate(self.legs):
-            masks[v] |= 1 << i
-        child_of_edge = [(-1, 0)] * len(self.edges)
-        for v in reversed(order[1:]):
-            idx = parent_edge[v]
-            child_of_edge[idx] = (v, masks[v])
-            u, w = self.edges[idx]
-            masks[u if u != v else w] |= masks[v]
-        return tuple(child_of_edge)
-
-    @cached_property
-    def splits(self) -> tuple[Split, ...]:
-        """One split per edge, aligned with the edge index.  Requires
-        stability (otherwise some edge side can carry fewer than 2
-        markings)."""
-        return tuple(
-            Split(self.n, mask ^ (((1 << self.n) - 1) if mask & 1 else 0))
-            for _, mask in self._edge_child_masks
-        )
-
-    @cached_property
-    def canonical_form(self) -> CanonicalForm:
-        if not self.is_stable:
-            raise ValueError("canonical forms are defined for stable trees only")
-        # one split per edge: cutting edges e and f leaves an end part A
-        # and a middle part B, and summing valence + legs - 2 >= 1 over
-        # their vertices gives legs(A) >= 2 and legs(B) >= 1, so the
-        # splits {A, B + C} and {A + B, C} differ
-        return CanonicalForm.from_splits(self.n, self.splits)
-
-    def __eq__(self, other):
-        if not isinstance(other, LeggedTree):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        if self.is_stable and other.is_stable:
-            return self.canonical_form == other.canonical_form
-        return (
-            self.num_vertices == other.num_vertices
-            and self.edges == other.edges
-            and self.legs == other.legs
-        )
-
-    def __hash__(self):
-        if self.is_stable:
-            return hash(self.canonical_form)
-        return hash((self.n, self.num_vertices, self.edges, self.legs))
-
-    def __repr__(self):
-        return (
-            f"LeggedTree(n={self.n}, V={self.num_vertices}, "
-            f"edges={list(self.edges)}, legs={list(self.legs)})"
-        )
-
 
 def tree_from_splits(n: int, splits: Iterable[Split]) -> LeggedTree:
     """Build the stable tree realizing a pairwise-compatible split set.
@@ -283,7 +206,7 @@ def tree_from_splits(n: int, splits: Iterable[Split]) -> LeggedTree:
     The normalized sides (all avoiding marking 1) form a laminar family,
     so each split nests in a unique minimal strictly-larger one; that
     nesting forest, hung from a root holding marking 1, is the tree.
-    Inverse of :attr:`LeggedTree.canonical_form` up to isomorphism.
+    Inverse, up to isomorphism, of reading a stable tree's split set.
     """
     ss = sorted(set(splits), key=Split.sort_key)
     for s in ss:

@@ -41,7 +41,14 @@ from tropmoduli.trees import Split
 from shared import complex_for
 from poset_reference import aut_via_poset as reference_aut_via_poset
 from refine_reference import _refine as reference_refine
-from tree_oracles import compose_marking_perms, face, permuted, split_image, tuple_cell_map
+from tree_oracles import (
+    compose_marking_perms,
+    face,
+    permuted,
+    split_image,
+    tree_splits,
+    tuple_cell_map,
+)
 
 
 def induced(cx, sigma):
@@ -493,6 +500,40 @@ def test_reconstruct_rejects_a_lost_two_leg_vertex():
     assert report["failures"] == [f"generator:{format_cycles(perm)}"]
 
 
+def _ray_swap(cx, side_a, side_b):
+    """The ray permutation swapping the rays with the given sides."""
+    a, b = ray_of(cx, side_a), ray_of(cx, side_b)
+    perm = list(range(len(cx.rays)))
+    perm[a], perm[b] = b, a
+    return tuple(perm)
+
+
+def test_reconstruct_rejects_two_leg_images_without_one_common_marking():
+    # the 2-leg stratum on {1,3} goes to {4,5}, which shares no marking
+    # with the image {1,2} of the untouched {1,2}
+    cx = complex_for(5)
+    with pytest.raises(ReconstructionError) as excinfo:
+        reconstruct_sigma(ComplexAutomorphism(cx, _ray_swap(cx, [1, 3], [4, 5])))
+    assert str(excinfo.value) == (
+        "images of the 2-leg strata on {1,2} and {1,3} do not overlap "
+        "in exactly one marking: [1, 2] vs [4, 5]"
+    )
+
+
+def test_reconstruct_rejects_a_two_leg_image_missing_the_image_of_1():
+    # {1,2} and {1,3} are untouched, so sigma(1) = 1, and {1,4} goes to {2,3}
+    cx = complex_for(5)
+    with pytest.raises(ReconstructionError) as excinfo:
+        reconstruct_sigma(ComplexAutomorphism(cx, _ray_swap(cx, [1, 4], [2, 3])))
+    assert str(excinfo.value) == "image of the 2-leg stratum on {1,4} misses the image of 1"
+
+
+def test_automorphism_rejects_a_ray_map_that_is_no_permutation():
+    cx = complex_for(5)
+    with pytest.raises(ValueError, match="^not a permutation of the rays$"):
+        ComplexAutomorphism(cx, [0] * len(cx.rays))
+
+
 def test_cell_map_rejects_non_automorphism():
     # some cell holding one of the swapped rays maps to a ray set that is
     # no cell, and the error names the first such cell
@@ -586,7 +627,7 @@ def test_chain_middle_edge_preserved():
     def middle_split(t):
         for e, (u, v) in enumerate(t.edges):
             if t.valence(u) == 2 and t.valence(v) == 2:
-                return t.splits[e]
+                return tree_splits(t)[e]
         raise AssertionError("chain without a middle edge")
 
     checked = 0

@@ -533,6 +533,31 @@ def test_a_wrong_genus2_result_fails_the_genus2_check(monkeypatch):
         assert _failed_checks(report) == ["genus2"]
 
 
+def test_a_bad_sampled_element_fails_aut_n(monkeypatch):
+    # a sample no marking permutation induces (the rays of {1,3} and {4,5}
+    # swapped) fails the surjectivity check, and with it aut n=5 alone
+    from tropmoduli import cli
+    from tropmoduli.groups import PermutationGroup, format_cycles
+
+    cx = complex_for(5)
+    a, b = (cx.ray_by_mask[Split.from_side(5, side).mask] for side in ([1, 3], [4, 5]))
+    swap = list(range(len(cx.rays)))
+    swap[a], swap[b] = b, a
+    monkeypatch.setattr(PermutationGroup, "random_elements", lambda self, k, seed: [tuple(swap)])
+    reports = []
+
+    def recorded(*args):
+        reports.append(main_theorem_report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "main_theorem_report", recorded)
+    code, report, _ = invoke_json("report", "--max-n", "5")
+    assert code == EXIT_FAIL
+    assert _failed_checks(report) == ["aut n=5"]
+    assert [r["n"] for r in reports] == [4, 5]
+    assert reports[1]["surjectivity"]["failures"] == [f"sample:{format_cycles(swap)}"]
+
+
 BATTERY_FAULT_ROWS = (
     test_poset_search_that_misses_generators_is_a_fail,
     test_graph_search_that_misses_the_top_orbit_fails_aut_n,
@@ -542,6 +567,7 @@ BATTERY_FAULT_ROWS = (
     test_a_lemma_counterexample_fails_the_lemma_sweep_check,
     test_a_wrong_kernel_fails_the_klein_kernel_check,
     test_a_wrong_genus2_result_fails_the_genus2_check,
+    test_a_bad_sampled_element_fails_aut_n,
 )
 
 

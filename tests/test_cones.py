@@ -22,7 +22,15 @@ from shared import (
     ray_mask,
     unreached_raises,
 )
-from tree_oracles import contract, face, per_edge_contractions, tuple_codim1
+from tree_oracles import (
+    canonical_form,
+    contract,
+    face,
+    form_sort_key,
+    per_edge_contractions,
+    tree_splits,
+    tuple_codim1,
+)
 
 
 def test_n3_is_a_point():
@@ -54,7 +62,7 @@ def test_n5_structure():
 def test_cells_sorted_by_dimension_then_form():
     for n in (4, 5, 6):
         cx = complex_for(n)
-        keys = [(len(c), form.sort_key()) for c, form in zip(cx.cell_rays, cx.cells)]
+        keys = [(len(c), form_sort_key(form)) for c, form in zip(cx.cell_rays, cx.cells)]
         assert keys == sorted(keys)
 
 
@@ -114,9 +122,9 @@ def test_bitmask_contractions_match_tree_contraction():
         for i, faces in enumerate(cx.codim1):
             tree = cx.cells[i].to_tree()
             face_of = dict(zip((cx.rays[r] for r in cx.cell_rays[i]), faces))
-            assert set(face_of) == set(tree.splits)
-            for e, s in enumerate(tree.splits):
-                assert contract(tree, [e]).tree.canonical_form == cx.cells[face_of[s]]
+            assert set(face_of) == set(tree_splits(tree))
+            for e, s in enumerate(tree_splits(tree)):
+                assert canonical_form(contract(tree, [e]).tree) == cx.cells[face_of[s]]
             assert len(set(face_of.values())) == len(faces)
 
 

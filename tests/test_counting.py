@@ -1,13 +1,15 @@
 """Counting: the closed-form expansion count against brute force, and
 the power-of-two sweep."""
 
+import itertools
+
 import pytest
 
+from tropmoduli import counting
 from tropmoduli.cones import star_count
 from tropmoduli.counting import (
     brute_force_partition_count,
     expansion_count_formula,
-    lemma_power_check,
     lemma_power_sweep,
     per_vertex_partition_count,
 )
@@ -90,23 +92,39 @@ def test_vertex_profile_invariants():
 # the power-of-two lemma
 
 
-def test_lemma_trivial_instance():
-    assert lemma_power_check((1, 2, 3), (3, 2, 1))
+def lemma_pairs_oracle(bound, power_sum):
+    """(equal-sum pairs, those that also have equal power sums) over all
+    pairs of distinct exponent multisets with entries <= bound, found by
+    comparing every pair; each pair is in increasing order."""
+    multisets = sorted({tuple(sorted(t)) for t in itertools.product(range(bound + 1), repeat=3)})
+    checked, violations = 0, []
+    for a, b in itertools.combinations(multisets, 2):
+        if sum(a) == sum(b):
+            checked += 1
+            if power_sum(a) == power_sum(b):
+                violations.append((a, b))
+    return checked, violations
 
 
-def test_lemma_vacuous_instance():
-    # sums agree (6 = 6) but 1+1+64 != 2+4+8, so nothing is claimed
-    assert lemma_power_check((0, 0, 6), (1, 2, 3))
+@pytest.mark.parametrize("bound", range(2, 9))
+def test_lemma_sweep_matches_pairwise_oracle(bound):
+    checked, violations = lemma_power_sweep(bound)
+    assert (checked, sorted(violations)) == lemma_pairs_oracle(
+        bound, lambda t: sum(2**a for a in t)
+    )
 
 
-def test_lemma_rejects_unequal_sums():
-    with pytest.raises(ValueError):
-        lemma_power_check((1, 2, 3), (1, 2, 4))
+def test_lemma_sweep_reports_every_colliding_pair(monkeypatch):
+    # with a power sum that collides, the sweep must report exactly the
+    # pairs the oracle finds
+    def collide(triple):
+        return max(triple)
 
-
-def test_lemma_rejects_negative():
-    with pytest.raises(ValueError):
-        lemma_power_check((-1, 2, 3), (1, 2, 1))
+    monkeypatch.setattr(counting, "_power_sum", collide)
+    checked, violations = lemma_power_sweep(6)
+    expected = lemma_pairs_oracle(6, collide)
+    assert expected[1]
+    assert (checked, sorted(violations)) == expected
 
 
 def test_lemma_sweep_small():

@@ -14,10 +14,15 @@ from tropmoduli.enumeration import (
     enumerate_strata,
     expansions,
 )
-from tropmoduli.trees import CanonicalForm
-
 from shared import catalog
-from tree_oracles import apply_marking_permutation, contract, single_vertex_tree, two_vertex_tree
+from tree_oracles import (
+    apply_marking_permutation,
+    canonical_form,
+    contract,
+    form_sort_key,
+    single_vertex_tree,
+    two_vertex_tree,
+)
 
 # dimension 0..n-3 counts; n=4 and the n=5 line are forced by the ray
 # count 2^(n-1)-n-1 and the double factorial, the rest cross-checked by
@@ -53,12 +58,12 @@ def expansion_catalog(n):
     """Strata by dimension through the tree route: breadth-first one-edge
     expansions from the single-vertex tree, deduplicated by canonical
     form."""
-    level = {single_vertex_tree(n).canonical_form}
+    level = {canonical_form(single_vertex_tree(n))}
     out = {}
     while level:
-        out[len(out)] = tuple(sorted(level, key=CanonicalForm.sort_key))
+        out[len(out)] = tuple(sorted(level, key=form_sort_key))
         level = {
-            child.canonical_form
+            canonical_form(child)
             for form in level
             for child, _ in expansions(form.to_tree())
         }
@@ -151,9 +156,9 @@ def test_trivalent_tree_has_no_expansions():
 
 def test_expansions_of_point_n4():
     children = expansions(single_vertex_tree(4))
-    forms = {child.canonical_form for child, _ in children}
+    forms = {canonical_form(child) for child, _ in children}
     assert forms == {
-        two_vertex_tree(4, side).canonical_form for side in ([2, 3], [2, 4], [3, 4])
+        canonical_form(two_vertex_tree(4, side)) for side in ([2, 3], [2, 4], [3, 4])
     }
 
 
@@ -174,7 +179,7 @@ def test_expansions_are_pairwise_nonisomorphic():
     for n in (5, 6):
         for form in catalog(n).all_forms():
             children = expansions(form.to_tree())
-            forms = [c.canonical_form for c, _ in children]
+            forms = [canonical_form(c) for c, _ in children]
             assert len(set(forms)) == len(forms)
 
 
@@ -185,7 +190,7 @@ def test_contracting_new_edge_recovers_parent():
             for child, new_edge in expansions(t):
                 assert child.is_stable
                 back = contract(child, [new_edge]).tree
-                assert back.canonical_form == form
+                assert canonical_form(back) == form
 
 
 def test_every_stratum_is_an_expansion_of_each_contraction():
@@ -197,7 +202,7 @@ def test_every_stratum_is_an_expansion_of_each_contraction():
                 for e in range(len(t.edges)):
                     parent = contract(t, [e]).tree
                     children = {
-                        c.canonical_form for c, _ in expansions(parent)
+                        canonical_form(c) for c, _ in expansions(parent)
                     }
                     assert form in children
 
@@ -208,7 +213,7 @@ def test_catalog_closed_under_marking_action():
     for sigma in itertools.permutations(range(1, n + 1)):
         for dim, forms in cat.by_dimension.items():
             images = {
-                apply_marking_permutation(sigma, f.to_tree()).canonical_form
+                canonical_form(apply_marking_permutation(sigma, f.to_tree()))
                 for f in forms
             }
             assert images == set(forms)

@@ -1,11 +1,14 @@
 """Each module's ``__all__`` lists exactly the public functions and
 classes it defines, every entry resolves, and every entry has a caller
-outside the tests; so does every public member of the cell tables."""
+outside the tests; so does every public member of the cell tables.  The
+CLI and the benchmark's replay enter every function the package
+defines."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ import tropmoduli
 from tropmoduli.cones import ConeComplex
 from tropmoduli.enumeration import StratumCatalog
 
-from shared import assertion_raises
+from shared import assertion_raises, invoke
 
 MODULES = [tropmoduli] + [
     importlib.import_module(f"tropmoduli.{m.name}")
@@ -140,3 +143,86 @@ def test_only_modules_with_fault_rows_raise_assertion_error(module):
     # a new ``raise AssertionError`` elsewhere fails here until the module
     # gets fault rows that reach it
     assert bool(assertion_raises(module)) == (module.__name__ in FAULT_ROW_MODULES)
+
+
+def _defs(path):
+    """Every ``def`` of a source file, nested ones included, as
+    {first line (of its decorators, if any): qualified name}."""
+    out = {}
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[first] = prefix + child.name
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.")
+    return out
+
+
+# functions no CLI run or benchmark replay enters, each for its reason
+NEVER_ENTERED = {
+    "cli.main",  # the console entry point; the runs call cli.run
+    "cones.ConeComplex.ray_name",  # formats a failed check's message
+    "cones.ConeComplex.cell_name",  # formats a failed check's message
+    "trees.Split.__repr__",  # formats a failed check's message
+}
+
+GUARD_RUNS = [
+    ["enumerate", "--n", "5"],
+    ["enumerate", "--n", "5", "--dim", "1", "--format", "csv"],
+    ["complex", "--n", "5"],
+    ["complex", "--n", "5", "--dot", "hasse"],
+    ["complex", "--n", "5", "--dot", "compat"],
+    ["aut", "--n", "5"],
+    ["aut", "--n", "5", "--method", "poset"],
+    ["aut", "--n", "5", "--method", "both"],
+    ["count", "--n", "5", "--check", "formula"],
+    ["count", "--check", "lemma"],
+    ["genus2"],
+    ["report", "--max-n", "5"],
+]
+
+
+def test_every_function_in_src_is_entered():
+    # the CLI runs and the benchmark's replays must enter every function
+    # the package defines: one nothing enters is dead, and one only tests
+    # enter belongs in tests/ (the static guards above miss dunders and
+    # class members)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+        from spans import Tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    defs = {
+        (module.__file__, line): name
+        for module in MODULES
+        for line, name in _defs(Path(module.__file__)).items()
+    }
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in GUARD_RUNS:
+            assert invoke(*argv)[0] == 0, argv
+        replay = workloads.Replay(Tracer())
+        assert workloads.replay_battery(replay, 1)
+        assert workloads.replay_aut(replay, 1)
+        workloads.layer_metrics(replay, 0.0)
+    finally:
+        sys.setprofile(previous)
+    missed = {name for key, name in defs.items() if key not in entered}
+    assert sorted(missed - NEVER_ENTERED) == []
+    assert sorted(NEVER_ENTERED - missed) == []  # a stale exemption

@@ -176,6 +176,11 @@ def test_equals():
     assert not a.equals(c)
 
 
+def test_equals_tells_apart_groups_of_equal_order():
+    # both have order 2, so only the generator membership tells them apart
+    assert not PermutationGroup(3, [(1, 0, 2)]).equals(PermutationGroup(3, [(0, 2, 1)]))
+
+
 def test_orbits():
     gens = (cycle(5, 0, 1, 2),)
     assert [point_orbit(p, gens) for p in (0, 2, 3)] == [{0, 1, 2}, {0, 1, 2}, {3}]

@@ -6,17 +6,20 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropmoduli.trees import CanonicalForm, LeggedTree, Split, splits_compatible, tree_from_splits
+from tropmoduli.trees import LeggedTree, Split, splits_compatible, tree_from_splits
 
 from shared import catalog
 from tree_oracles import (
     apply_marking_permutation,
     are_isomorphic,
     automorphisms_of_tree,
+    canonical_form,
     compose_marking_perms,
     contract,
+    form_from_splits,
     legged_isomorphisms,
     single_vertex_tree,
+    tree_splits,
     two_vertex_tree,
 )
 
@@ -92,16 +95,16 @@ def test_compatible_rejects_mismatched_n():
 
 
 def test_two_vertex_split_set():
-    assert two_vertex_tree(5, [2, 3]).canonical_form.splits == (Split.from_side(5, [2, 3]),)
+    assert canonical_form(two_vertex_tree(5, [2, 3])).splits == (Split.from_side(5, [2, 3]),)
 
 
 def test_single_vertex_has_no_splits():
-    assert single_vertex_tree(5).canonical_form.splits == ()
+    assert canonical_form(single_vertex_tree(5)).splits == ()
 
 
 def test_caterpillar_splits_by_component_deletion():
     t = chain_tree(5, [(2, 3), (4,), (1, 5)])
-    forms = t.canonical_form
+    forms = canonical_form(t)
     assert len(forms.splits) == 2
     # oracle: delete each edge, collect the markings of each side
     expected = set()
@@ -137,7 +140,7 @@ def test_tree_from_splits_single():
 def test_tree_from_splits_chain():
     ss = [Split.from_side(5, [2, 3]), Split.from_side(5, [2, 3, 4])]
     t = tree_from_splits(5, ss)
-    assert t.canonical_form == CanonicalForm.from_splits(5, ss)
+    assert canonical_form(t) == form_from_splits(5, ss)
     assert are_isomorphic(t, chain_tree(5, [(2, 3), (4,), (1, 5)]))
 
 
@@ -151,16 +154,16 @@ def test_round_trip_over_catalog():
         for form in catalog(n).all_forms():
             t = form.to_tree()
             assert t.is_stable
-            assert t.canonical_form == form
+            assert canonical_form(t) == form
 
 
 def test_distinct_edges_give_distinct_splits():
-    # LeggedTree.canonical_form proves this instead of checking it at run
-    # time (test_exports checks that trees raises no AssertionError)
+    # tree_oracles.canonical_form proves this instead of checking it at
+    # run time (test_exports checks that trees raises no AssertionError)
     for n in (4, 5, 6, 7):
         for form in catalog(n).all_forms():
             t = form.to_tree()
-            assert len(set(t.splits)) == len(t.edges)
+            assert len(set(tree_splits(t))) == len(t.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +173,7 @@ def test_distinct_edges_give_distinct_splits():
 def test_contract_nothing():
     t = chain_tree(5, [(2, 3), (4,), (1, 5)])
     res = contract(t, [])
-    assert res.tree.canonical_form == t.canonical_form
+    assert canonical_form(res.tree) == canonical_form(t)
     assert res.edge_map == {0: 0, 1: 1}
 
 
@@ -185,10 +188,10 @@ def test_contract_named_edge_of_caterpillar():
     # the 3-vertex chain with legs {2,3} / {4} / {1,5}: contracting the
     # edge for split {2,3,4} leaves the 2-vertex tree on {2,3}
     t = chain_tree(5, [(2, 3), (4,), (1, 5)])
-    idx = t.splits.index(Split.from_side(5, [2, 3, 4]))
+    idx = tree_splits(t).index(Split.from_side(5, [2, 3, 4]))
     res = contract(t, [idx])
-    assert res.tree.canonical_form == two_vertex_tree(5, [2, 3]).canonical_form
-    other = t.splits.index(Split.from_side(5, [2, 3]))
+    assert canonical_form(res.tree) == canonical_form(two_vertex_tree(5, [2, 3]))
+    other = tree_splits(t).index(Split.from_side(5, [2, 3]))
     assert res.edge_map == {other: 0}
 
 
@@ -205,7 +208,7 @@ def test_contract_keeps_splits_of_retained_edges():
             for e in range(len(t.edges)):
                 res = contract(t, [e])
                 for old, new in res.edge_map.items():
-                    assert res.tree.splits[new] == t.splits[old]
+                    assert tree_splits(res.tree)[new] == tree_splits(t)[old]
 
 
 def test_contraction_functoriality():
@@ -220,7 +223,7 @@ def test_contraction_functoriality():
                 mapped = {first.edge_map[e] for e in s2}
                 two_step = contract(first.tree, mapped).tree
                 one_step = contract(t, s1 | s2).tree
-                assert two_step.canonical_form == one_step.canonical_form
+                assert canonical_form(two_step) == canonical_form(one_step)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +244,7 @@ def test_relabeled_encoding_is_isomorphic():
     # same shape, different vertex numbering: middle vertex last
     b = LeggedTree(6, 3, ((0, 2), (1, 2)), (1, 0, 0, 2, 1, 1))
     assert are_isomorphic(a, b)
-    assert a.canonical_form == b.canonical_form
+    assert canonical_form(a) == canonical_form(b)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +259,12 @@ def test_identity_acts_trivially():
 def test_transposition_moves_split():
     # (1 2) sends side {2,3} to {1,3}, i.e. the split with side {2,4}
     t = apply_marking_permutation((2, 1, 3, 4), two_vertex_tree(4, [2, 3]))
-    assert t.canonical_form == two_vertex_tree(4, [2, 4]).canonical_form
+    assert canonical_form(t) == canonical_form(two_vertex_tree(4, [2, 4]))
 
 
 def test_transposition_fixing_split():
     t = apply_marking_permutation((2, 1, 3, 4), two_vertex_tree(4, [3, 4]))
-    assert t.canonical_form == two_vertex_tree(4, [3, 4]).canonical_form
+    assert canonical_form(t) == canonical_form(two_vertex_tree(4, [3, 4]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,7 +278,7 @@ def test_action_is_left_action(data):
     t = form.to_tree()
     one = apply_marking_permutation(compose_marking_perms(sigma, tau), t)
     two = apply_marking_permutation(sigma, apply_marking_permutation(tau, t))
-    assert one.canonical_form == two.canonical_form
+    assert canonical_form(one) == canonical_form(two)
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,7 +289,7 @@ def test_action_preserves_catalog(data):
     sigma = tuple(data.draw(st.permutations(range(1, n + 1))))
     for dim, forms in cat.by_dimension.items():
         images = {
-            apply_marking_permutation(sigma, f.to_tree()).canonical_form for f in forms
+            canonical_form(apply_marking_permutation(sigma, f.to_tree())) for f in forms
         }
         assert images == set(forms)
 
@@ -340,5 +343,5 @@ def test_round_trip_random_split_sets(ns):
     n, splits = ns
     t = tree_from_splits(n, splits)
     assert t.is_stable
-    assert t.canonical_form == CanonicalForm.from_splits(n, splits)
+    assert canonical_form(t) == form_from_splits(n, splits)
     assert len(t.edges) == len(set(splits))

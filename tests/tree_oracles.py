@@ -1,9 +1,9 @@
-"""Second routes the tests compare the package against: legged-tree
-contraction, isomorphism and rigidity, the marking action on trees and
-splits, face lookup by split, vertex profiles read off a tree, the face
-maps and automorphism cell maps on sorted ray tuples, and the
-contraction check that builds each cell's clade tree from scratch and
-recomputes every clade once per edge.
+"""Second routes the tests compare the package against: a tree's splits
+and canonical form, legged-tree contraction, isomorphism and rigidity,
+the marking action on trees and splits, face lookup by split, vertex
+profiles read off a tree, the face maps and automorphism cell maps on
+sorted ray tuples, and the contraction check that builds each cell's
+clade tree from scratch and recomputes every clade once per edge.
 
 The package computes each of these facts one way, on ray indices and
 bitmasks; these routes go through ``LeggedTree`` and ``Split`` objects,
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from tropmoduli.trees import LeggedTree, Split, check_marking_perm
+from tropmoduli.trees import CanonicalForm, LeggedTree, Split, check_marking_perm
 
 from shared import cell_of
 
@@ -36,6 +36,66 @@ def two_vertex_tree(n: int, side: Iterable[int]) -> LeggedTree:
     s = Split.from_side(n, side)
     legs = tuple(1 if s.mask >> i & 1 else 0 for i in range(n))
     return LeggedTree(n, 2, ((0, 1),), legs)
+
+
+# ---------------------------------------------------------------------------
+# splits and canonical forms
+
+
+def _edge_child_masks(t: LeggedTree) -> tuple[tuple[int, int], ...]:
+    """Per edge, (child vertex, bitmask of markings in the child-side
+    component) for the tree rooted at vertex 0."""
+    parent_edge = [-1] * t.num_vertices
+    order = [0]
+    seen = {0}
+    for v in order:
+        for w, idx in t.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                parent_edge[w] = idx
+                order.append(w)
+    masks = [0] * t.num_vertices
+    for i, v in enumerate(t.legs):
+        masks[v] |= 1 << i
+    child_of_edge = [(-1, 0)] * len(t.edges)
+    for v in reversed(order[1:]):
+        idx = parent_edge[v]
+        child_of_edge[idx] = (v, masks[v])
+        u, w = t.edges[idx]
+        masks[u if u != v else w] |= masks[v]
+    return tuple(child_of_edge)
+
+
+def tree_splits(t: LeggedTree) -> tuple[Split, ...]:
+    """One split per edge, aligned with the edge index.  Requires
+    stability (otherwise some edge side can carry fewer than 2
+    markings)."""
+    return tuple(
+        Split(t.n, mask ^ (((1 << t.n) - 1) if mask & 1 else 0))
+        for _, mask in _edge_child_masks(t)
+    )
+
+
+def form_from_splits(n: int, splits: Iterable[Split]) -> CanonicalForm:
+    """The canonical form with the given splits, sorted and deduplicated."""
+    return CanonicalForm(n, tuple(sorted(set(splits), key=Split.sort_key)))
+
+
+def form_sort_key(form: CanonicalForm) -> tuple[tuple[int, int], ...]:
+    """The order of canonical forms within one dimension: their splits'
+    (size, mask) keys, compared in turn."""
+    return tuple(s.sort_key() for s in form.splits)
+
+
+def canonical_form(t: LeggedTree) -> CanonicalForm:
+    """The sorted split set of a stable tree."""
+    if not t.is_stable:
+        raise ValueError("canonical forms are defined for stable trees only")
+    # one split per edge: cutting edges e and f leaves an end part A
+    # and a middle part B, and summing valence + legs - 2 >= 1 over
+    # their vertices gives legs(A) >= 2 and legs(B) >= 1, so the
+    # splits {A, B + C} and {A + B, C} differ
+    return form_from_splits(t.n, tree_splits(t))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +393,7 @@ def are_isomorphic(t1: LeggedTree, t2: LeggedTree) -> bool:
     if t1.n != t2.n:
         raise ValueError("trees with different marking counts")
     if t1.is_stable and t2.is_stable:
-        return t1.canonical_form == t2.canonical_form
+        return canonical_form(t1) == canonical_form(t2)
     return next(legged_isomorphisms(t1, t2), None) is not None
 
 
