@@ -54,13 +54,13 @@ class ReconstructionError(RuntimeError):
 # graph automorphisms: color refinement + individualization along one path
 
 
-def _refine(adj, colors, new=None):
+def _refine(adj, colors, new):
     """Refine a coloring to its fixpoint.  Each round gives a vertex the
     rank of its (color, sorted (neighbor color, count) pairs) signature,
     but counts neighbors only in the cells the last round created, as
     popcounts on the adjacency bitmasks ``adj``; the first round counts
-    the cells whose colors ``new`` lists, every cell by default.  A round
-    that creates no cell is the fixpoint.
+    the cells whose colors ``new`` lists.  A round that creates no cell
+    is the fixpoint.
 
     This gives the full signatures' ranks.  Two members of a cell agree
     on their count over each cell of the round before, so the first
@@ -69,18 +69,13 @@ def _refine(adj, colors, new=None):
     sibling, so comparing the lists restricted to the new cells orders
     the members as comparing the full lists does.  The first round after
     individualizing v in a refined coloring may count only v's old cell
-    and its singleton: they are the only children of a split cell.
-
-    The trace holds one hash per round of each cell's sorted restricted
-    signatures with their multiplicities (PYTHONHASHSEED does not touch
-    hashes of int tuples); isomorphic colorings have equal traces."""
+    and its singleton: they are the only children of a split cell."""
     order = sorted(range(len(colors)), key=colors.__getitem__)
     cells = [list(g) for _, g in itertools.groupby(order, colors.__getitem__)]
-    counted = list(enumerate(cells)) if new is None else [(c, _members(colors, c)) for c in new]
-    trace = []
-    while True:
+    counted = [(c, _members(colors, c)) for c in new]
+    while counted:
         masks = [(c, sum(1 << u for u in cell)) for c, cell in counted]
-        out, counted, sigs = [], [], []
+        out, counted = [], []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
@@ -91,16 +86,12 @@ def _refine(adj, colors, new=None):
                 key = tuple([(c, k) for c, m in masks if (k := (a & m).bit_count())])
                 groups.setdefault(key, []).append(u)
             keys = sorted(groups)
-            sigs.append(tuple((key, len(groups[key])) for key in keys))
             if len(keys) > 1:
                 counted += [(len(out) + i, groups[key]) for i, key in enumerate(keys)]
             out += map(groups.__getitem__, keys)
-        trace.append(hash(tuple(sigs)))
         cells = out
-        if not counted:
-            break
     refined = {u: c for c, cell in enumerate(cells) for u in cell}
-    return tuple(map(refined.__getitem__, range(len(colors)))), tuple(trace)
+    return tuple(map(refined.__getitem__, range(len(colors))))
 
 
 def _refine_at(adj, colors, v):
@@ -132,32 +123,27 @@ def _map_from_discrete(nbrs, ca, cb):
     return perm
 
 
-def _find_iso(nbrs, adj, path, k, candidate):
-    """One automorphism carrying the first path's level-k coloring to the
-    refined (coloring, trace) candidate, or None.  The candidate is dropped
-    when its trace differs from the path's, else it individualizes each
-    member of the class the path individualized, in ascending order."""
-    colors, trace = candidate
-    path_colors, path_trace, v = path[k]
-    if trace != path_trace:
-        return None
-    if v is None:
-        return _map_from_discrete(nbrs, path_colors, colors)
-    for w in _members(colors, path_colors[v]):
-        found = _find_iso(nbrs, adj, path, k + 1, _refine_at(adj, colors, w))
-        if found is not None:
-            return found
-    return None
-
-
 def _coset_rep(nbrs, adj, path, k, w):
     """An automorphism preserving the first path's level-k coloring that
-    sends the vertex individualized there to w, or None."""
-    colors, _, v = path[k]
-    phi = _find_iso(nbrs, adj, path, k + 1, _refine_at(adj, colors, w))
-    if phi is not None and phi[v] == w and all(colors[y] == c for y, c in zip(phi, colors)):
-        return phi
-    return None
+    sends the vertex v individualized there to w, or None.  From w's
+    refined coloring the search follows the path, individualizing each
+    member of the class the path individualized in ascending order, and
+    backtracks until a leaf map preserves adjacency and the level-k
+    coloring and sends v to w."""
+    colors, v = path[k]
+
+    def find(j, candidate):
+        path_colors, u = path[j]
+        if u is None:
+            phi = _map_from_discrete(nbrs, path_colors, candidate)
+            ok = phi is not None and phi[v] == w and all(colors[y] == c for y, c in zip(phi, colors))
+            return phi if ok else None
+        for x in _members(candidate, path_colors[u]):
+            if (phi := find(j + 1, _refine_at(adj, candidate, x))) is not None:
+                return phi
+        return None
+
+    return find(k + 1, _refine_at(adj, colors, w))
 
 
 def graph_automorphism_group(neighbors: list[list[int]]) -> PermutationGroup:
@@ -165,22 +151,23 @@ def graph_automorphism_group(neighbors: list[list[int]]) -> PermutationGroup:
 
     Self-contained: the first path refines the uniform coloring and
     individualizes the first member of the first non-singleton class until
-    the coloring is discrete.  Walking back up it, each coloring is refined
-    once, refinement traces prune, and leaf maps are checked as
-    automorphisms of the level's coloring; no canonical-labeling dependency.
-    The adjacency bitmasks that refinement counts on are built once here.
+    the coloring is discrete.  Walking back up it, each candidate image
+    follows the path with backtracking, and a leaf map is kept only as an
+    automorphism of the level's coloring that sends the level's vertex to
+    the candidate; no canonical-labeling dependency.  The adjacency
+    bitmasks that refinement counts on are built once here.
     """
     adj = [sum(1 << u for u in nb) for nb in neighbors]
     path = []
-    colors, trace = _refine(adj, (0,) * len(neighbors))
+    colors = _refine(adj, (0,) * len(neighbors), (0,))
     while (c := _first_nonsingleton(colors)) is not None:
         v = colors.index(c)
-        path.append((colors, trace, v))
-        colors, trace = _refine_at(adj, colors, v)
-    path.append((colors, trace, None))
+        path.append((colors, v))
+        colors = _refine_at(adj, colors, v)
+    path.append((colors, None))
     levels = (
         (v, _members(colors, colors[v]), partial(_coset_rep, neighbors, adj, path, k))
-        for k, (colors, _, v) in reversed(list(enumerate(path[:-1])))
+        for k, (colors, v) in reversed(list(enumerate(path[:-1])))
     )
     return _sims_group(len(neighbors), levels)
 

@@ -13,18 +13,14 @@ from collections import Counter
 
 def _refine(nbrs, colors):
     """Refine one coloring to its fixpoint: a vertex's new color is the
-    rank of its (color, neighbor-color counts) signature.  The trace holds
-    one hash of the sorted signatures per round (PYTHONHASHSEED does not
-    touch hashes of int tuples); isomorphic colorings have equal traces."""
-    trace = []
+    rank of its (color, neighbor-color counts) signature."""
     while True:
         sigs = [
             (colors[v], tuple(sorted(Counter(colors[u] for u in nb).items())))
             for v, nb in enumerate(nbrs)
         ]
-        trace.append(hash(tuple(sorted(sigs))))
         ids = {key: i for i, key in enumerate(sorted(set(sigs)))}
         refined = tuple(ids[k] for k in sigs)
         if refined == colors:
-            return refined, tuple(trace)
+            return refined
         colors = refined

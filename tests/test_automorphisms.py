@@ -38,7 +38,7 @@ from tropmoduli.groups import (
 )
 from tropmoduli.trees import Split
 
-from shared import complex_for
+from shared import complex_for, count_calls
 from poset_reference import aut_via_poset as reference_aut_via_poset
 from refine_reference import _refine as reference_refine
 from tree_oracles import (
@@ -107,19 +107,20 @@ def _random_graphs(count=240, max_v=7, seed=2014):
     return graphs
 
 
+def brute_force_order(v, edges):
+    """The order of a graph's automorphism group, counted over all vertex
+    permutations (no code shared with the search)."""
+    edge_set = {frozenset(e) for e in edges}
+    return sum(
+        all(frozenset((p[a], p[b])) in edge_set for a, b in edges)
+        for p in itertools.permutations(range(v))
+    )
+
+
 @lru_cache(maxsize=None)
 def random_graph_cases():
-    """Seeded random graphs on at most 7 vertices with their group orders,
-    counted over all vertex permutations (no code shared with the search)."""
-    cases = []
-    for v, edges in _random_graphs():
-        edge_set = {frozenset(e) for e in edges}
-        order = sum(
-            all(frozenset((p[a], p[b])) in edge_set for a, b in edges)
-            for p in itertools.permutations(range(v))
-        )
-        cases.append((v, edges, order))
-    return tuple(cases)
+    """Seeded random graphs on at most 7 vertices with their group orders."""
+    return tuple((v, edges, brute_force_order(v, edges)) for v, edges in _random_graphs())
 
 
 def test_random_graph_orders_match_brute_force():
@@ -127,19 +128,10 @@ def test_random_graph_orders_match_brute_force():
         assert graph_automorphism_group(_nbrs(v, edges)).order() == order, (v, edges)
 
 
-def test_traces_only_prune(monkeypatch):
-    # with every refinement trace equal nothing is pruned, and the leaf
-    # checks alone must still give the exact orders
-    monkeypatch.setattr(automorphisms, "hash", lambda _: 0, raising=False)
-    for v, edges, order in random_graph_cases() + tuple(GRAPH_CASES):
-        assert graph_automorphism_group(_nbrs(v, edges)).order() == order, (v, edges)
-    assert graph_automorphism_group(complex_for(5).compat_neighbors()).order() == 120
-
-
 def test_leaf_checks_decide_without_refinement(monkeypatch):
     # with refinement switched off the search is plain individualization
     # backtracking, and only the leaf's adjacency check rejects maps
-    monkeypatch.setattr(automorphisms, "_refine", lambda nbrs, colors, new=None: (colors, ()))
+    monkeypatch.setattr(automorphisms, "_refine", lambda adj, colors, new: colors)
     for v, edges, order in random_graph_cases():
         assert graph_automorphism_group(_nbrs(v, edges)).order() == order, (v, edges)
 
@@ -148,7 +140,7 @@ def test_leaf_maps_must_carry_the_level_coloring(monkeypatch):
     # every leaf map is the swap of 0 and 1, an automorphism of K4; it is
     # kept only where it sends the level's vertex to the candidate (0 to
     # 1 at the top level), so the search finds exactly the group it makes
-    monkeypatch.setattr(automorphisms, "_find_iso", lambda *args: (1, 0, 2, 3))
+    monkeypatch.setattr(automorphisms, "_map_from_discrete", lambda *args: (1, 0, 2, 3))
     k4 = list(itertools.combinations(range(4), 2))
     group = graph_automorphism_group(_nbrs(4, k4))
     assert group.generators == ((1, 0, 2, 3),)
@@ -170,7 +162,7 @@ def reference_search(monkeypatch, nbrs):
     new cells) arguments and the result of each refinement it made."""
     refined = []
 
-    def spy(adj, colors, new=None):
+    def spy(adj, colors, new):
         refined.append((colors, new, reference_refine(nbrs, colors)))
         return refined[-1][2]
 
@@ -181,9 +173,9 @@ def reference_search(monkeypatch, nbrs):
 
 def test_refinement_matches_the_reference(monkeypatch):
     # counting only the cells the last round created (after individualizing,
-    # v's old cell and its singleton) gives the reference's coloring in as
-    # many rounds on every coloring the search refines, so the search
-    # finds the reference's generators
+    # v's old cell and its singleton) gives the reference's coloring on
+    # every coloring the search refines, so the search finds the
+    # reference's generators
     graphs = [splits_graph(n) for n in range(4, 9)]
     assert graphs[3] == complex_for(7).compat_neighbors()
     cases = [(v, edges) for v, edges, _ in GRAPH_CASES + list(random_graph_cases())]
@@ -191,10 +183,34 @@ def test_refinement_matches_the_reference(monkeypatch):
     for nbrs in graphs:
         adj = [sum(1 << u for u in nb) for nb in nbrs]
         group, refined = reference_search(monkeypatch, nbrs)
-        for colors, new, (want, want_trace) in refined:
-            got, trace = automorphisms._refine(adj, colors, new)
-            assert (got, len(trace)) == (want, len(want_trace)), (nbrs, colors, new)
+        for colors, new, want in refined:
+            assert automorphisms._refine(adj, colors, new) == want, (nbrs, colors, new)
         assert graph_automorphism_group(nbrs).generators == group.generators, nbrs
+
+
+@pytest.mark.parametrize(
+    "n,refinements,leaves", [(4, 6, 2), (5, 15, 4), (6, 17, 5), (7, 28, 6), (8, 32, 7), (9, 45, 8)]
+)
+def test_the_search_never_backtracks_on_compatibility_graphs(monkeypatch, n, refinements, leaves):
+    # one refinement per path step and per candidate step, and every leaf
+    # map the search reaches is a generator: no candidate is abandoned
+    refined = count_calls(monkeypatch, automorphisms, "_refine")
+    mapped = count_calls(monkeypatch, automorphisms, "_map_from_discrete")
+    group = graph_automorphism_group(splits_graph(n))
+    assert (refined.total(), mapped.total()) == (refinements, leaves)
+    assert len(group.generators) == leaves
+
+
+def test_a_leaf_that_is_not_discrete_is_rejected(monkeypatch):
+    # refinement does not split this graph's candidates as it splits the
+    # first path, so two leaves the search reaches are not discrete; they
+    # are rejected and the search backtracks to the exact group
+    edges = [(0, 4), (0, 7), (1, 2), (1, 6), (2, 6), (3, 5), (3, 6), (4, 7), (5, 7), (6, 7)]
+    discrete = count_calls(
+        monkeypatch, automorphisms, "_map_from_discrete", lambda nbrs, ca, cb: len(set(cb)) == len(cb)
+    )
+    assert graph_automorphism_group(_nbrs(8, edges)).order() == brute_force_order(8, edges) == 8
+    assert discrete[False] == 2
 
 
 def test_generators_past_the_cell_envelope_are_pinned():

@@ -6,6 +6,9 @@ import inspect
 import itertools
 import json
 import math
+import pathlib
+import re
+import shlex
 from collections import Counter
 
 import pytest
@@ -77,6 +80,32 @@ def test_enumerate_checks_dim_before_enumerating(monkeypatch):
     code, _, err = invoke("enumerate", "--n", "9", "--dim", "99")
     assert code == EXIT_ENVELOPE and "envelope" in err
     assert calls == Counter()
+
+
+def readme_commands():
+    """The arguments of every ``tropmoduli`` line in the README's ``sh``
+    blocks, its trailing comment dropped."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    return [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        for line in block.splitlines()
+        if line.startswith("tropmoduli ")
+    ]
+
+
+def test_readme_examples_run():
+    # every subcommand has an example, and each passes or reports; the raw
+    # CSV and DOT exports carry no verdict, so their exit status decides
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "enumerate", "complex", "aut", "count", "genus2", "report"
+    }
+    for argv in commands:
+        code, out, err = invoke(*argv)
+        assert code == EXIT_OK, (argv, err)
+        if out.startswith("{"):
+            assert json.loads(out)["verdict"] in ("PASS", "N-A"), argv
 
 
 def test_bad_usage_exit():

@@ -14,6 +14,7 @@ from tropmoduli.counting import (
     per_vertex_partition_count,
 )
 from tropmoduli.enumeration import expansions
+from tropmoduli.trees import LeggedTree
 
 from shared import catalog, complex_for
 from tree_oracles import single_vertex_tree, vertex_profile
@@ -35,6 +36,13 @@ def test_per_vertex_small_values():
 def test_per_vertex_rejects_unstable():
     with pytest.raises(ValueError):
         per_vertex_partition_count(1, 1)
+
+
+def test_formula_rejects_unstable_tree():
+    # vertex 1 carries no marking and one edge
+    with pytest.raises(ValueError) as info:
+        expansion_count_formula(LeggedTree(3, 2, ((0, 1),), (0, 0, 0)))
+    assert str(info.value) == "expansion counts are defined for stable trees"
 
 
 def test_formula_point_n4():

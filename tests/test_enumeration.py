@@ -93,6 +93,12 @@ def test_f_vector_recurrence_rejects_small_n():
         count_f_vector(2)
 
 
+def test_maximal_count_rejects_small_n():
+    with pytest.raises(ValueError) as info:
+        count_maximal(2)
+    assert str(info.value) == "need n >= 3, got 2"
+
+
 def test_ray_counts():
     for n in range(4, 9):
         count = 2 ** (n - 1) - n - 1

@@ -72,6 +72,20 @@ def test_rejects_disconnected():
         WeightedGraph((1, 1), ())
 
 
+@pytest.mark.parametrize(
+    "weights,edges,message",
+    [
+        ((), (), "need at least one vertex"),
+        ((1, -1), ((0, 1),), "weights must be non-negative"),
+        ((1,), ((0, 1),), "edge (0,1) has unknown endpoint"),
+    ],
+)
+def test_malformed_graph_is_rejected(weights, edges, message):
+    with pytest.raises(ValueError) as info:
+        WeightedGraph(weights, edges)
+    assert str(info.value) == message
+
+
 def test_f_vector():
     assert m2().f_vector() == [1, 2, 2, 2]
 

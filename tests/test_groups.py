@@ -174,6 +174,7 @@ def test_equals():
     assert a.equals(b)
     c = PermutationGroup(3, (cycle(3, 0, 1, 2),))
     assert not a.equals(c)
+    assert not PermutationGroup(3).equals(PermutationGroup(4))
 
 
 def test_equals_tells_apart_groups_of_equal_order():

@@ -6,7 +6,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropmoduli.trees import LeggedTree, Split, splits_compatible, tree_from_splits
+from tropmoduli.trees import (
+    CanonicalForm,
+    LeggedTree,
+    Split,
+    check_marking_perm,
+    splits_compatible,
+    tree_from_splits,
+)
 
 from shared import catalog
 from tree_oracles import (
@@ -147,6 +154,53 @@ def test_tree_from_splits_chain():
 def test_tree_from_splits_rejects_incompatible():
     with pytest.raises(ValueError):
         tree_from_splits(5, [Split.from_side(5, [2, 3]), Split.from_side(5, [2, 4])])
+
+
+def _split(n, *side):
+    return Split.from_side(n, side)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: check_marking_perm(3, (1, 2, 2)), "not a permutation of 1..3: (1, 2, 2)"),
+        (lambda: Split(5, 0b00011), "stored side of a split must not contain marking 1"),
+        (lambda: Split(4, 0b10110), "side contains markings beyond n"),
+        (lambda: Split.from_side(4, [2, 5]), "marking 5 outside 1..4"),
+        (lambda: CanonicalForm(5, (_split(5, 2, 3),) * 2), "splits must be strictly sorted"),
+        (lambda: CanonicalForm(5, (_split(6, 2, 3),)), "split marking count differs from form"),
+        (
+            lambda: CanonicalForm(5, (_split(5, 2, 3), _split(5, 2, 4))),
+            "incompatible splits Split(5, {2,3}) and Split(5, {2,4})",
+        ),
+        (lambda: LeggedTree(2, 1, (), (0, 0)), "need at least 3 markings, got 2"),
+        (lambda: LeggedTree(3, 0, (), (0, 0, 0)), "need at least one vertex"),
+        (
+            lambda: LeggedTree(3, 1, (), (0, 0)),
+            "leg assignment must cover every marking exactly once",
+        ),
+        (lambda: LeggedTree(3, 1, (), (0, 0, 1)), "leg assigned to unknown vertex"),
+        (lambda: LeggedTree(3, 2, ((0, 2),), (0, 0, 1)), "edge (0,2) has unknown endpoint"),
+        (lambda: LeggedTree(3, 2, ((1, 1),), (0, 0, 1)), "loops not allowed in a genus-0 tree"),
+        (
+            lambda: LeggedTree(3, 2, ((0, 1), (1, 0)), (0, 0, 1)),
+            "parallel edges not allowed in a genus-0 tree",
+        ),
+        (lambda: LeggedTree(3, 3, ((0, 1),), (0, 1, 2)), "a tree on V vertices has exactly V-1 edges"),
+        (
+            lambda: LeggedTree(3, 4, ((1, 2), (2, 3), (1, 3)), (1, 2, 3)),
+            "underlying graph is not connected",
+        ),
+        (
+            lambda: tree_from_splits(5, [_split(6, 2, 3)]),
+            "split Split(6, {2,3}) has marking count 6, expected 5",
+        ),
+    ],
+)
+def test_malformed_input_is_rejected(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_round_trip_over_catalog():
