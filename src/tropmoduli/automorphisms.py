@@ -240,7 +240,7 @@ class ComplexAutomorphism:
         cx = self.cx
         bits = [1 << r for r in self.ray_perm]
         images = [0]  # cell 0 is the point
-        for faces, rays in zip(cx.codim1[1:], cx.cell_rays[1:]):
+        for faces, rays in itertools.islice(zip(cx.codim1, cx.cell_rays), 1, None):
             images.append(images[faces[-1]] | bits[rays[-1]])
         index = cx.index
         if not all(map(index.__contains__, images)):

@@ -28,7 +28,6 @@ __all__ = [
     "M2Violation",
     "M2SearchResult",
     "weighted_graph_isomorphisms",
-    "edge_action_group",
     "contract_weighted_edge",
     "m2_cells",
     "build_m2_complex",
@@ -119,13 +118,6 @@ def weighted_graph_isomorphisms(
             yield vmap, tuple(emap)
 
 
-def edge_action_group(g: WeightedGraph) -> PermutationGroup:
-    """Image of the graph's automorphism group in the symmetric group on
-    its edges."""
-    perms = {emap for _, emap in weighted_graph_isomorphisms(g, g)}
-    return PermutationGroup(len(g.edges), tuple(sorted(perms)))
-
-
 def contract_weighted_edge(g: WeightedGraph, edge_idx: int) -> WeightedGraph:
     """Contract one edge: a loop disappears and adds 1 to its vertex's
     weight, any other edge merges its endpoints adding weights.  The genus
@@ -161,13 +153,16 @@ class QuotientCell:
         return len(self.graph.edges)
 
     @cached_property
-    def edge_group(self) -> PermutationGroup:
-        return edge_action_group(self.graph)
+    def edge_group_elements(self) -> tuple[tuple[int, ...], ...]:
+        """The edge group, listed once per cell as the sorted edge maps of
+        the graph's self-isomorphisms: the image of its automorphism group
+        in the symmetric group on its edges."""
+        isos = weighted_graph_isomorphisms(self.graph, self.graph)
+        return tuple(sorted({emap for _, emap in isos}))
 
     @cached_property
-    def edge_group_elements(self) -> tuple[tuple[int, ...], ...]:
-        """The edge group's elements in sorted order, listed once per cell."""
-        return tuple(sorted(self.edge_group.elements()))
+    def edge_group(self) -> PermutationGroup:
+        return PermutationGroup(self.dimension, self.edge_group_elements)
 
 
 def m2_cells() -> tuple[QuotientCell, ...]:

@@ -1,9 +1,9 @@
 """Finite permutation groups on {0, ..., degree-1} given by generators.
 
-Order, membership, equality and element enumeration all go through one
+Order, membership, equality and uniform sampling all go through one
 base/strong-generating-set (Schreier-Sims) chain, so the arithmetic is
-exact at every scale this package reaches without listing the elements
-of large groups.
+exact at every scale this package reaches, and no routine lists a
+group's elements.
 """
 
 from __future__ import annotations
@@ -194,14 +194,6 @@ class PermutationGroup:
     def order(self) -> int:
         return self._chain.order()
 
-    def elements(self) -> frozenset:
-        """Every element, as the products of one coset representative per
-        chain level; meant for small groups."""
-        out = [identity_perm(self.degree)]
-        for trans in reversed(self._chain.transversals):
-            out = [compose_perms(rep, g) for rep in trans.values() for g in out]
-        return frozenset(out)
-
     def __contains__(self, p) -> bool:
         return self._chain.contains(check_perm(self.degree, p))
 
@@ -211,14 +203,12 @@ class PermutationGroup:
             return False
         if self.order() != other.order():
             return False
-        return all(g in self for g in other.generators) and all(
-            g in other for g in self.generators
-        )
+        # a subgroup of equal finite order is the whole group
+        return all(g in self for g in other.generators)
 
     def random_elements(self, count: int, seed: int) -> list[tuple[int, ...]]:
         """Deterministic uniform sample of group elements: each is the
-        product of one seeded random coset representative per chain level,
-        as in :meth:`elements`."""
+        product of one seeded random coset representative per chain level."""
         rng = random.Random(seed)
         levels = [tuple(t.values()) for t in self._chain.transversals]
         out = []

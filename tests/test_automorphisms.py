@@ -412,6 +412,21 @@ def test_automorphisms_keep_only_their_ray_permutation():
         assert set(vars(f)) == {"cx", "ray_perm"}
 
 
+def test_cell_check_copies_no_cell_table():
+    # the image list holds one 119-bit int per cell at n = 8; the bound
+    # leaves 4 bytes a cell for the rest, and a copy of the face or the
+    # ray table (one 8-byte pointer a cell) would overrun it
+    cx = complex_for(8)
+    f = ComplexAutomorphism(cx, aut_via_compat_graph(cx)[0].generators[0])
+    tracemalloc.start()
+    try:
+        f.check_cells()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(cx.cell_rays) * (sys.getsizeof(1 << 118) + 8 + 4)
+
+
 def _both_routes_raise(f):
     """The error message of the mask route's ``check_cells``, checked
     equal to the tuple route's."""

@@ -302,6 +302,11 @@ def test_payload_bytes_are_pinned():
     assert payload_sha256("aut", "--n", "7", "--method", "both") == (
         "ccc5ccb26e85e883a579c187efbbcf3ef0bdc9818f246a08b924c261a83f2b42"
     )
+    # the only aut payload with the marking image and its kernel: at n = 4
+    # `equals` compares the graph search's group with the image of S_4
+    assert payload_sha256("aut", "--n", "4", "--method", "both") == (
+        "5081f75a517966ecb7c0eb247a68a3b4a51413199f3c51d78cf833535b21def4"
+    )
     # the genus-2 fixture: its class count and the swap witness text
     assert payload_sha256("genus2") == (
         "5eb1b83cc28aff57861e3a92daf91d92cfa70fa9aa36bc1568ddce9f626ccb13"
@@ -831,19 +836,19 @@ def test_order_check_sifts_each_schreier_generator_once(monkeypatch):
 
 
 def test_genus2_lists_each_edge_group_once(monkeypatch):
-    from tropmoduli.groups import PermutationGroup
+    from tropmoduli import genus2
 
-    # 7 cells, each listing its edge group's elements at most once
+    # 7 cells, each enumerating its graph's self-isomorphisms at most once
     calls = Counter()
-    elements = PermutationGroup.elements
+    isomorphisms = genus2.weighted_graph_isomorphisms
 
-    def counted(self):
-        calls["elements"] += 1
-        return elements(self)
+    def counted(g, h):
+        calls["self"] += g is h
+        return isomorphisms(g, h)
 
-    monkeypatch.setattr(PermutationGroup, "elements", counted)
+    monkeypatch.setattr(genus2, "weighted_graph_isomorphisms", counted)
     assert invoke("genus2")[0] == EXIT_OK
-    assert calls["elements"] <= 7
+    assert 0 < calls["self"] <= 7
 
 
 def test_module_execution():

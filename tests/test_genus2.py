@@ -16,10 +16,10 @@ from tropmoduli.genus2 import (
     bridge_loop_swap_violation,
     build_m2_complex,
     contract_weighted_edge,
-    edge_action_group,
     m2_cells,
     weighted_graph_isomorphisms,
 )
+from tropmoduli.groups import compose_perms, identity_perm
 
 from functools import lru_cache
 
@@ -95,17 +95,15 @@ def test_f_vector():
 
 
 def test_theta_edge_group_is_symmetric_on_three_edges():
-    group = cell("theta").edge_group
-    assert group.order() == 6
-    assert group.elements() == {
+    assert cell("theta").edge_group.order() == 6
+    assert set(cell("theta").edge_group_elements) == {
         (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
     }
 
 
 def test_dumbbell_edge_group_swaps_loops_fixes_bridge():
-    group = cell("dumbbell").edge_group
-    assert group.order() == 2
-    assert group.elements() == {(0, 1, 2), (2, 1, 0)}
+    assert cell("dumbbell").edge_group.order() == 2
+    assert set(cell("dumbbell").edge_group_elements) == {(0, 1, 2), (2, 1, 0)}
 
 
 def test_figure_eight_edge_group():
@@ -115,6 +113,16 @@ def test_figure_eight_edge_group():
 def test_remaining_edge_groups_trivial():
     for name in ("lollipop", "loop_w1", "bridge_w1_w1", "point_w2"):
         assert cell(name).edge_group.order() == 1
+
+
+def test_every_edge_group_is_a_group():
+    # the listed edge maps hold the identity, are closed under composition,
+    # and are as many as the group their chain generates, counted apart
+    for c in m2().cells:
+        elements = c.edge_group_elements
+        assert identity_perm(c.dimension) in elements
+        assert {compose_perms(g, h) for g in elements for h in elements} == set(elements)
+        assert len(elements) == c.edge_group.order()
 
 
 def test_isomorphism_respects_weights():
@@ -280,7 +288,7 @@ def test_face_arrows_commute_with_edge_groups():
     # every edge-group element g of the source
     cx = m2()
     for i, c in enumerate(cx.cells):
-        for g in c.edge_group.elements():
+        for g in c.edge_group_elements:
             for e in range(c.dimension):
                 assert cx.arrows[i][e][0] == cx.arrows[i][g[e]][0]
 
