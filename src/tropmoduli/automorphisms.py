@@ -228,22 +228,23 @@ class ComplexAutomorphism:
 
     def check_cells(self) -> None:
         """Check that every cell maps to a cell, keeping nothing; raise
-        ``ValueError`` naming the first cell that does not.  Each image is
-        a ray bitmask, its prefix face's image (built first: cells are in
-        dimension order) with its last ray's image added, and must be a
-        key of ``cx.index``.  Nothing else can fail.  An image has its
-        cell's dimension: it has as many bits as the cell has rays, and
-        ``cx.index`` maps it to the cell with exactly those rays.  The
-        images are distinct cells: ``ray_perm`` is a permutation, and
-        distinct cells have distinct ray sets (checked by
-        :attr:`~tropmoduli.cones.ConeComplex.index`)."""
+        ``ValueError`` naming the first cell that does not.  Only the top
+        cells are looked up, each image the sum of its rays' distinct
+        image bits, and that is enough: (1) every cell is a face of a top
+        cell, as :func:`~tropmoduli.cones.build_complex` checks that the
+        complex is pure; (2) every ray subset of a cell is a cell, as the
+        face table rejects a face that is no cell; (3) distinct cells have
+        distinct masks (``cx.index``); (4) so each cell's image lies in a
+        top cell's image, a cell, and is a cell with as many rays, and
+        distinct cells have distinct images: the map is a
+        dimension-preserving bijection.  Only on failure are all cells
+        scanned, to name the first."""
         cx = self.cx
         bits = [1 << r for r in self.ray_perm]
-        images = [0]  # cell 0 is the point
-        for faces, rays in itertools.islice(zip(cx.codim1, cx.cell_rays), 1, None):
-            images.append(images[faces[-1]] | bits[rays[-1]])
         index = cx.index
-        if not all(map(index.__contains__, images)):
+        lookups = map(map, itertools.repeat(bits.__getitem__), cx.maximal_cells)
+        if not all(map(index.__contains__, map(sum, lookups))):
+            images = (sum(map(bits.__getitem__, c)) for c in cx.cell_rays)
             i = next(i for i, mask in enumerate(images) if mask not in index)
             name = cx.cell_name(i)
             raise ValueError(f"ray permutation does not map cell {i} ({name}) to a cell")
@@ -280,9 +281,10 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
     ray keeps a bitmask domain: first the rays with its cells-per-dimension
     signature; once ray k goes to w, each later ray j keeps the rays other
     than w related to w as j is to k (a 2-cell or none).  An empty domain
-    drops the branch, and each completion must map every cell to a cell.
-    Rays are assigned and images tried in ascending order; one completion
-    is found per orbit of the stabilizer of the rays already fixed.  Reads
+    drops the branch, and each completion must map every top cell to a
+    cell, which is enough (:meth:`ComplexAutomorphism.check_cells`).  Rays
+    are assigned and images tried in ascending order; one completion is
+    found per orbit of the stabilizer of the rays already fixed.  Reads
     no part of the compatibility graph; a completion's cell images are
     looked up in ``cx.index``, whose keys are the cells' ray masks.  A
     search order that its generators disagree with raises
@@ -318,7 +320,7 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
             found = (complete(k + 1, later[1:], v) for v in members(later[0]))
             return next(filter(None, found), None)
         bits = [1 << v for v in perm]  # distinct, so a sum is their OR
-        ok = all(sum(map(bits.__getitem__, c)) in index for c in cx.cell_rays)
+        ok = all(sum(map(bits.__getitem__, c)) in index for c in cx.maximal_cells)
         return tuple(perm) if ok else None
 
     # prefix[k]: the domains of rays k.. with rays 0..k-1 fixed pointwise,

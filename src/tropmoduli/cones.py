@@ -18,12 +18,16 @@ the face is the contraction.  This turns the rigidity of stable trees
 into a runtime check without building a tree object per cell.  The same
 walk records each cell's vertex profile
 (:attr:`ConeComplex.vertex_profiles`), which the counting check reads.
+Last, :func:`build_complex` checks that the complex is pure, so its
+top-dimensional cells (:attr:`ConeComplex.maximal_cells`) are its
+maximal cells and every cell is a face of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .enumeration import StratumCatalog, enumerate_strata
 
@@ -71,6 +75,12 @@ class ConeComplex(StratumCatalog):
             raise AssertionError(
                 f"contracting edge {self.ray_name(r)} of cell {self.cell_name(i)} gives no cell"
             ) from None
+
+    @property
+    def maximal_cells(self):
+        """The top-dimensional cells' ray tuples, which :func:`build_complex`
+        checks are the maximal cells."""
+        return islice(self.cell_rays, self.dim_ranges[self.max_dimension].start, None)
 
     @cached_property
     def ray_by_mask(self) -> dict[int, int]:
@@ -160,12 +170,16 @@ class ConeComplex(StratumCatalog):
 def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
     """Materialize the cone complex: all cells in (dimension, canonical)
     order plus the codimension-1 face maps by index removal, each checked
-    by :func:`check_contractions`, which also records the vertex profiles.
-    The complex shares the catalog's tables."""
+    by :func:`check_contractions`, which also records the vertex profiles;
+    a cell below the top dimension with no coface raises ``AssertionError``
+    naming it.  The complex shares the catalog's tables."""
     if catalog is None:
         catalog = enumerate_strata(n)
     cx = ConeComplex(n, catalog.rays, catalog.compat_masks, catalog.cell_rays)
     cx.vertex_profiles  # force the contraction check
+    # a top cell has no coface, so the first cell with none is at most the first top cell
+    if (i := cx._star_counts.index(0)) < cx.dim_ranges[cx.max_dimension].start:
+        raise AssertionError(f"cell {cx.cell_name(i)} is maximal below the top dimension")
     return cx
 
 

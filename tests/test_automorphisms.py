@@ -9,6 +9,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -28,7 +29,7 @@ from tropmoduli.automorphisms import (
     sn_image_group,
     sn_kernel,
 )
-from tropmoduli.enumeration import EnvelopeError, all_splits
+from tropmoduli.enumeration import EnvelopeError, all_splits, count_maximal
 from tropmoduli.groups import (
     PermutationGroup,
     compose_perms,
@@ -412,10 +413,10 @@ def test_automorphisms_keep_only_their_ray_permutation():
         assert set(vars(f)) == {"cx", "ray_perm"}
 
 
-def test_cell_check_copies_no_cell_table():
-    # the image list holds one 119-bit int per cell at n = 8; the bound
-    # leaves 4 bytes a cell for the rest, and a copy of the face or the
-    # ray table (one 8-byte pointer a cell) would overrun it
+def test_cell_check_keeps_nothing_per_cell():
+    # the check streams the top cells' images: its peak stays below one
+    # 32-byte int object per cell, as the poset search's does, and any
+    # list holding an image per cell (119-bit ints at n = 8) would not
     cx = complex_for(8)
     f = ComplexAutomorphism(cx, aut_via_compat_graph(cx)[0].generators[0])
     tracemalloc.start()
@@ -424,7 +425,36 @@ def test_cell_check_copies_no_cell_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < len(cx.cell_rays) * (sys.getsizeof(1 << 118) + 8 + 4)
+    assert peak < len(cx.cell_rays) * sys.getsizeof(1 << 30)
+
+
+class _LookupBits(dict):
+    """A cell index that records the popcount of each mask looked up."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.bits = Counter()
+
+    def __contains__(self, mask):
+        self.bits[mask.bit_count()] += 1
+        return super().__contains__(mask)
+
+
+def _recording_index(cx):
+    """A copy of ``cx`` whose cell index records its lookups, and the record."""
+    view, index = dataclasses.replace(cx), _LookupBits(cx.index)
+    vars(view)["index"] = index
+    return view, index.bits
+
+
+def test_cell_checks_look_up_only_the_top_cells():
+    cx = complex_for(7)
+    view, bits = _recording_index(cx)
+    ComplexAutomorphism(view, aut_via_compat_graph(cx)[0].generators[0]).check_cells()
+    assert bits == {4: count_maximal(7)} == {4: 945}
+    view, bits = _recording_index(complex_for(6))
+    aut_via_poset(view)
+    assert set(bits) == {3}
 
 
 def _both_routes_raise(f):

@@ -285,6 +285,11 @@ def test_payload_bytes_are_pinned():
     assert payload_sha256("report", "--max-n", "7") == (
         "59b42cdf11c06475528345f17e5128222c4dd9c8b3682557bb02157bca488e0b"
     )
+    # both cell checks, the counting check and the purity check at the
+    # envelope's top n
+    assert payload_sha256("report", "--max-n", "8") == (
+        "7f5bdec641656a52e14ba142bee1667fd5fb9ef30674785eb65972235f4c54bb"
+    )
     # the graph search's generators and their reconstructions
     assert payload_sha256("aut", "--n", "7") == (
         "cfedb06e26f0f0d00ff9d6d14ed0fda99695bf11c1a28bfeea73bd3d9be5e385"

@@ -252,6 +252,18 @@ def test_contraction_check_names_a_cell_listed_twice():
         check_contractions(dataclasses.replace(cx, cell_rays=tuple(cells)))
 
 
+def test_build_complex_names_a_cell_maximal_below_the_top_dimension():
+    # at n = 5 without the top cells holding ray {2,3}: every face is still
+    # a cell, but {2,3} is a face of no 2-cell, so the complex is not pure
+    cat = catalog(5)
+    top = cat.max_dimension
+    cells = tuple(c for c in cat.cell_rays if len(c) < top or 0 not in c)
+    with pytest.raises(
+        AssertionError, match=r"^cell \{2,3\} is maximal below the top dimension$"
+    ):
+        build_complex(5, dataclasses.replace(cat, cell_rays=cells))
+
+
 CONTRACTION_FAULT_ROWS = (
     test_contraction_check_names_an_unstable_cell,
     test_contraction_check_names_a_tree_that_misses_a_marking,
@@ -259,6 +271,7 @@ CONTRACTION_FAULT_ROWS = (
     test_contraction_check_names_a_cell_out_of_order,
     test_contraction_check_names_a_face_that_is_no_cell,
     test_contraction_check_names_a_cell_listed_twice,
+    test_build_complex_names_a_cell_maximal_below_the_top_dimension,
 )
 
 
