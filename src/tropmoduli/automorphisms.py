@@ -233,10 +233,10 @@ class ComplexAutomorphism:
         image bits, and that is enough: (1) every cell is a face of a top
         cell, as :func:`~tropmoduli.cones.build_complex` checks that the
         complex is pure; (2) every ray subset of a cell is a cell, as the
-        face table rejects a face that is no cell; (3) distinct cells have
-        distinct masks (``cx.index``); (4) so each cell's image lies in a
-        top cell's image, a cell, and is a cell with as many rays, and
-        distinct cells have distinct images: the map is a
+        build's face stream rejects a face that is no cell; (3) distinct
+        cells have distinct masks (``cx.index``); (4) so each cell's image
+        lies in a top cell's image, a cell, and is a cell with as many
+        rays, and distinct cells have distinct images: the map is a
         dimension-preserving bijection.  Only on failure are all cells
         scanned, to name the first."""
         cx = self.cx

@@ -8,15 +8,16 @@ index rejects a mask listed twice, so it is a bijection onto the cells.
 Edges of a cell are its splits, so the face obtained by contracting a
 subset of edges is literally the cell with those rays removed, found by
 clearing their bits and looking the mask up, and the retained-edge
-injection is the identity on splits.  :func:`build_complex` also checks
-every one-edge contraction (:func:`check_contractions`): each face must
-be a cell, and a depth-first walk builds each cell's clade tree from its
-prefix face's (the cell minus its last ray), adding the two vertices the
-last ray makes.  Every cell's rays are then the clades of a stable tree,
-and contracting an edge leaves every other clade unchanged as a set, so
-the face is the contraction.  This turns the rigidity of stable trees
-into a runtime check without building a tree object per cell.  The same
-walk records each cell's vertex profile
+injection is the identity on splits.  The faces are streamed
+(:attr:`ConeComplex.codim1`), never stored.  :func:`build_complex`
+checks every one-edge contraction (:func:`check_contractions`): each
+face must be a cell, and a depth-first walk builds each cell's clade
+tree from its prefix face's (its ray tuple without the last ray),
+adding the two vertices the last ray makes.  Every cell's rays are then
+the clades of a stable tree, and contracting an edge leaves every other
+clade unchanged as a set, so the face is the contraction.  This turns
+the rigidity of stable trees into a runtime check without building a
+tree object per cell.  The same walk records each cell's vertex profile
 (:attr:`ConeComplex.vertex_profiles`), which the counting check reads.
 Last, :func:`build_complex` checks that the complex is pure, so its
 top-dimensional cells (:attr:`ConeComplex.maximal_cells`) are its
@@ -60,15 +61,15 @@ class ConeComplex(StratumCatalog):
                 raise AssertionError(f"cell {self.cell_name(i)} is listed twice")
         return out
 
-    @cached_property
-    def codim1(self) -> tuple[tuple[int, ...], ...]:
-        """Per cell: the face index reached by dropping each ray, in ray
-        order; a face that is no cell raises ``AssertionError``."""
+    @property
+    def codim1(self):
+        """Each cell's face indices in cell order, one per dropped ray in ray
+        order, yielded afresh on each read; a face that is no cell raises
+        ``AssertionError``."""
         index = self.index
         try:
-            return tuple(
-                tuple([index[mask ^ (1 << r)] for r in c]) for mask, c in zip(index, self.cell_rays)
-            )
+            for mask, c in zip(index, self.cell_rays):
+                yield [index[mask ^ (1 << r)] for r in c]
         except KeyError:
             cells = enumerate(zip(index, self.cell_rays))
             i, r = next((i, r) for i, (mask, c) in cells for r in c if mask ^ 1 << r not in index)
@@ -168,11 +169,10 @@ class ConeComplex(StratumCatalog):
 
 
 def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
-    """Materialize the cone complex: all cells in (dimension, canonical)
-    order plus the codimension-1 face maps by index removal, each checked
-    by :func:`check_contractions`, which also records the vertex profiles;
-    a cell below the top dimension with no coface raises ``AssertionError``
-    naming it.  The complex shares the catalog's tables."""
+    """Materialize the cone complex on the catalog's tables, with no face
+    table: :func:`check_contractions` checks every face and contraction
+    and records the vertex profiles, and a cell below the top dimension
+    with no coface raises ``AssertionError`` naming it."""
     if catalog is None:
         catalog = enumerate_strata(n)
     cx = ConeComplex(n, catalog.rays, catalog.compat_masks, catalog.cell_rays)
@@ -185,22 +185,22 @@ def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
 
 def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Check that every cell's rays are the clades of a stable tree whose
-    one-edge contractions are the faces ``cx.codim1`` names; raise
+    one-edge contractions are the faces ``cx.codim1`` yields; raise
     ``AssertionError`` naming the cell, and the edge if there is one, on
     the first disagreement.
 
-    Reading ``cx.codim1`` checks the face table.  ``cx.index`` rejects a
-    cell listed twice, so it is a bijection from ray masks to cells, and
-    ``codim1[i][k]`` is by construction the cell whose mask is cell i's
-    with its k-th ray's bit cleared, or raises if no cell has that mask.
-    So the last face is the prefix face: the cell minus its last ray.
-    Cells are in dimension and then lexicographic order, so a depth-first
-    walk from the point, with one pointer per dimension, reaches each
-    cell from its prefix face (a cell it misses is out of order) and
-    builds the cell's tree from the prefix's.  A reached cell's mask is
-    its prefix's with one more bit, so by induction it has one bit per
-    dimension; the walk reaches only tuples of the dimension's length, so
-    no reached cell repeats a ray, and its faces are distinct.  The last
+    Forcing ``cx._star_counts`` reads the face stream, which checks every
+    face.  ``cx.index`` rejects a cell listed twice, so it is a bijection
+    from ray masks to cells, and each face is by construction the cell
+    whose mask is the cell's with one ray's bit cleared, or raises if no
+    cell has that mask.  Cells are in dimension and then lexicographic
+    order of their ray tuples, so a depth-first walk from the point, with
+    one pointer per dimension, reaches each cell from its prefix face,
+    the cell whose tuple is its own without the last ray (a cell it
+    misses is out of order), and builds the cell's tree from the
+    prefix's.  A reached cell is its prefix plus one ray, so by induction
+    its tuple has the dimension's length and repeats no ray: a repeat
+    would give it its prefix's mask, which the index rejects.  The last
     ray's mask M is the largest clade, so it hangs from the root, and
     only two vertices are new: M's and the rest of the root.  Each root
     child that meets M must lie inside M (else a marking sits on two
@@ -209,11 +209,12 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
     the clades of a stable tree.  Contracting edge e merges vertex e into
     its parent and leaves every other clade unchanged as a set, so it
     gives the face with e's ray removed, which is the face ``codim1``
-    names; the merged vertex weighs >= 3 + 3 - 2 = 4.  Returns each
+    yields; the merged vertex weighs >= 3 + 3 - 2 = 4.  Returns each
     cell's vertex profile, its sorted (leg count, valence) pairs, equal
     profiles as one shared tuple.
     """
-    cell_rays, codim1 = cx.cell_rays, cx.codim1
+    cx._star_counts  # the face check
+    cell_rays = cx.cell_rays
     masks = [s.mask for s in cx.rays]
     # bounds[d]: the first cell of dimension d; ptr[d]: the next one to visit
     bounds = [r.start for r in cx.dim_ranges.values()] + [len(cell_rays)] * 2
@@ -224,8 +225,7 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
     def visit(p, d, children, legs, profile):
         # the cofaces of cell p, given its root's children (clade masks) and legs
         j, end = ptr[d + 1], bounds[d + 2]
-        # a coface's mask has d + 1 bits: a tuple of another length is out of order
-        while j < end and codim1[j][-1] == p and len(rays := cell_rays[j]) == d + 1:
+        while j < end and (rays := cell_rays[j])[:-1] == cell_rays[p]:
             m = masks[rays[-1]]  # the largest clade, hung from the root
             inside = [c for c in children if c & m]
             cover = sum(inside)  # the root's children are disjoint
@@ -261,7 +261,7 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
 
 def star_count(cx: ConeComplex, cell_idx: int) -> int:
     """Number of cells one dimension up whose closure contains the given
-    cell, counted brute-force through the face maps."""
+    cell, counted once through the face stream."""
     if not 0 <= cell_idx < len(cx.cell_rays):
         raise ValueError(f"no cell with index {cell_idx}")
     return cx._star_counts[cell_idx]

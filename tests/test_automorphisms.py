@@ -384,9 +384,10 @@ def test_cell_map_preserves_dimension_and_faces():
     f = induced(cx, (2, 3, 4, 5, 1))
     f.check_cells()
     cell_map = tuple_cell_map(f)
+    codim1 = tuple(cx.codim1)
     for i, j in enumerate(cell_map):
         assert len(cx.cell_rays[i]) == len(cx.cell_rays[j])
-        for r, tgt in zip(cx.cell_rays[i], cx.codim1[i]):
+        for r, tgt in zip(cx.cell_rays[i], codim1[i]):
             image_face, _ = face(cx, j, [split_image(f, cx.rays[r])])
             assert cell_map[tgt] == image_face
 

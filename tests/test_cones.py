@@ -6,11 +6,14 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from tropmoduli import cones
+from tropmoduli.automorphisms import DEFAULT_SEED, main_theorem_report
+from tropmoduli.cli import _formula_mismatches
 from tropmoduli.cones import build_complex, check_contractions, star_count
 from tropmoduli.trees import Split, splits_compatible
 from shared import (
@@ -90,7 +93,31 @@ def test_index_keys_each_cell_by_its_ray_mask():
 def test_codim1_matches_tuple_slicing():
     for n in (4, 5, 6, 7, 8):
         cx = complex_for(n)
-        assert cx.codim1 == tuple_codim1(cx)
+        assert tuple(map(tuple, cx.codim1)) == tuple_codim1(cx)
+
+
+def test_complex_keeps_no_face_table():
+    # the faces are streamed into the star counts, never stored: the
+    # build and the checks cache only these tables, and the build's
+    # allocation peak stays within 160 bytes per cell (a face table
+    # alone takes about 85 at n = 8)
+    cx = build_complex(7, catalog(7))
+    built = [
+        "_star_counts", "cell_rays", "compat_masks", "dim_ranges",
+        "index", "n", "rays", "vertex_profiles",
+    ]
+    assert sorted(vars(cx)) == built
+    _formula_mismatches(cx)
+    main_theorem_report(cx, DEFAULT_SEED, 10)
+    assert sorted(vars(cx)) == sorted(built + ["ray_by_mask"])
+    cat = catalog(8)
+    tracemalloc.start()
+    try:
+        build_complex(8, cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(cat.cell_rays) * 160
 
 
 def test_face_maps_compose():
@@ -218,6 +245,23 @@ def test_contraction_check_names_a_cell_out_of_order():
         check_contractions(broken)
 
 
+def test_build_complex_names_a_cell_whose_rays_are_out_of_order():
+    # one top cell's ray tuple reversed: its mask and faces are still
+    # right, but the walk follows tuple prefixes and names the first cell
+    # it cannot reach
+    for n, which, name in (
+        (5, 0, r"\{2,3\} \| \{2,3,4\}"),
+        (6, 0, r"\{2,3,6\} \| \{4,5\} \| \{2,3\}"),
+        (6, -1, r"\{3,4,5,6\} \| \{4,5,6\} \| \{5,6\}"),
+    ):
+        cat = catalog(n)
+        cells = list(cat.cell_rays)
+        i = cat.dim_ranges[cat.max_dimension][which]
+        cells[i] = cells[i][::-1]
+        with pytest.raises(AssertionError, match=rf"^cell {name} is listed out of order$"):
+            build_complex(n, dataclasses.replace(cat, cell_rays=tuple(cells)))
+
+
 def test_contraction_check_names_a_face_that_is_no_cell():
     # at n = 6, with the 2-cell {2,3} | {2,3,4} left out, contracting edge
     # {5,6} of the first 3-cell holding it finds no cell
@@ -269,6 +313,7 @@ CONTRACTION_FAULT_ROWS = (
     test_contraction_check_names_a_tree_that_misses_a_marking,
     test_contraction_check_names_a_marking_on_two_vertices,
     test_contraction_check_names_a_cell_out_of_order,
+    test_build_complex_names_a_cell_whose_rays_are_out_of_order,
     test_contraction_check_names_a_face_that_is_no_cell,
     test_contraction_check_names_a_cell_listed_twice,
     test_build_complex_names_a_cell_maximal_below_the_top_dimension,
@@ -281,7 +326,7 @@ def test_every_contraction_check_raise_has_a_fault_row():
 
 
 def test_contraction_check_matches_the_per_edge_route():
-    for n in (4, 5, 6, 7):
+    for n in (4, 5, 6, 7, 8):
         cx = complex_for(n)
         assert check_contractions(cx) == per_edge_contractions(cx)
 
