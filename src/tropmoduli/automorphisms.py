@@ -342,7 +342,8 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
 def marking_ray_permutation(cx: ConeComplex, sigma) -> tuple[int, ...]:
     """The ray permutation a marking permutation induces, on ray masks:
     each marking-1-free side is mapped marking by marking through sigma,
-    complemented when its image holds marking 1, and looked up."""
+    complemented when its image holds marking 1, and looked up.  Only
+    the images looked up are complemented, not the whole table."""
     sigma = check_marking_perm(cx.n, sigma)
     full = (1 << cx.n) - 1
     # images[m >> 1]: the image of the side with mask m, built one marking
@@ -351,8 +352,8 @@ def marking_ray_permutation(cx: ConeComplex, sigma) -> tuple[int, ...]:
     for target in sigma[1:]:
         bit = 1 << (target - 1)
         images += [m | bit for m in images]
-    images = [m ^ full if m & 1 else m for m in images]
-    return tuple(cx.ray_by_mask[images[s.mask >> 1]] for s in cx.rays)
+    by_mask = cx.ray_by_mask
+    return tuple(by_mask[m ^ full if (m := images[s.mask >> 1]) & 1 else m] for s in cx.rays)
 
 
 def sn_kernel(cx: ConeComplex) -> list[tuple[int, ...]]:
@@ -385,36 +386,20 @@ def sn_image_group(cx: ConeComplex) -> PermutationGroup:
 # reconstructing the inducing marking permutation
 
 
-def _two_set_image(f: ComplexAutomorphism, pair: frozenset[int]) -> frozenset[int]:
-    """Image leg pair of the 2-vertex stratum with leg set `pair` on one
-    vertex: the size-2 side of the image ray, read off its mask."""
-    cx = f.cx
-    full = (1 << cx.n) - 1
-    mask = sum(1 << (i - 1) for i in pair)
-    if mask & 1:
-        mask ^= full
-    image = cx.rays[f.ray_perm[cx.ray_by_mask[mask]]].mask
-    for part in (image, image ^ full):
-        if part.bit_count() == 2:
-            return frozenset(i + 1 for i in range(cx.n) if part >> i & 1)
-    raise ReconstructionError(
-        f"image of the 2-leg stratum {set(pair)} has no 2-leg vertex; "
-        "leg counts are not preserved"
-    )
-
-
 def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
     """Recover the marking permutation inducing an automorphism (n >= 5).
 
     Constructive, from the images of the n - 1 two-leg strata on
-    {1,j}: those on {1,2} and {1,3} overlap in a single marking, which is
-    sigma(1); each {1,j} must contain it and yields sigma(j) as its other
-    marking.  The candidate sigma is then verified in one comparison of
-    ray permutations against every ray; for n >= 5 a ray's two-marking
-    side is unique, so this also covers every other two-leg stratum.  Any
-    failed step raises :class:`ReconstructionError`, naming the first ray
-    on which sigma and the automorphism differ, as it would falsify the
-    description of the automorphism group.  It reads the rays only.
+    {1,j}: the image ray's mask, or its complement, is the image's
+    two-marking side.  Those of {1,2} and {1,3} overlap in a single
+    marking, which is sigma(1); each {1,j} must contain it and yields
+    sigma(j) as its other marking.  The candidate sigma is then verified
+    in one comparison of ray permutations against every ray; for n >= 5
+    a ray's two-marking side is unique, so this also covers every other
+    two-leg stratum.  Any failed step raises
+    :class:`ReconstructionError`, naming the first ray on which sigma and
+    the automorphism differ, as it would falsify the description of the
+    automorphism group.  It reads the rays only.
     """
     cx = f.cx
     n = cx.n
@@ -423,34 +408,45 @@ def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
             "reconstruction needs n >= 5; at n = 4 compare against the "
             "marking action directly"
         )
-    two_sets = {j: _two_set_image(f, frozenset((1, j))) for j in range(2, n + 1)}
-    common = two_sets[2] & two_sets[3]
-    if len(common) != 1:
+    full = (1 << n) - 1
+    two = []  # two[j - 2]: mask of the image side of the stratum on {1,j}
+    for j in range(2, n + 1):
+        # the ray of {1,j} stores the other side, full ^ {1,j}
+        image = cx.rays[f.ray_perm[cx.ray_by_mask[full ^ 1 ^ 1 << (j - 1)]]].mask
+        if image.bit_count() != 2:
+            image ^= full
+        if image.bit_count() != 2:
+            raise ReconstructionError(
+                f"image of the 2-leg stratum {set((1, j))} has no 2-leg vertex; "
+                "leg counts are not preserved"
+            )
+        two.append(image)
+    common = two[0] & two[1]
+    if common.bit_count() != 1:
+        sides = [[i + 1 for i in range(n) if t >> i & 1] for t in two[:2]]
         raise ReconstructionError(
             "images of the 2-leg strata on {1,2} and {1,3} do not overlap "
-            f"in exactly one marking: {sorted(two_sets[2])} vs {sorted(two_sets[3])}"
+            f"in exactly one marking: {sides[0]} vs {sides[1]}"
         )
-    (image_of_1,) = common
-    images = [image_of_1]
-    for j, t in two_sets.items():
-        if image_of_1 not in t:
+    images = [common.bit_length()]
+    for j, t in enumerate(two, 2):
+        if not t & common:
             raise ReconstructionError(
                 f"image of the 2-leg stratum on {{1,{j}}} misses the image of 1"
             )
-        (image,) = t - {image_of_1}
-        images.append(image)
+        images.append((t ^ common).bit_length())
 
     # sigma is a permutation: the rays on {1,j} are distinct, so are their
     # images, and distinct rays have distinct two-marking sides; each side
-    # holds image_of_1, so their other markings are distinct too
+    # holds sigma(1), so their other markings are distinct too
     sigma = tuple(images)
     action = marking_ray_permutation(cx, sigma)
-    for r, (want, got) in enumerate(zip(action, f.ray_perm)):
-        if want != got:
-            raise ReconstructionError(
-                f"recovered permutation {sigma} sends ray {cx.ray_name(r)} to "
-                f"{cx.ray_name(want)}, the automorphism to {cx.ray_name(got)}"
-            )
+    if action != f.ray_perm:
+        r = next(r for r, (want, got) in enumerate(zip(action, f.ray_perm)) if want != got)
+        raise ReconstructionError(
+            f"recovered permutation {sigma} sends ray {cx.ray_name(r)} to "
+            f"{cx.ray_name(action[r])}, the automorphism to {cx.ray_name(f.ray_perm[r])}"
+        )
     return sigma
 
 
@@ -483,16 +479,17 @@ def _surjectivity_report(cx, group, generator_sigmas, samples, seed) -> dict:
     failed): a seeded sample of group elements is reconstructed and its
     cells checked too.  :func:`reconstruct_sigma` requires the exact
     round trip (sigma's ray permutation equals the element's), so a
-    sample counts as ok exactly when both steps pass."""
+    sample counts as ok exactly when both steps pass.  The draws repeat
+    elements, and each distinct element is checked once; failures are
+    still listed, and ``checked`` and ``ok`` still counted, per draw."""
     sample = group.random_elements(samples, seed)
     failures = [
         f"generator:{format_cycles(g)}"
         for g, sigma in zip(group.generators, generator_sigmas)
         if sigma is None
     ]
-    failures += [
-        f"sample:{format_cycles(p)}" for p in sample if _sample_failed(ComplexAutomorphism(cx, p))
-    ]
+    failed = {p: _sample_failed(ComplexAutomorphism(cx, p)) for p in dict.fromkeys(sample)}
+    failures += [f"sample:{format_cycles(p)}" for p in sample if failed[p]]
     checked = len(generator_sigmas) + len(sample)
     return {
         "n": cx.n,

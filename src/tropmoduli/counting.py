@@ -54,8 +54,11 @@ LEMMA_MIN_BOUND = 2  # the first equal-sum pair: (0, 0, 2) and (0, 1, 1)
 LEMMA_MAX_BOUND = 100
 
 
+_POW2 = tuple(1 << a for a in range(LEMMA_MAX_BOUND + 1))
+
+
 def _power_sum(triple) -> int:
-    return sum(2 ** a for a in triple)
+    return _POW2[triple[0]] + _POW2[triple[1]] + _POW2[triple[2]]
 
 
 def lemma_power_sweep(bound: int) -> tuple[int, list[tuple[tuple, tuple]]]:
@@ -64,7 +67,8 @@ def lemma_power_sweep(bound: int) -> tuple[int, list[tuple[tuple, tuple]]]:
 
     Both statistics are symmetric, so sweeping sorted triples covers every
     pair.  Within each sum class, pairs with different 2-power sums are
-    vacuously consistent.  The sorted triples are distinct multisets, so
+    vacuously consistent, so a class is grouped by 2-power sum only when
+    two of them are equal.  The sorted triples are distinct multisets, so
     every pair that also has equal 2-power sums is a counterexample.
     Bounds below LEMMA_MIN_BOUND cover no pair and raise ValueError; cost
     grows about cubically, so bounds above LEMMA_MAX_BOUND raise
@@ -83,9 +87,12 @@ def lemma_power_sweep(bound: int) -> tuple[int, list[tuple[tuple, tuple]]]:
     violations = []
     for group in by_sum.values():
         checked += len(group) * (len(group) - 1) // 2
+        powers = list(map(_power_sum, group))
+        if len(set(powers)) == len(powers):
+            continue
         by_power: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        for triple in group:
-            by_power[_power_sum(triple)].append(triple)
+        for power, triple in zip(powers, group):
+            by_power[power].append(triple)
         for same_power in by_power.values():
             violations.extend(itertools.combinations(same_power, 2))
     return checked, violations

@@ -310,21 +310,27 @@ def aut_m2(cx: M2Complex) -> M2SearchResult:
     these per-cell checks; `valid` counts the whole candidates that pass,
     and `classes` those modulo the per-cell edge groups.  The result is
     the trivial group: each cell is fixed and every surviving edge
-    bijection is equivalent to the identity."""
+    bijection is equivalent to the identity.  Each (cell, image, edge
+    bijection) class is computed once per call: the valid candidates
+    share most of them."""
     size = len(cx.cells)
     cell_map = [0] * size
     edge_maps: list[tuple[int, ...]] = [()] * size
     checks = valid = 0
     keys = set()
+    classes: dict[tuple, tuple[int, ...]] = {}
+
+    def edge_class(k: int) -> tuple[int, ...]:
+        key = (k, cell_map[k], edge_maps[k])
+        if key not in classes:
+            classes[key] = _edge_class(cx, *key)
+        return classes[key]
 
     def walk(i: int) -> None:
         nonlocal checks, valid
         if i == size:
             valid += 1
-            keys.add((
-                tuple(cell_map),
-                tuple(_edge_class(cx, k, cell_map[k], edge_maps[k]) for k in range(size)),
-            ))
+            keys.add((tuple(cell_map), tuple(map(edge_class, range(size)))))
             return
         dim = cx.cells[i].dimension
         for i2, image in enumerate(cx.cells):

@@ -506,6 +506,14 @@ def test_reconstruct_known_sigma():
         assert reconstruct_sigma(induced(cx, sigma)) == sigma
 
 
+def test_reconstruct_every_marking_permutation():
+    # the reconstruction inverts the marking action on all of S_5 and S_6
+    for n in (5, 6):
+        cx = complex_for(n)
+        for sigma in itertools.permutations(range(1, n + 1)):
+            assert reconstruct_sigma(induced(cx, sigma)) == sigma
+
+
 def test_reconstruct_identity():
     cx = complex_for(5)
     assert reconstruct_sigma(induced(cx, (1, 2, 3, 4, 5))) == (1, 2, 3, 4, 5)
@@ -610,6 +618,24 @@ def test_cell_map_rejects_non_automorphism():
     with pytest.raises(ValueError, match=rf"\bcell {bad}\b"):
         ComplexAutomorphism(cx, perm).check_cells()
     assert f"cell {bad} " in _both_routes_raise(ComplexAutomorphism(cx, perm))
+
+
+def test_a_repeated_sample_is_checked_once_and_listed_per_draw(monkeypatch):
+    # each distinct drawn element is reconstructed once and, when that
+    # passes, cell-checked once; failures, checked and ok count draws
+    cx = complex_for(5)
+    bad = _ray_swap(cx, [1, 3], [4, 5])
+    good = marking_ray_permutation(cx, (2, 3, 1, 5, 4))
+    draws = [bad, good, bad, good, good]
+    monkeypatch.setattr(PermutationGroup, "random_elements", lambda self, k, seed: draws)
+    rebuilt = count_calls(monkeypatch, automorphisms, "reconstruct_sigma", lambda f: f.ray_perm)
+    checked = count_calls(monkeypatch, ComplexAutomorphism, "check_cells", lambda f: f.ray_perm)
+    group = PermutationGroup(len(cx.rays), (good,))
+    report = automorphisms._surjectivity_report(cx, group, [(2, 3, 1, 5, 4)], 5, DEFAULT_SEED)
+    assert report["failures"] == [f"sample:{format_cycles(bad)}"] * 2
+    assert (report["checked"], report["ok"], report["verdict"]) == (6, 4, "FAIL")
+    assert rebuilt == {bad: 1, good: 1}
+    assert checked == {good: 1}
 
 
 def test_list_given_automorphism_is_normalised():

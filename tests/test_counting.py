@@ -2,12 +2,14 @@
 the power-of-two sweep."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from tropmoduli import counting
 from tropmoduli.cones import star_count
 from tropmoduli.counting import (
+    LEMMA_MAX_BOUND,
     brute_force_partition_count,
     expansion_count_formula,
     lemma_power_sweep,
@@ -133,6 +135,22 @@ def test_lemma_sweep_reports_every_colliding_pair(monkeypatch):
     expected = lemma_pairs_oracle(6, collide)
     assert expected[1]
     assert (checked, sorted(violations)) == expected
+
+
+def test_lemma_sweep_at_the_envelope():
+    # no violation up to the largest bound, and every equal-sum pair of
+    # sorted triples covered: sum over s of C(N_s, 2), N_s counted by a
+    # loop of its own over the sorted triples with sum s
+    bound = LEMMA_MAX_BOUND
+    per_sum = Counter(
+        a + b + c
+        for a in range(bound + 1)
+        for b in range(a, bound + 1)
+        for c in range(b, bound + 1)
+    )
+    checked, violations = lemma_power_sweep(bound)
+    assert violations == []
+    assert checked == sum(k * (k - 1) // 2 for k in per_sum.values())
 
 
 def test_lemma_sweep_small():

@@ -29,7 +29,7 @@ from genus2_reference import (
     reference_search,
     whole_candidates,
 )
-from shared import invoke, one_check_failed, unreached_raises
+from shared import count_calls, invoke, one_check_failed, unreached_raises
 
 
 @lru_cache(maxsize=1)
@@ -315,6 +315,15 @@ def test_search_work_bound():
     result = aut_m2(m2())
     assert result.candidates <= 100
     assert result.valid == 24
+
+
+def test_each_edge_class_is_computed_once(monkeypatch):
+    # the 24 valid candidates share their (cell, image, edge bijection)
+    # keys: 14 distinct ones, against 24 x 7 = 168 computed per candidate
+    calls = count_calls(monkeypatch, genus2, "_edge_class", lambda cx, i, i2, phi: (i, i2, phi))
+    result = aut_m2(m2())
+    assert (len(calls), sum(calls.values())) == (14, 14)
+    assert (result.candidates, result.valid, result.classes) == (65, 24, 1)
 
 
 def test_check_candidate_matches_reference():

@@ -1,0 +1,153 @@
+"""End-to-end timings of the tropmoduli CLI, one child process per run.
+
+Standard library only.  From the root of a checkout:
+
+    python3 tools/bench.py --out BENCH.json
+    python3 tools/bench.py -k 10 --tree parent=../old --tree change=. --out BENCH.json
+    python3 tools/bench.py -k 1 --run "report --max-n 4" --out small.json
+
+Each run is a fresh interpreter that imports ``tropmoduli.cli`` from the
+tree's ``src/`` and calls ``cli.run`` once.  A run records the time of
+that call, the wall time of the whole child process, its peak resident
+set (``ru_maxrss``), the sha256 of its payload (sorted keys, compact
+separators) and its exit status.  With several trees the runs are
+interleaved, and the tree that goes first alternates from round to
+round: the second run of a pair tends to read slower on a busy host.
+The file also records the Python version, the CPU count, each tree's
+commit and whether its package had a bytecode cache; children write
+none.  The exit status is 1 when two trees' payloads differ for one run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shlex
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+RUNS = (
+    "report --max-n 6",
+    "report --max-n 8",
+    "aut --n 7",
+    "aut --n 8 --method both",
+    "count --check formula --n 8",
+)
+
+CHILD = """\
+import hashlib, io, json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from tropmoduli import cli
+out = io.StringIO()
+started = time.perf_counter()
+code = cli.run(sys.argv[2:], stdout=out, stderr=io.StringIO())
+run_s = time.perf_counter() - started
+text = out.getvalue()
+payload = json.loads(text)["payload"] if text else None
+digest = hashlib.sha256(
+    json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+).hexdigest()
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"exit": code, "run_s": run_s, "maxrss_kib": rss, "payload_sha256": digest}))
+"""
+
+
+def _commit(tree: Path) -> str | None:
+    done = subprocess.run(
+        ["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True
+    )
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _one_run(tree: Path, argv: list[str]) -> dict:
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", CHILD, str(tree / "src"), *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    record = json.loads(done.stdout)
+    record["process_s"] = time.perf_counter() - started
+    return record
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4, method="inclusive") if values[1:] else values * 3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("-k", type=int, default=5, help="rounds (default 5)")
+    parser.add_argument(
+        "--tree", action="append", metavar="LABEL=PATH",
+        help="a checkout to measure; give it twice to compare (default: change=.)",
+    )
+    parser.add_argument(
+        "--run", action="append", metavar="ARGV",
+        help="one CLI invocation, as a quoted string (default: the five end-to-end runs)",
+    )
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.k < 1:
+        parser.error("-k must be >= 1")
+    trees = {}
+    for spec in args.tree or ["change=."]:
+        label, sep, path = spec.partition("=")
+        if not sep or not label or label in trees:
+            parser.error(f"--tree wants a new LABEL=PATH, got {spec!r}")
+        trees[label] = Path(path).resolve()
+        if not (trees[label] / "src" / "tropmoduli").is_dir():
+            parser.error(f"no src/tropmoduli under {path}")
+    runs = args.run or list(RUNS)
+
+    records = []
+    labels = list(trees)
+    for k in range(args.k):
+        order = labels if k % 2 == 0 else labels[::-1]
+        for run in runs:
+            for label in order:
+                record = _one_run(trees[label], shlex.split(run))
+                records.append({"round": k, "run": run, "tree": label, **record})
+                print(f"round {k} {label:>8} {run}: {record['run_s']:.4f} s", file=sys.stderr)
+
+    summary, mismatched = {}, []
+    for run in runs:
+        summary[run] = {}
+        for label in labels:
+            rows = [r for r in records if r["run"] == run and r["tree"] == label]
+            summary[run][label] = {
+                "run_s_quartiles": _quartiles([r["run_s"] for r in rows]),
+                "process_s_median": statistics.median(r["process_s"] for r in rows),
+                "maxrss_mib_median": statistics.median(r["maxrss_kib"] for r in rows) / 1024,
+            }
+        if len({r["payload_sha256"] for r in records if r["run"] == run}) > 1:
+            mismatched.append(run)
+    result = {
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "k": args.k,
+        "trees": {
+            label: {
+                "commit": _commit(tree),
+                "bytecode_cache": (tree / "src" / "tropmoduli" / "__pycache__").is_dir(),
+            }
+            for label, tree in trees.items()
+        },
+        "payload_mismatches": mismatched,
+        "summary": summary,
+        "runs": records,
+    }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for run in mismatched:
+        print(f"payloads differ between trees: {run}", file=sys.stderr)
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
