@@ -3,10 +3,14 @@
 Subcommands: `enumerate` (stratum catalog), `complex` (poset/graph
 export), `aut` (automorphism groups and the symmetric-group comparison),
 `count` (closed-form checks), `genus2` (the genus-2 fixture), and
-`report` (the whole verification battery).  Machine-readable JSON goes
-to stdout, progress to stderr; exit status 0 on PASS, 1 on FAIL (a
-failed internal check prints one ``check failed:`` line and no JSON), 2
-on usage errors, 3 on resource-envelope violations.
+`report` (the whole verification battery).  Each handler in
+``HANDLERS`` returns one value: the payload dict, whose ``verdict`` key
+(``N-A`` when it has none) becomes the report's, or the export text of
+``enumerate --format csv`` and ``complex --dot``, which goes to stdout as
+is.  Machine-readable JSON goes to stdout, progress to stderr; exit
+status 0 on PASS, 1 on FAIL (a failed internal check prints one ``check
+failed:`` line and no JSON), 2 on usage errors, 3 on resource-envelope
+violations.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ENVELOPE = 3
+
+DEFAULT_LEMMA_BOUND = 20  # the lemma sweep's bound in `count` and in the battery
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_enumerate(args) -> tuple[str | None, dict, str | None]:
+def _cmd_enumerate(args, log) -> dict | str:
     check_n(args.n)
     if args.dim is not None and args.dim not in range(args.n - 2):
         raise ValueError(f"no strata of dimension {args.dim} for n={args.n}")
@@ -97,25 +103,22 @@ def _cmd_enumerate(args) -> tuple[str | None, dict, str | None]:
         lines = ["dim,splits"]
         for d, rng in ranges.items():
             lines.extend(f"{d}," + "|".join(names[r] for r in cells[i]) for i in rng)
-        return None, {}, "\n".join(lines) + "\n"
-    payload = {
+        return "\n".join(lines) + "\n"
+    return {
         "n": args.n,
         "f_vector": catalog.f_vector(),
         "strata": {
             str(d): [[sides[r] for r in cells[i]] for i in rng] for d, rng in ranges.items()
         },
     }
-    return None, payload, None
 
 
-def _cmd_complex(args) -> tuple[str | None, dict, str | None]:
+def _cmd_complex(args, log) -> dict | str:
     cx = build_complex(args.n)
-    if args.dot:
-        return None, {}, cx.to_dot(args.dot)
-    return None, cx.to_json_obj(), None
+    return cx.to_dot(args.dot) if args.dot else cx.to_json_obj()
 
 
-def _cmd_aut(args) -> tuple[str, dict, None]:
+def _cmd_aut(args, log) -> dict:
     if args.n < VERIFY_MIN_N:
         raise ValueError(
             f"--n must be >= {VERIFY_MIN_N}: smaller runs check no automorphism group"
@@ -124,7 +127,7 @@ def _cmd_aut(args) -> tuple[str, dict, None]:
     if args.method == "poset":
         group = aut_via_poset(cx)
         expected = expected_order(args.n)
-        payload = {
+        return {
             "n": args.n,
             "method": "poset",
             "order": group.order(),
@@ -132,32 +135,30 @@ def _cmd_aut(args) -> tuple[str, dict, None]:
             "generators": [format_cycles(g) for g in group.generators],
             "verdict": "PASS" if group.order() == expected else "FAIL",
         }
-        return payload["verdict"], payload, None
-    payload = main_theorem_report(cx, args.seed, 0, poset=args.method == "both")
-    return payload["verdict"], payload, None
+    return main_theorem_report(cx, args.seed, 0, poset=args.method == "both")
 
 
-def _cmd_count(args) -> tuple[str, dict, None]:
+def _cmd_count(args, log) -> dict:
     if args.check == "lemma":
         if args.n is not None:
             raise ValueError("--check lemma takes no --n")
-        args.bound = 20 if args.bound is None else args.bound  # recorded in params
+        if args.bound is None:
+            args.bound = DEFAULT_LEMMA_BOUND  # recorded in params
         checked, violations = lemma_power_sweep(args.bound)
-        payload = {
+        return {
             "check": "lemma",
             "bound": args.bound,
             "pairs_checked": checked,
             "violations": [list(map(list, v)) for v in violations],
             "verdict": "PASS" if not violations else "FAIL",
         }
-        return payload["verdict"], payload, None
     if args.n is None:
         raise ValueError("--check formula requires --n")
     if args.bound is not None:
         raise ValueError("--check formula takes no --bound")
     cx = build_complex(args.n)
     mismatches, star_bad = _formula_mismatches(cx)
-    payload = {
+    return {
         "check": "formula",
         "n": args.n,
         "strata": len(cx.cell_rays),
@@ -165,7 +166,6 @@ def _cmd_count(args) -> tuple[str, dict, None]:
         "star_mismatches": star_bad,
         "verdict": "PASS" if not mismatches and not star_bad else "FAIL",
     }
-    return payload["verdict"], payload, None
 
 
 def _formula_mismatches(cx) -> tuple[list, list[int]]:
@@ -188,7 +188,7 @@ def _formula_mismatches(cx) -> tuple[list, list[int]]:
     return mismatches, star_bad
 
 
-def _cmd_genus2(args) -> tuple[str, dict, None]:
+def _cmd_genus2(args=None, log=None) -> dict:
     cx = build_m2_complex()
     result = aut_m2(cx)
     witness = bridge_loop_swap_violation(cx)
@@ -199,7 +199,7 @@ def _cmd_genus2(args) -> tuple[str, dict, None]:
         and theta.edge_group.order() == 6
         and {witness.face, witness.image_face} == {"figure_eight", "lollipop"}
     )
-    payload = {
+    return {
         "cells": len(cx.cells),
         "f_vector": cx.f_vector(),
         "aut_order": result.group.order(),
@@ -208,7 +208,6 @@ def _cmd_genus2(args) -> tuple[str, dict, None]:
         "swap_rejection": witness.describe(),
         "verdict": "PASS" if ok else "FAIL",
     }
-    return payload["verdict"], payload, None
 
 
 def _battery(max_n: int, seed: int, log) -> dict:
@@ -243,8 +242,8 @@ def _battery(max_n: int, seed: int, log) -> dict:
         add(f"counting formula n={n}", bad == 0, mismatches=bad)
 
     log("power-of-two lemma sweep")
-    checked, violations = lemma_power_sweep(20)
-    add("lemma sweep bound=20", not violations, pairs_checked=checked)
+    checked, violations = lemma_power_sweep(DEFAULT_LEMMA_BOUND)
+    add(f"lemma sweep bound={DEFAULT_LEMMA_BOUND}", not violations, pairs_checked=checked)
 
     log("automorphism groups")
     for n in range(VERIFY_MIN_N, max_n + 1):
@@ -260,16 +259,22 @@ def _battery(max_n: int, seed: int, log) -> dict:
             add("klein kernel n=4", rep["kernel_is_klein"])
 
     log("genus-2 fixture")
-    verdict, payload, _ = _cmd_genus2(argparse.Namespace())
-    add("genus2", verdict == "PASS", aut_order=payload["aut_order"])
+    payload = _cmd_genus2()
+    add("genus2", payload["verdict"] == "PASS", aut_order=payload["aut_order"])
 
     overall = "PASS" if all(c["verdict"] == "PASS" for c in checks) else "FAIL"
     return {"max_n": max_n, "seed": seed, "checks": checks, "verdict": overall}
 
 
-def _cmd_report(args, log) -> tuple[str, dict, None]:
-    payload = _battery(args.max_n, args.seed, log)
-    return payload["verdict"], payload, None
+# one handler per subcommand; `report` looks `_battery` up by name at each call
+HANDLERS = {
+    "enumerate": _cmd_enumerate,
+    "complex": _cmd_complex,
+    "aut": _cmd_aut,
+    "count": _cmd_count,
+    "genus2": _cmd_genus2,
+    "report": lambda args, log: _battery(args.max_n, args.seed, log),
+}
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -287,18 +292,7 @@ def run(argv, stdout=None, stderr=None) -> int:
 
     started = time.perf_counter()
     try:
-        if args.command == "enumerate":
-            verdict, payload, raw = _cmd_enumerate(args)
-        elif args.command == "complex":
-            verdict, payload, raw = _cmd_complex(args)
-        elif args.command == "aut":
-            verdict, payload, raw = _cmd_aut(args)
-        elif args.command == "count":
-            verdict, payload, raw = _cmd_count(args)
-        elif args.command == "genus2":
-            verdict, payload, raw = _cmd_genus2(args)
-        else:
-            verdict, payload, raw = _cmd_report(args, log)
+        payload = HANDLERS[args.command](args, log)
     except EnvelopeError as exc:
         log(f"resource envelope: {exc}")
         return EXIT_ENVELOPE
@@ -309,17 +303,15 @@ def run(argv, stdout=None, stderr=None) -> int:
         log(f"check failed: {exc}")
         return EXIT_FAIL
 
-    if raw is not None:
-        stdout.write(raw)
+    if isinstance(payload, str):
+        stdout.write(payload)
         return EXIT_OK
-
+    verdict = payload.get("verdict", "N-A")
     report = {
         "schema": 1,
         "subcommand": args.command,
-        "params": {
-            k: v for k, v in sorted(vars(args).items()) if k not in ("command",)
-        },
-        "verdict": verdict if verdict is not None else "N-A",
+        "params": {k: v for k, v in sorted(vars(args).items()) if k != "command"},
+        "verdict": verdict,
         "payload": payload,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }

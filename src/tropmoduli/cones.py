@@ -172,9 +172,12 @@ def build_complex(n: int, catalog: StratumCatalog | None = None) -> ConeComplex:
     """Materialize the cone complex on the catalog's tables, with no face
     table: :func:`check_contractions` checks every face and contraction
     and records the vertex profiles, and a cell below the top dimension
-    with no coface raises ``AssertionError`` naming it."""
+    with no coface raises ``AssertionError`` naming it.  A catalog of
+    another n raises ``ValueError`` before any work."""
     if catalog is None:
         catalog = enumerate_strata(n)
+    elif catalog.n != n:
+        raise ValueError(f"build_complex(n={n}) was given the catalog of n={catalog.n}")
     cx = ConeComplex(n, catalog.rays, catalog.compat_masks, catalog.cell_rays)
     cx.vertex_profiles  # force the contraction check
     # a top cell has no coface, so the first cell with none is at most the first top cell

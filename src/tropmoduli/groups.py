@@ -213,8 +213,8 @@ class PermutationGroup:
         levels = [tuple(t.values()) for t in self._chain.transversals]
         out = []
         for _ in range(count):
-            p = identity_perm(self.degree)
-            for reps in levels:
+            p = rng.choice(levels[0]) if levels else identity_perm(self.degree)
+            for reps in levels[1:]:
                 p = compose_perms(p, rng.choice(reps))
             out.append(p)
         return out

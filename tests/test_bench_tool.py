@@ -12,18 +12,25 @@ from shared import invoke
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_records_the_in_process_payload(tmp_path):
+def bench_one(tmp_path, run: str) -> tuple[dict, dict]:
+    """tools/bench.py's result and its one record for ``run``, one round
+    on this checkout."""
     out = tmp_path / "bench.json"
     subprocess.run(
         [
             sys.executable, str(ROOT / "tools" / "bench.py"), "-k", "1",
-            "--run", "report --max-n 4", "--tree", f"here={ROOT}", "--out", str(out),
+            "--run", run, "--tree", f"here={ROOT}", "--out", str(out),
         ],
         check=True,
         capture_output=True,
     )
     result = json.loads(out.read_text())
     (record,) = result["runs"]
+    return result, record
+
+
+def test_bench_records_the_in_process_payload(tmp_path):
+    result, record = bench_one(tmp_path, "report --max-n 4")
     code, stdout, _ = invoke("report", "--max-n", "4")
     text = json.dumps(json.loads(stdout)["payload"], sort_keys=True, separators=(",", ":"))
     assert record["payload_sha256"] == hashlib.sha256(text.encode()).hexdigest()
@@ -31,3 +38,11 @@ def test_bench_records_the_in_process_payload(tmp_path):
     assert record["run_s"] < record["process_s"] and record["maxrss_kib"] > 0
     assert result["payload_mismatches"] == [] and set(result["trees"]) == {"here"}
     assert result["python"] and result["nproc"] >= 1
+
+
+def test_bench_hashes_export_text_as_is(tmp_path):
+    _, record = bench_one(tmp_path, "complex --n 4 --dot hasse")
+    code, stdout, _ = invoke("complex", "--n", "4", "--dot", "hasse")
+    assert stdout.startswith("digraph")
+    assert record["payload_sha256"] == hashlib.sha256(stdout.encode()).hexdigest()
+    assert (record["exit"], code) == (0, 0)

@@ -1,5 +1,6 @@
 """CLI: payload shapes, exit codes, and determinism."""
 
+import argparse
 import ast
 import hashlib
 import inspect
@@ -925,3 +926,11 @@ def test_aut_checks_the_envelope_before_the_expected_order(monkeypatch):
         assert code == EXIT_ENVELOPE, method
         assert out == "" and "envelope" in err
     assert asked == []
+
+
+def test_every_subcommand_has_one_handler():
+    # a subcommand added without a handler fails here, not at run time
+    from tropmoduli import cli
+
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(cli.HANDLERS) == set(sub.choices)

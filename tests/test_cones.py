@@ -405,6 +405,14 @@ def test_build_complex_shares_the_catalog_tables():
         assert cx.compat_masks is cat.compat_masks
 
 
+def test_build_complex_rejects_a_catalog_of_another_n(monkeypatch):
+    # n = 5's 10 rays would otherwise pass as a complex labelled n = 6
+    walks = count_calls(monkeypatch, cones, "check_contractions", lambda cx: cx.n)
+    with pytest.raises(ValueError, match=r"n=6.*n=5"):
+        build_complex(6, catalog(5))
+    assert walks == {}
+
+
 def test_build_complex_builds_no_tree_objects(monkeypatch):
     built = count_tree_objects(monkeypatch)
     cx = build_complex(7)

@@ -10,7 +10,8 @@ Each run is a fresh interpreter that imports ``tropmoduli.cli`` from the
 tree's ``src/`` and calls ``cli.run`` once.  A run records the time of
 that call, the wall time of the whole child process, its peak resident
 set (``ru_maxrss``), the sha256 of its payload (sorted keys, compact
-separators) and its exit status.  With several trees the runs are
+separators) or, for an export such as ``complex --dot``, of its text as
+is, and its exit status.  With several trees the runs are
 interleaved, and the tree that goes first alternates from round to
 round: the second run of a pair tends to read slower on a busy host.
 The file also records the Python version, the CPU count, each tree's
@@ -48,10 +49,9 @@ started = time.perf_counter()
 code = cli.run(sys.argv[2:], stdout=out, stderr=io.StringIO())
 run_s = time.perf_counter() - started
 text = out.getvalue()
-payload = json.loads(text)["payload"] if text else None
-digest = hashlib.sha256(
-    json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-).hexdigest()
+if text.startswith("{"):  # a JSON report, not export text
+    text = json.dumps(json.loads(text)["payload"], sort_keys=True, separators=(",", ":"))
+digest = hashlib.sha256(text.encode()).hexdigest()
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"exit": code, "run_s": run_s, "maxrss_kib": rss, "payload_sha256": digest}))
 """
