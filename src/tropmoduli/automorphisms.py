@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .cones import ConeComplex
-from .groups import PermutationGroup, _StabilizerChain, format_cycles, identity_perm, point_orbit
+from .groups import PermutationGroup, format_cycles, identity_perm, sims_group
 from .trees import check_marking_perm
 
 __all__ = [
@@ -169,43 +169,7 @@ def graph_automorphism_group(neighbors: list[list[int]]) -> PermutationGroup:
         (v, _members(colors, colors[v]), partial(_coset_rep, neighbors, adj, path, k))
         for k, (colors, v) in reversed(list(enumerate(path[:-1])))
     )
-    return _sims_group(len(neighbors), levels)
-
-
-def _sims_group(degree, levels) -> PermutationGroup:
-    """The group of a Sims-style search.  ``levels`` yields ``(point,
-    images, find)`` from the last base point up; the generators found so
-    far fix the earlier points, so ``find(w)`` (an automorphism or None)
-    runs once per image outside the orbit, and |G| is the orbit sizes'
-    product.  The points with a nontrivial orbit, top level first, seed
-    the chain that cross-checks the order."""
-    gens: list[tuple[int, ...]] = []
-    order = 1
-    base = []
-    for point, images, find in levels:
-        orbit = point_orbit(point, gens)
-        for w in images:
-            if w not in orbit and (g := find(w)) is not None:
-                gens.append(g)
-                orbit = point_orbit(point, gens)
-        order *= len(orbit)
-        if len(orbit) > 1:
-            base.append(point)
-    return _checked_group(degree, gens, order, base[::-1])
-
-
-def _checked_group(degree, gens, order, base) -> PermutationGroup:
-    """The group generated by a search's generators, cross-checked against
-    the orbit-stabilizer order the search computed.  The Schreier-Sims
-    chain only starts from ``base``: it is complete for any starting
-    base, so the check does not rest on the search's orbits."""
-    group = PermutationGroup(degree, tuple(gens))
-    group._chain = _StabilizerChain(degree, group.generators, base)
-    if group.order() != order:
-        raise AssertionError(
-            f"search order {order} disagrees with generated group order {group.order()}"
-        )
-    return group
+    return sims_group(len(neighbors), levels)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +294,7 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
         prefix.append(narrow(k, k, prefix[k][1:]))
     levels = [(k, members(d[0]), partial(complete, k, d[1:])) for k, d in enumerate(prefix[:R])]
     try:
-        return _sims_group(R, reversed(levels))
+        return sims_group(R, reversed(levels))
     except AssertionError as exc:
         raise AssertionError(f"poset search at n={cx.n}: {exc}") from exc
 

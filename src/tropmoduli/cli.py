@@ -315,8 +315,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         "payload": payload,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    json.dump(report, stdout, separators=(",", ":"), sort_keys=True)
-    stdout.write("\n")
+    stdout.write(json.dumps(report, separators=(",", ":"), sort_keys=True) + "\n")
     return EXIT_FAIL if verdict == "FAIL" else EXIT_OK
 
 

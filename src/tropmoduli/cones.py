@@ -122,8 +122,9 @@ class ConeComplex(StratumCatalog):
         return [list(self.rays[r].side()) for r in self.cell_rays[i]]
 
     def to_json_obj(self) -> dict:
+        sides = [list(s.side()) for s in self.rays]  # each ray's side, once
         cells = [
-            {"index": i, "dim": len(c), "splits": self.cell_sides(i)}
+            {"index": i, "dim": len(c), "splits": [sides[r] for r in c]}
             for i, c in enumerate(self.cell_rays)
         ]
         faces = {}
@@ -131,7 +132,7 @@ class ConeComplex(StratumCatalog):
             # dropping ray k moves every later ray down one position
             faces[str(i)] = [
                 {
-                    "drop": list(self.rays[c[k]].side()),
+                    "drop": sides[c[k]],
                     "target": tgt,
                     "retained": [(j, j - (j > k)) for j in range(len(c)) if j != k],
                 }

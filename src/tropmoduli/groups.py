@@ -3,7 +3,8 @@
 Order, membership, equality and uniform sampling all go through one
 base/strong-generating-set (Schreier-Sims) chain, so the arithmetic is
 exact at every scale this package reaches, and no routine lists a
-group's elements.
+group's elements.  :func:`sims_group` runs a Sims-style search and
+builds its group, the chain started from the search's base.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "identity_perm",
@@ -22,6 +23,7 @@ __all__ = [
     "format_cycles",
     "point_orbit",
     "PermutationGroup",
+    "sims_group",
 ]
 
 
@@ -218,3 +220,34 @@ class PermutationGroup:
                 p = compose_perms(p, rng.choice(reps))
             out.append(p)
         return out
+
+
+def sims_group(degree: int, levels: Iterable[tuple]) -> PermutationGroup:
+    """The group of a Sims-style search.  ``levels`` yields ``(point,
+    images, find)`` from the last base point up; the generators found so
+    far fix the earlier points, so ``find(w)`` (a permutation or None)
+    runs once per image outside the orbit, and |G| is the orbit sizes'
+    product.  That order is cross-checked against the generated group,
+    whose chain starts from the points with a nontrivial orbit, top
+    level first.  The chain is complete from any starting base, so the
+    check does not rest on the search's orbits; a disagreement raises
+    ``AssertionError``."""
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    base = []
+    for point, images, find in levels:
+        orbit = point_orbit(point, gens)
+        for w in images:
+            if w not in orbit and (g := find(w)) is not None:
+                gens.append(g)
+                orbit = point_orbit(point, gens)
+        order *= len(orbit)
+        if len(orbit) > 1:
+            base.append(point)
+    group = PermutationGroup(degree, tuple(gens))
+    group._chain = _StabilizerChain(degree, group.generators, base[::-1])
+    if group.order() != order:
+        raise AssertionError(
+            f"search order {order} disagrees with generated group order {group.order()}"
+        )
+    return group

@@ -4,16 +4,15 @@ as the reference the tests compare the forward-checking search against.
 For every candidate image of a ray it rescans the 2-cell row of every
 earlier ray, keeps ``used`` flags for the images taken, and verifies
 each completion with one sorted tuple per cell.  It shares only
-``_sims_group`` with the package.
+``groups.sims_group`` with the package.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from tropmoduli.automorphisms import _sims_group
 from tropmoduli.cones import ConeComplex
-from tropmoduli.groups import PermutationGroup
+from tropmoduli.groups import PermutationGroup, sims_group
 
 
 def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
@@ -78,4 +77,4 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
             used[:] = [r < k for r in range(R)]
             yield k, candidates(k), partial(complete, k)
 
-    return _sims_group(R, levels())
+    return sims_group(R, levels())

@@ -1,5 +1,6 @@
 """tools/bench.py on one small run: what its child process records
-matches an in-process run of the same command."""
+matches an in-process run of the same command, and a child that fails
+is named."""
 
 import hashlib
 import json
@@ -46,3 +47,24 @@ def test_bench_hashes_export_text_as_is(tmp_path):
     assert stdout.startswith("digraph")
     assert record["payload_sha256"] == hashlib.sha256(stdout.encode()).hexdigest()
     assert (record["exit"], code) == (0, 0)
+
+
+def test_bench_names_a_failing_child(tmp_path):
+    # a tree whose package fails to import: the child's stderr is shown
+    # with the round, tree and run, and no file is written
+    package = tmp_path / "broken" / "src" / "tropmoduli"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('raise ImportError("this tree does not import")\n')
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "bench.py"), "-k", "1", "--run", "aut --n 4",
+            "--tree", f"here={ROOT}", "--tree", f"broken={tmp_path / 'broken'}", "--out", str(out),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2 and not out.exists()
+    assert "round 0 tree broken run 'aut --n 4' failed: exit status 1" in done.stderr
+    assert "ImportError: this tree does not import" in done.stderr
+    assert "CalledProcessError" not in done.stderr

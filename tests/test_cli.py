@@ -336,6 +336,25 @@ def test_payload_bytes_are_pinned():
         assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "enumerate --n 5",
+        "complex --n 5",
+        "aut --n 5 --method both",
+        "count --check formula --n 5",
+        "genus2",
+        "report --max-n 4",
+    ],
+)
+def test_report_is_one_compact_sorted_json_line(argv):
+    # the report's own framing, which the payload pins do not see: one
+    # JSON object, compact separators, sorted keys, one newline
+    code, out, _ = invoke(*argv.split())
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(out), separators=(",", ":"), sort_keys=True) + "\n"
+
+
 def test_enumerate_builds_no_tree_objects(monkeypatch):
     built = count_tree_objects(monkeypatch)
     assert invoke("enumerate", "--n", "7")[0] == EXIT_OK
@@ -435,7 +454,7 @@ def test_poset_search_that_misses_one_generator_fails_its_order_check(monkeypatc
     # the search and n
     from tropmoduli import automorphisms
 
-    sims_group = automorphisms._sims_group
+    sims_group = automorphisms.sims_group
     dropped = []
 
     def drop_first(find):
@@ -451,7 +470,7 @@ def test_poset_search_that_misses_one_generator_fails_its_order_check(monkeypatc
     def faulty_sims_group(degree, levels):
         return sims_group(degree, ((v, images, drop_first(find)) for v, images, find in levels))
 
-    monkeypatch.setattr(automorphisms, "_sims_group", faulty_sims_group)
+    monkeypatch.setattr(automorphisms, "sims_group", faulty_sims_group)
     code, out, err = invoke("aut", "--n", "5", "--method", "poset")
     assert (code, out, len(dropped)) == (EXIT_FAIL, "", 1)
     assert one_check_failed(err) == (
@@ -486,6 +505,18 @@ def test_every_automorphism_check_raise_has_a_fault_row():
     from tropmoduli import automorphisms
 
     assert unreached_raises(automorphisms, AUTOMORPHISM_FAULT_ROWS) == []
+
+
+def test_every_group_check_raise_has_a_fault_row():
+    # the searches' order check lives in groups.sims_group; both searches'
+    # order-check rows reach it
+    from tropmoduli import groups
+
+    rows = (
+        test_graph_search_that_misses_one_generator_fails_its_order_check,
+        test_poset_search_that_misses_one_generator_fails_its_order_check,
+    )
+    assert unreached_raises(groups, rows) == []
 
 
 def _failed_checks(report):

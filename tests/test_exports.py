@@ -114,6 +114,26 @@ def test_every_public_table_member_has_a_reader(cls):
     assert [name for name in members if name not in read] == []
 
 
+def _private_imports(path):
+    """The ``_``-prefixed names, dunders aside, that a source file imports
+    from the package, by file and line."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("tropmoduli"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is known to its own module alone: a module that needs
+    # another's private name needs that module to own the decision instead
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in _private_imports(path)] == []
+
+
 # what every module has, before it binds anything of its own
 MODULE_DUNDERS = {
     "__builtins__", "__cached__", "__doc__", "__file__",
@@ -135,7 +155,9 @@ def test_the_package_binds_only_its_version():
 
 # each ``raise AssertionError`` of these modules is reached by a fault row
 # (the ``unreached_raises`` tests in test_cones, test_cli and test_genus2)
-FAULT_ROW_MODULES = {"tropmoduli.cones", "tropmoduli.automorphisms", "tropmoduli.genus2"}
+FAULT_ROW_MODULES = {
+    "tropmoduli.cones", "tropmoduli.automorphisms", "tropmoduli.genus2", "tropmoduli.groups",
+}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

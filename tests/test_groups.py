@@ -8,7 +8,6 @@ from collections import Counter
 
 import pytest
 
-from tropmoduli.automorphisms import _checked_group
 from tropmoduli.groups import (
     PermutationGroup,
     _StabilizerChain,
@@ -18,6 +17,7 @@ from tropmoduli.groups import (
     invert_perm,
     perm_cycles,
     point_orbit,
+    sims_group,
 )
 
 
@@ -155,12 +155,17 @@ def test_chain_from_any_starting_base(degree, gens):
     assert_matches_closure(seeded(degree, tuple(complete.strong), complete.base), reference)
 
 
-@pytest.mark.parametrize("base", [(), (0,), (3, 2, 1, 0), (0, 1, 2), (2, 2, 0, 3)])
-def test_checked_group_rejects_a_wrong_search_order(base):
-    gens = [cycle(4, 0, 1, 2, 3), cycle(4, 0, 1)]
+def test_sims_group_rejects_a_wrong_search_order():
+    # a true search for S_4: at point p the transposition (p w) fixes the
+    # points below p, so the orbit product 2 * 3 * 4 is the group's order
+    levels = [(p, range(p + 1, 4), lambda w, p=p: cycle(4, p, w)) for p in (2, 1, 0)]
+    group = sims_group(4, levels)
+    assert group.order() == 24 and group.generators == ((0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3))
+    # a search that skips the levels below 0: its one level's finds
+    # return (0 1), then (0 1 2 3), an orbit product of 4 against S_4
+    finds = iter([cycle(4, 0, 1), cycle(4, 0, 1, 2, 3)])
     with pytest.raises(AssertionError, match="search order 4 disagrees with generated group order 24"):
-        _checked_group(4, gens, 4, base)
-    assert _checked_group(4, gens, 24, base).order() == 24
+        sims_group(4, [(0, (1, 2, 3), lambda w: next(finds))])
 
 
 def test_equals():

@@ -16,7 +16,9 @@ interleaved, and the tree that goes first alternates from round to
 round: the second run of a pair tends to read slower on a busy host.
 The file also records the Python version, the CPU count, each tree's
 commit and whether its package had a bytecode cache; children write
-none.  The exit status is 1 when two trees' payloads differ for one run.
+none.  The exit status is 1 when two trees' payloads differ for one run,
+and 2, with no file written, when a child exits non-zero: the round, the
+tree, the run and the child's stderr go to stderr.
 """
 
 from __future__ import annotations
@@ -112,7 +114,15 @@ def main(argv=None) -> int:
         order = labels if k % 2 == 0 else labels[::-1]
         for run in runs:
             for label in order:
-                record = _one_run(trees[label], shlex.split(run))
+                try:
+                    record = _one_run(trees[label], shlex.split(run))
+                except subprocess.CalledProcessError as exc:
+                    print(
+                        f"round {k} tree {label} run {run!r} failed: exit status "
+                        f"{exc.returncode}\n{exc.stderr.rstrip()}",
+                        file=sys.stderr,
+                    )
+                    return 2
                 records.append({"round": k, "run": run, "tree": label, **record})
                 print(f"round {k} {label:>8} {run}: {record['run_s']:.4f} s", file=sys.stderr)
 
