@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from tropmoduli import groups
 from tropmoduli.groups import (
     PermutationGroup,
     _StabilizerChain,
@@ -166,6 +167,20 @@ def test_sims_group_rejects_a_wrong_search_order():
     finds = iter([cycle(4, 0, 1), cycle(4, 0, 1, 2, 3)])
     with pytest.raises(AssertionError, match="search order 4 disagrees with generated group order 24"):
         sims_group(4, [(0, (1, 2, 3), lambda w: next(finds))])
+
+
+@pytest.mark.parametrize("base", [(), (0,), (3, 2, 1, 0), (0, 1, 2), (2, 2, 0, 3)])
+def test_checked_group_rejects_a_wrong_search_order(base, monkeypatch):
+    # the group sims_group checks has order 24 whatever base its chain
+    # starts from, so a search claiming 4 raises and one claiming 24 passes
+    chain = groups._StabilizerChain
+    monkeypatch.setattr(groups, "_StabilizerChain", lambda degree, gens, _=(): chain(degree, gens, base))
+    finds = iter([cycle(4, 0, 1), cycle(4, 0, 1, 2, 3)])
+    with pytest.raises(AssertionError, match="search order 4 disagrees with generated group order 24"):
+        sims_group(4, [(0, (1, 2, 3), lambda w: next(finds))])
+    levels = [(p, range(p + 1, 4), lambda w, p=p: cycle(4, p, w)) for p in (2, 1, 0)]
+    group = sims_group(4, levels)
+    assert group.order() == 24 and group._chain.base[: len(base)] == list(base)
 
 
 def test_equals():
