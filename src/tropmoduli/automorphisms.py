@@ -192,25 +192,10 @@ class ComplexAutomorphism:
 
     def check_cells(self) -> None:
         """Check that every cell maps to a cell, keeping nothing; raise
-        ``ValueError`` naming the first cell that does not.  Only the top
-        cells are looked up, each image the sum of its rays' distinct
-        image bits, and that is enough: (1) every cell is a face of a top
-        cell, as :func:`~tropmoduli.cones.build_complex` checks that the
-        complex is pure; (2) every ray subset of a cell is a cell, as the
-        build's face stream rejects a face that is no cell; (3) distinct
-        cells have distinct masks (``cx.index``); (4) so each cell's image
-        lies in a top cell's image, a cell, and is a cell with as many
-        rays, and distinct cells have distinct images: the map is a
-        dimension-preserving bijection.  Only on failure are all cells
-        scanned, to name the first."""
-        cx = self.cx
-        bits = [1 << r for r in self.ray_perm]
-        index = cx.index
-        lookups = map(map, itertools.repeat(bits.__getitem__), cx.maximal_cells)
-        if not all(map(index.__contains__, map(sum, lookups))):
-            images = (sum(map(bits.__getitem__, c)) for c in cx.cell_rays)
-            i = next(i for i, mask in enumerate(images) if mask not in index)
-            name = cx.cell_name(i)
+        ``ValueError`` naming the first cell that does not
+        (:meth:`~tropmoduli.cones.ConeComplex.unmapped_cell`)."""
+        if (i := self.cx.unmapped_cell(self.ray_perm)) is not None:
+            name = self.cx.cell_name(i)
             raise ValueError(f"ray permutation does not map cell {i} ({name}) to a cell")
 
     # No code here reads cell_map: perfbench's traced replay forces it.
@@ -245,14 +230,12 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
     ray keeps a bitmask domain: first the rays with its cells-per-dimension
     signature; once ray k goes to w, each later ray j keeps the rays other
     than w related to w as j is to k (a 2-cell or none).  An empty domain
-    drops the branch, and each completion must map every top cell to a
-    cell, which is enough (:meth:`ComplexAutomorphism.check_cells`).  Rays
-    are assigned and images tried in ascending order; one completion is
-    found per orbit of the stabilizer of the rays already fixed.  Reads
-    no part of the compatibility graph; a completion's cell images are
-    looked up in ``cx.index``, whose keys are the cells' ray masks.  A
-    search order that its generators disagree with raises
-    ``AssertionError`` naming n."""
+    drops the branch, and each completion must map every cell to a cell
+    (:meth:`~tropmoduli.cones.ConeComplex.unmapped_cell`).  Rays are
+    assigned and images tried in ascending order; one completion is found
+    per orbit of the stabilizer of the rays already fixed.  Reads no part
+    of the compatibility graph.  A search order that its generators
+    disagree with raises ``AssertionError`` naming n."""
     R = len(cx.rays)
     width = cx.max_dimension + 1
     counts = [[0] * width for _ in range(R)]
@@ -263,7 +246,6 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
         if len(c) == 2:
             rows[c[0]] |= 1 << c[1]
             rows[c[1]] |= 1 << c[0]
-    index = cx.index
     perm = list(range(R))
 
     def members(mask):
@@ -283,9 +265,7 @@ def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
         if later:
             found = (complete(k + 1, later[1:], v) for v in members(later[0]))
             return next(filter(None, found), None)
-        bits = [1 << v for v in perm]  # distinct, so a sum is their OR
-        ok = all(sum(map(bits.__getitem__, c)) in index for c in cx.maximal_cells)
-        return tuple(perm) if ok else None
+        return tuple(perm) if cx.unmapped_cell(perm) is None else None
 
     # prefix[k]: the domains of rays k.. with rays 0..k-1 fixed pointwise,
     # where only one image of ray k per orbit needs a completion

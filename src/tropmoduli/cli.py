@@ -182,7 +182,7 @@ def _formula_mismatches(cx) -> tuple[list, list[int]]:
     for i, pairs in enumerate(cx.vertex_profiles):
         formula, brute = counts[pairs]
         if formula != brute:
-            mismatches.append(cx.cell_sides(i))
+            mismatches.append([list(cx.rays[r].side()) for r in cx.cell_rays[i]])
         if star_count(cx, i) != formula:
             star_bad.append(i)
     return mismatches, star_bad

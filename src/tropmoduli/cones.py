@@ -20,8 +20,9 @@ the rigidity of stable trees into a runtime check without building a
 tree object per cell.  The same walk records each cell's vertex profile
 (:attr:`ConeComplex.vertex_profiles`), which the counting check reads.
 Last, :func:`build_complex` checks that the complex is pure, so its
-top-dimensional cells (:attr:`ConeComplex.maximal_cells`) are its
-maximal cells and every cell is a face of one.
+top-dimensional cells are its maximal cells and every cell is a face of
+one; :meth:`ConeComplex.unmapped_cell`, the one check that a ray
+permutation maps cells to cells, rests on these checks.
 """
 
 from __future__ import annotations
@@ -77,11 +78,34 @@ class ConeComplex(StratumCatalog):
                 f"contracting edge {self.ray_name(r)} of cell {self.cell_name(i)} gives no cell"
             ) from None
 
-    @property
-    def maximal_cells(self):
-        """The top-dimensional cells' ray tuples, which :func:`build_complex`
-        checks are the maximal cells."""
-        return islice(self.cell_rays, self.dim_ranges[self.max_dimension].start, None)
+    def unmapped_cell(self, ray_perm) -> int | None:
+        """The first cell, in cell order, that a permutation of the rays
+        does not map to a cell, or None when it maps every cell to one.
+
+        Only the top cells are looked up, each image the OR of its rays'
+        image bits, and that is enough: (1) every cell is a face of a top
+        cell, as :func:`build_complex` checks that the complex is pure;
+        (2) every ray subset of a cell is a cell, as the build's face
+        stream rejects a face that is no cell; (3) distinct cells have
+        distinct masks (:attr:`index`); (4) so each cell's image lies in a
+        top cell's image, a cell, and is a cell with as many rays, and
+        distinct cells have distinct images: the map is a
+        dimension-preserving bijection.  Only after a top cell fails are
+        all cells scanned, to find the first."""
+        bits = [1 << r for r in ray_perm]
+        index, cells = self.index, self.cell_rays
+
+        def first_unmapped(start):
+            for i, c in enumerate(islice(cells, start, None), start):
+                mask = 0
+                for r in c:
+                    mask |= bits[r]
+                if mask not in index:
+                    return i
+            return None
+
+        top = self.dim_ranges[self.max_dimension].start
+        return None if first_unmapped(top) is None else first_unmapped(0)
 
     @cached_property
     def ray_by_mask(self) -> dict[int, int]:
@@ -117,10 +141,6 @@ class ConeComplex(StratumCatalog):
         point."""
         return " | ".join(map(self.ray_name, self.cell_rays[i])) or "pt"
 
-    def cell_sides(self, i: int) -> list[list[int]]:
-        """A cell's rays by their marking-1-free sides, in ray order."""
-        return [list(self.rays[r].side()) for r in self.cell_rays[i]]
-
     def to_json_obj(self) -> dict:
         sides = [list(s.side()) for s in self.rays]  # each ray's side, once
         cells = [
@@ -144,20 +164,19 @@ class ConeComplex(StratumCatalog):
         """DOT source for the Hasse diagram of the face poset or for the
         ray-compatibility graph."""
         lines = []
+        labels = [",".join(map(str, s.side())) for s in self.rays]  # each ray's, once
         if kind == "hasse":
             lines.append("digraph hasse {")
             lines.append('  rankdir="BT";')
             for i, c in enumerate(self.cell_rays):
-                sides = " | ".join(",".join(map(str, side)) for side in self.cell_sides(i))
-                label = f"d{len(c)}: " + (sides or "pt")
+                label = f"d{len(c)}: " + (" | ".join(map(labels.__getitem__, c)) or "pt")
                 lines.append(f'  c{i} [label="{label}"];')
             for i, entries in enumerate(self.codim1):
                 for tgt in entries:
                     lines.append(f"  c{tgt} -> c{i};")
         elif kind == "compat":
             lines.append("graph compat {")
-            for r, s in enumerate(self.rays):
-                label = ",".join(map(str, s.side()))
+            for r, label in enumerate(labels):
                 lines.append(f'  r{r} [label="{label}"];')
             for r, row in enumerate(self.compat_masks):
                 for j in range(r + 1, len(self.rays)):

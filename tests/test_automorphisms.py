@@ -2,8 +2,10 @@
 method agreement, the marking action, permutation reconstruction, and
 the assembled reports."""
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -456,6 +458,27 @@ def test_cell_checks_look_up_only_the_top_cells():
     view, bits = _recording_index(complex_for(6))
     aut_via_poset(view)
     assert set(bits) == {3}
+    # the report's generators and its distinct sampled elements, one top
+    # cell pass each
+    view, bits = _recording_index(complex_for(6))
+    report = main_theorem_report(view, DEFAULT_SEED, 100, poset=False)
+    group = aut_via_compat_graph(complex_for(6))[0]
+    checked = len(group.generators) + len(set(group.random_elements(100, DEFAULT_SEED)))
+    assert report["surjectivity"]["verdict"] == "PASS"
+    assert bits == {3: checked * count_maximal(6)}
+
+
+def test_automorphisms_read_no_cell_index():
+    # the cell-image check belongs to cones.py (ConeComplex.unmapped_cell):
+    # the one .index left in automorphisms.py is the tuple method on a
+    # coloring
+    tree = ast.parse(inspect.getsource(automorphisms))
+    readers = [
+        ast.unparse(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "index"
+    ]
+    assert readers == ["colors"]
 
 
 def _both_routes_raise(f):

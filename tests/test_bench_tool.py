@@ -1,8 +1,9 @@
 """tools/bench.py on one small run: what its child process records
-matches an in-process run of the same command, and a child that fails
-is named."""
+matches an in-process run of the same command, a child that fails is
+named, and each tree's round wins are counted."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -68,3 +69,38 @@ def test_bench_names_a_failing_child(tmp_path):
     assert "round 0 tree broken run 'aut --n 4' failed: exit status 1" in done.stderr
     assert "ImportError: this tree does not import" in done.stderr
     assert "CalledProcessError" not in done.stderr
+
+
+def test_bench_counts_the_rounds_each_tree_won(tmp_path):
+    # two labels on one tree: each round goes to the tree with the least
+    # run_s, and a tie would go to neither
+    out = tmp_path / "bench.json"
+    subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "bench.py"), "-k", "3", "--run", "aut --n 4",
+            "--tree", f"a={ROOT}", "--tree", f"b={ROOT}", "--out", str(out),
+        ],
+        check=True,
+        capture_output=True,
+    )
+    result = json.loads(out.read_text())
+    times = {(r["round"], r["tree"]): r["run_s"] for r in result["runs"]}
+    expected = {
+        label: sum(times[k, label] < times[k, other] for k in range(3))
+        for label, other in (("a", "b"), ("b", "a"))
+    }
+    summary = result["summary"]["aut --n 4"]
+    assert {label: summary[label]["rounds_won"] for label in "ab"} == expected
+    assert result["payload_mismatches"] == []
+
+
+def test_a_tied_round_counts_for_neither_tree():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    rows = [
+        {"round": k, "tree": tree, "run_s": s}
+        for k, pair in enumerate([(1.0, 2.0), (2.0, 2.0), (3.0, 1.0)])
+        for tree, s in zip("ab", pair)
+    ]
+    assert bench._rounds_won(rows) == {"a": 1, "b": 1}

@@ -14,6 +14,9 @@ separators) or, for an export such as ``complex --dot``, of its text as
 is, and its exit status.  With several trees the runs are
 interleaved, and the tree that goes first alternates from round to
 round: the second run of a pair tends to read slower on a busy host.
+The summary gives, per run and tree, the quartiles of ``run_s`` and
+the number of rounds in which that tree had the least ``run_s`` (a tie
+counts for neither tree), so a claimed gain can be read as pair wins.
 The file also records the Python version, the CPU count, each tree's
 commit and whether its package had a bytecode cache; children write
 none.  The exit status is 1 when two trees' payloads differ for one run,
@@ -32,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 RUNS = (
@@ -83,6 +87,17 @@ def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive") if values[1:] else values * 3
 
 
+def _rounds_won(rows: list[dict]) -> Counter:
+    """Per tree, the rounds in which its ``run_s`` was the least of one
+    run's records; a tie for the least counts for neither tree."""
+    wins = Counter()
+    for k in {r["round"] for r in rows}:
+        times = sorted((r["run_s"], r["tree"]) for r in rows if r["round"] == k)
+        if len(times) == 1 or times[0][0] < times[1][0]:
+            wins[times[0][1]] += 1
+    return wins
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("-k", type=int, default=5, help="rounds (default 5)")
@@ -129,10 +144,12 @@ def main(argv=None) -> int:
     summary, mismatched = {}, []
     for run in runs:
         summary[run] = {}
+        wins = _rounds_won([r for r in records if r["run"] == run])
         for label in labels:
             rows = [r for r in records if r["run"] == run and r["tree"] == label]
             summary[run][label] = {
                 "run_s_quartiles": _quartiles([r["run_s"] for r in rows]),
+                "rounds_won": wins[label],
                 "process_s_median": statistics.median(r["process_s"] for r in rows),
                 "maxrss_mib_median": statistics.median(r["maxrss_kib"] for r in rows) / 1024,
             }
