@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -54,25 +53,26 @@ class ReconstructionError(RuntimeError):
 # graph automorphisms: color refinement + individualization along one path
 
 
-def _refine(adj, colors, new):
-    """Refine a coloring to its fixpoint.  Each round gives a vertex the
-    rank of its (color, sorted (neighbor color, count) pairs) signature,
-    but counts neighbors only in the cells the last round created, as
-    popcounts on the adjacency bitmasks ``adj``; the first round counts
-    the cells whose colors ``new`` lists.  A round that creates no cell
-    is the fixpoint.
+def _refine(adj, cells, new):
+    """Refine an ordered partition to its fixpoint.  The partition is a
+    list of cells, each an ascending list of vertices, and a cell's
+    position is its color.  Each round splits every cell by its members'
+    sorted (cell, neighbor count) pairs, counting neighbors only in the
+    cells the last round created, as popcounts on the adjacency bitmasks
+    ``adj``; the first round counts the cells at the positions ``new``
+    lists.  A split cell's parts take its place, ordered by pair list,
+    and an emptied cell is dropped; a round that creates no cell is the
+    fixpoint.  No cell given is changed: partitions share unsplit cells.
 
-    This gives the full signatures' ranks.  Two members of a cell agree
+    This gives the full signatures' order.  Two members of a cell agree
     on their count over each cell of the round before, so the first
     difference of their sorted pair lists falls on a child of a split
     cell.  A member with count 0 there has a nonzero count on a later
     sibling, so comparing the lists restricted to the new cells orders
     the members as comparing the full lists does.  The first round after
-    individualizing v in a refined coloring may count only v's old cell
+    individualizing v in a refined partition may count only v's old cell
     and its singleton: they are the only children of a split cell."""
-    order = sorted(range(len(colors)), key=colors.__getitem__)
-    cells = [list(g) for _, g in itertools.groupby(order, colors.__getitem__)]
-    counted = [(c, _members(colors, c)) for c in new]
+    counted = [(c, cells[c]) for c in new]
     while counted:
         masks = [(c, sum(1 << u for u in cell)) for c, cell in counted]
         out, counted = [], []
@@ -90,84 +90,78 @@ def _refine(adj, colors, new):
                 counted += [(len(out) + i, groups[key]) for i, key in enumerate(keys)]
             out += map(groups.__getitem__, keys)
         cells = out
-    refined = {u: c for c, cell in enumerate(cells) for u in cell}
-    return tuple(map(refined.__getitem__, range(len(colors))))
+    return cells
 
 
-def _refine_at(adj, colors, v):
-    """Individualize v in a refined coloring, giving it the fresh last
-    color, and refine, counting only v's old cell and its singleton first."""
-    fresh = max(colors) + 1
-    individualized = tuple(fresh if i == v else c for i, c in enumerate(colors))
-    return _refine(adj, individualized, (colors[v], fresh))
-
-
-def _first_nonsingleton(colors):
-    return min((c for c, k in Counter(colors).items() if k > 1), default=None)
-
-
-def _members(colors, c):
-    return [v for v, col in enumerate(colors) if col == c]
+def _refine_at(adj, cells, c, v):
+    """Individualize v, a member of cell c of a refined partition: cell c
+    keeps its other members and [v] becomes the fresh last cell.  Then
+    refine, counting only those two cells first."""
+    rest = [u for u in cells[c] if u != v]
+    return _refine(adj, [*cells[:c], rest, *cells[c + 1:], [v]], (c, len(cells)))
 
 
 def _map_from_discrete(nbrs, ca, cb):
-    """Vertex map matching equal colors of two discrete colorings, verified
-    to preserve adjacency; None when cb is not discrete or adjacency breaks."""
-    pos = {c: v for v, c in enumerate(cb)}
-    if len(pos) < len(cb):
+    """Vertex map pairing the cells at equal positions of two discrete
+    partitions, verified to preserve adjacency; None when cb is not
+    discrete or adjacency breaks."""
+    if len(cb) < len(nbrs):
         return None
-    perm = tuple(pos[c] for c in ca)
+    perm = [0] * len(nbrs)
+    for (a,), (b,) in zip(ca, cb):
+        perm[a] = b
     for v in range(len(nbrs)):
         if {perm[u] for u in nbrs[v]} != set(nbrs[perm[v]]):
             return None
-    return perm
+    return tuple(perm)
 
 
 def _coset_rep(nbrs, adj, path, k, w):
-    """An automorphism preserving the first path's level-k coloring that
+    """An automorphism preserving the first path's level-k partition that
     sends the vertex v individualized there to w, or None.  From w's
-    refined coloring the search follows the path, individualizing each
-    member of the class the path individualized in ascending order, and
-    backtracks until a leaf map preserves adjacency and the level-k
-    coloring and sends v to w."""
-    colors, v = path[k]
+    refined partition the search follows the path, individualizing each
+    member of the cell at the position the path individualized in, in
+    ascending order (none when the candidate has fewer cells), and
+    backtracks until a leaf map preserves adjacency, maps each level-k
+    cell onto itself and sends v to w."""
+    cells, c, v = path[k]
 
     def find(j, candidate):
-        path_colors, u = path[j]
-        if u is None:
-            phi = _map_from_discrete(nbrs, path_colors, candidate)
-            ok = phi is not None and phi[v] == w and all(colors[y] == c for y, c in zip(phi, colors))
-            return phi if ok else None
-        for x in _members(candidate, path_colors[u]):
-            if (phi := find(j + 1, _refine_at(adj, candidate, x))) is not None:
+        path_cells, cu, _ = path[j]
+        if cu is None:
+            phi = _map_from_discrete(nbrs, path_cells, candidate)
+            if phi is None or phi[v] != w:
+                return None
+            return phi if all(sorted(map(phi.__getitem__, cell)) == cell for cell in cells) else None
+        for x in candidate[cu] if cu < len(candidate) else ():
+            if (phi := find(j + 1, _refine_at(adj, candidate, cu, x))) is not None:
                 return phi
         return None
 
-    return find(k + 1, _refine_at(adj, colors, w))
+    return find(k + 1, _refine_at(adj, cells, c, w))
 
 
 def graph_automorphism_group(neighbors: list[list[int]]) -> PermutationGroup:
     """Full automorphism group of a simple graph given by adjacency lists.
 
-    Self-contained: the first path refines the uniform coloring and
-    individualizes the first member of the first non-singleton class until
-    the coloring is discrete.  Walking back up it, each candidate image
+    Self-contained: the first path refines the one-cell partition and
+    individualizes the first member of the first non-singleton cell until
+    the partition is discrete.  Walking back up it, each candidate image
     follows the path with backtracking, and a leaf map is kept only as an
-    automorphism of the level's coloring that sends the level's vertex to
-    the candidate; no canonical-labeling dependency.  The adjacency
+    automorphism of the level's partition that sends the level's vertex
+    to the candidate; no canonical-labeling dependency.  The adjacency
     bitmasks that refinement counts on are built once here.
     """
     adj = [sum(1 << u for u in nb) for nb in neighbors]
     path = []
-    colors = _refine(adj, (0,) * len(neighbors), (0,))
-    while (c := _first_nonsingleton(colors)) is not None:
-        v = colors.index(c)
-        path.append((colors, v))
-        colors = _refine_at(adj, colors, v)
-    path.append((colors, None))
+    cells = _refine(adj, [list(range(len(neighbors)))], (0,))
+    while (c := next((c for c, cell in enumerate(cells) if len(cell) > 1), None)) is not None:
+        path.append((cells, c, cells[c][0]))
+        cells = _refine_at(adj, cells, c, cells[c][0])
+    path.append((cells, None, None))
     levels = (
-        (v, _members(colors, colors[v]), partial(_coset_rep, neighbors, adj, path, k))
-        for k, (colors, v) in reversed(list(enumerate(path[:-1])))
+        (v, cells[c], partial(_coset_rep, neighbors, adj, path, k))
+        for k, (cells, c, v) in reversed(list(enumerate(path[:-1])))
     )
     return sims_group(len(neighbors), levels)
 

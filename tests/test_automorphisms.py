@@ -3,6 +3,7 @@ method agreement, the marking action, permutation reconstruction, and
 the assembled reports."""
 
 import ast
+import copy
 import dataclasses
 import hashlib
 import inspect
@@ -134,7 +135,7 @@ def test_random_graph_orders_match_brute_force():
 def test_leaf_checks_decide_without_refinement(monkeypatch):
     # with refinement switched off the search is plain individualization
     # backtracking, and only the leaf's adjacency check rejects maps
-    monkeypatch.setattr(automorphisms, "_refine", lambda adj, colors, new: colors)
+    monkeypatch.setattr(automorphisms, "_refine", lambda adj, cells, new: cells)
     for v, edges, order in random_graph_cases():
         assert graph_automorphism_group(_nbrs(v, edges)).order() == order, (v, edges)
 
@@ -160,13 +161,27 @@ def splits_graph(n):
     ]
 
 
+def coloring(cells):
+    """The color tuple of an ordered partition: each vertex's cell position."""
+    colors = {u: c for c, cell in enumerate(cells) for u in cell}
+    return tuple(colors[u] for u in range(len(colors)))
+
+
+def partition(colors):
+    """The ordered partition of a coloring whose colors are 0..k-1."""
+    cells = [[] for _ in set(colors)]
+    for u, c in enumerate(colors):
+        cells[c].append(u)
+    return cells
+
+
 def reference_search(monkeypatch, nbrs):
-    """The search run with the reference refinement, and the (coloring,
+    """The search run with the reference refinement, and the (partition,
     new cells) arguments and the result of each refinement it made."""
     refined = []
 
-    def spy(adj, colors, new):
-        refined.append((colors, new, reference_refine(nbrs, colors)))
+    def spy(adj, cells, new):
+        refined.append((cells, new, partition(reference_refine(nbrs, coloring(cells)))))
         return refined[-1][2]
 
     with monkeypatch.context() as patch:
@@ -186,9 +201,38 @@ def test_refinement_matches_the_reference(monkeypatch):
     for nbrs in graphs:
         adj = [sum(1 << u for u in nb) for nb in nbrs]
         group, refined = reference_search(monkeypatch, nbrs)
-        for colors, new, want in refined:
-            assert automorphisms._refine(adj, colors, new) == want, (nbrs, colors, new)
+        for cells, new, want in refined:
+            assert automorphisms._refine(adj, cells, new) == want, (nbrs, cells, new)
         assert graph_automorphism_group(nbrs).generators == group.generators, nbrs
+
+
+def test_refinement_leaves_the_shared_cells_unchanged(monkeypatch):
+    # the path's levels share cells with the partitions refined from them,
+    # so neither refinement may change the partition it is given; each
+    # returns every vertex exactly once, in ascending cells
+    calls = Counter()
+
+    def checked(name):
+        refine = getattr(automorphisms, name)
+
+        def spy(adj, cells, *args):
+            given = copy.deepcopy(cells)
+            out = refine(adj, cells, *args)
+            assert cells == given, (name, given, args)
+            assert sorted(u for cell in out for u in cell) == list(range(len(adj))), (name, out)
+            assert all(cell == sorted(cell) for cell in out), (name, out)
+            calls[name] += 1
+            return out
+
+        monkeypatch.setattr(automorphisms, name, spy)
+
+    checked("_refine")
+    checked("_refine_at")
+    graphs = [splits_graph(n) for n in range(4, 9)]
+    graphs += [_nbrs(v, edges) for v, edges in _random_graphs(400, 16, 2016)]
+    for nbrs in graphs:
+        graph_automorphism_group(nbrs)
+    assert calls["_refine"] > calls["_refine_at"] > 0
 
 
 @pytest.mark.parametrize(
@@ -210,7 +254,7 @@ def test_a_leaf_that_is_not_discrete_is_rejected(monkeypatch):
     # are rejected and the search backtracks to the exact group
     edges = [(0, 4), (0, 7), (1, 2), (1, 6), (2, 6), (3, 5), (3, 6), (4, 7), (5, 7), (6, 7)]
     discrete = count_calls(
-        monkeypatch, automorphisms, "_map_from_discrete", lambda nbrs, ca, cb: len(set(cb)) == len(cb)
+        monkeypatch, automorphisms, "_map_from_discrete", lambda nbrs, ca, cb: len(cb) == len(nbrs)
     )
     assert graph_automorphism_group(_nbrs(8, edges)).order() == brute_force_order(8, edges) == 8
     assert discrete[False] == 2
@@ -469,16 +513,14 @@ def test_cell_checks_look_up_only_the_top_cells():
 
 
 def test_automorphisms_read_no_cell_index():
-    # the cell-image check belongs to cones.py (ConeComplex.unmapped_cell):
-    # the one .index left in automorphisms.py is the tuple method on a
-    # coloring
+    # the cell-image check belongs to cones.py (ConeComplex.unmapped_cell)
     tree = ast.parse(inspect.getsource(automorphisms))
     readers = [
         ast.unparse(node.value)
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "index"
     ]
-    assert readers == ["colors"]
+    assert readers == []
 
 
 def _both_routes_raise(f):

@@ -1,22 +1,26 @@
 """tools/bench.py on one small run: what its child process records
 matches an in-process run of the same command, a child that fails is
-named, and each tree's round wins are counted."""
+named, each tree's round wins are counted, and the CPU count is the
+bench's own affinity."""
 
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from shared import invoke
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def bench_one(tmp_path, run: str) -> tuple[dict, dict]:
+def bench_one(tmp_path, run: str, **popen) -> tuple[dict, dict]:
     """tools/bench.py's result and its one record for ``run``, one round
-    on this checkout."""
+    on this checkout; ``popen`` goes to the bench's ``subprocess.run``."""
     out = tmp_path / "bench.json"
     subprocess.run(
         [
@@ -25,6 +29,7 @@ def bench_one(tmp_path, run: str) -> tuple[dict, dict]:
         ],
         check=True,
         capture_output=True,
+        **popen,
     )
     result = json.loads(out.read_text())
     (record,) = result["runs"]
@@ -40,6 +45,14 @@ def test_bench_records_the_in_process_payload(tmp_path):
     assert record["run_s"] < record["process_s"] and record["maxrss_kib"] > 0
     assert result["payload_mismatches"] == [] and set(result["trees"]) == {"here"}
     assert result["python"] and result["nproc"] >= 1
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to pin to one")
+def test_bench_records_the_cpus_it_may_use(tmp_path):
+    # pinned to one CPU, the bench counts that one, not the host's
+    cpu = min(os.sched_getaffinity(0))
+    result, _ = bench_one(tmp_path, "aut --n 4", preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert result["nproc"] == 1
 
 
 def test_bench_hashes_export_text_as_is(tmp_path):

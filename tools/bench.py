@@ -17,7 +17,8 @@ round: the second run of a pair tends to read slower on a busy host.
 The summary gives, per run and tree, the quartiles of ``run_s`` and
 the number of rounds in which that tree had the least ``run_s`` (a tie
 counts for neither tree), so a claimed gain can be read as pair wins.
-The file also records the Python version, the CPU count, each tree's
+The file also records the Python version, the number of CPUs the
+bench may run on (its affinity, not the host's count), each tree's
 commit and whether its package had a bytecode cache; children write
 none.  The exit status is 1 when two trees' payloads differ for one run,
 and 2, with no file written, when a child exits non-zero: the round, the
@@ -157,7 +158,7 @@ def main(argv=None) -> int:
             mismatched.append(run)
     result = {
         "python": platform.python_version(),
-        "nproc": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),
         "k": args.k,
         "trees": {
             label: {
