@@ -5,9 +5,10 @@ bijection of edges on every cell, so it is determined by its action on
 the rays.  This module computes the full group by two independent
 Sims-style searches (one-sided color refinement along one first path on
 the ray-compatibility graph, and a forward-checking search on the cells
-and 2-cells), realizes the action of marking permutations, reconstructs
-the inducing marking permutation from an abstract automorphism, and
-packages the comparison against the expected symmetric-group answer.
+and 2-cells), each returning a :class:`PermutationGroup`; it realizes
+the action of marking permutations, reconstructs the inducing marking
+permutation from an abstract automorphism, and packages the comparison
+against the expected symmetric-group answer.
 """
 
 from __future__ import annotations
@@ -196,26 +197,23 @@ class ComplexAutomorphism:
     cell_map = property(check_cells)
 
 
-def aut_via_compat_graph(
-    cx: ConeComplex,
-) -> tuple[PermutationGroup, list[ComplexAutomorphism]]:
-    """The automorphism group of the ray-compatibility graph, together
-    with its generators as complex automorphisms, each checked once to
-    map cells to cells (:meth:`ComplexAutomorphism.check_cells`).  A
-    generator that does not extend to the cells raises ``AssertionError``
-    naming it and the cell; a search order that its generators disagree
-    with raises one naming n."""
+def aut_via_compat_graph(cx: ConeComplex) -> PermutationGroup:
+    """The automorphism group of the ray-compatibility graph, each of its
+    generators checked once to map cells to cells
+    (:meth:`ComplexAutomorphism.check_cells`).  A generator that does not
+    extend to the cells raises ``AssertionError`` naming it and the cell;
+    a search order that its generators disagree with raises one naming
+    n."""
     try:
         group = graph_automorphism_group(cx.compat_neighbors())
     except AssertionError as exc:
         raise AssertionError(f"graph search at n={cx.n}: {exc}") from exc
-    autos = [ComplexAutomorphism(cx, g) for g in group.generators]
-    for f in autos:
+    for g in group.generators:
         try:
-            f.check_cells()
+            ComplexAutomorphism(cx, g).check_cells()
         except ValueError as exc:
-            raise AssertionError(f"generator {format_cycles(f.ray_perm)}: {exc}") from exc
-    return group, autos
+            raise AssertionError(f"generator {format_cycles(g)}: {exc}") from exc
+    return group
 
 
 def aut_via_poset(cx: ConeComplex) -> PermutationGroup:
@@ -401,32 +399,26 @@ def _reconstructed(f: ComplexAutomorphism) -> tuple[int, ...] | None:
         return None
 
 
-def _sample_failed(f: ComplexAutomorphism) -> bool:
-    """Whether reconstruction or the cell check rejects a group element."""
-    try:
-        reconstruct_sigma(f)
-        f.check_cells()
-    except (ReconstructionError, ValueError):
-        return True
-    return False
-
-
 def _surjectivity_report(cx, group, generator_sigmas, samples, seed) -> dict:
     """Check that every computed automorphism comes from a marking
     permutation, given the generators' reconstructions (None where one
-    failed): a seeded sample of group elements is reconstructed and its
-    cells checked too.  :func:`reconstruct_sigma` requires the exact
-    round trip (sigma's ray permutation equals the element's), so a
-    sample counts as ok exactly when both steps pass.  The draws repeat
-    elements, and each distinct element is checked once; failures are
+    failed; the graph search checked their cells): each other distinct
+    element of a seeded sample is judged by the same two calls,
+    :func:`_reconstructed` and then, only if that gives a sigma,
+    :meth:`~tropmoduli.cones.ConeComplex.unmapped_cell`.
+    :func:`reconstruct_sigma` requires the exact round trip (sigma's ray
+    permutation equals the element's), so an element counts as ok exactly
+    when both pass.  Each distinct element is judged once; failures are
     still listed, and ``checked`` and ``ok`` still counted, per draw."""
     sample = group.random_elements(samples, seed)
-    failures = [
-        f"generator:{format_cycles(g)}"
-        for g, sigma in zip(group.generators, generator_sigmas)
-        if sigma is None
-    ]
-    failed = {p: _sample_failed(ComplexAutomorphism(cx, p)) for p in dict.fromkeys(sample)}
+    failed = {g: sigma is None for g, sigma in zip(group.generators, generator_sigmas)}
+    failures = [f"generator:{format_cycles(g)}" for g, bad in failed.items() if bad]
+    for p in sample:
+        if p not in failed:
+            failed[p] = (
+                _reconstructed(ComplexAutomorphism(cx, p)) is None
+                or cx.unmapped_cell(p) is not None
+            )
     failures += [f"sample:{format_cycles(p)}" for p in sample if failed[p]]
     checked = len(generator_sigmas) + len(sample)
     return {
@@ -463,7 +455,7 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = 
     before any search."""
     n = cx.n
     expected = expected_order(n)
-    group, autos = aut_via_compat_graph(cx)
+    group = aut_via_compat_graph(cx)
     order = group.order()
     report: dict = {
         "n": n,
@@ -482,7 +474,7 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = 
         checks.append(agree)
 
     if n >= 5:
-        sigmas = [_reconstructed(f) for f in autos]
+        sigmas = [_reconstructed(ComplexAutomorphism(cx, g)) for g in group.generators]
         recon_ok = None not in sigmas
         report["sigma_of_generator"] = [None if s is None else list(s) for s in sigmas]
         report["reconstruction_ok"] = recon_ok

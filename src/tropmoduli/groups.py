@@ -168,9 +168,6 @@ class _StabilizerChain:
             n *= len(t)
         return n
 
-    def contains(self, p) -> bool:
-        return self._sift(tuple(p)) is None
-
 
 @dataclass
 class PermutationGroup:
@@ -197,7 +194,7 @@ class PermutationGroup:
         return self._chain.order()
 
     def __contains__(self, p) -> bool:
-        return self._chain.contains(check_perm(self.degree, p))
+        return self._chain._sift(check_perm(self.degree, p)) is None
 
     def equals(self, other: "PermutationGroup") -> bool:
         """Equality as permutation groups (same degree, same element set)."""
@@ -231,7 +228,9 @@ def sims_group(degree: int, levels: Iterable[tuple]) -> PermutationGroup:
     whose chain starts from the points with a nontrivial orbit, top
     level first.  The chain is complete from any starting base, so the
     check does not rest on the search's orbits; a disagreement raises
-    ``AssertionError``."""
+    ``AssertionError``.  The search's orbits come from
+    :func:`point_orbit` and the chain's transversals from
+    ``_orbit_transversal``, so this cross-check shares no BFS."""
     gens: list[tuple[int, ...]] = []
     order = 1
     base = []

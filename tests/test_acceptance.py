@@ -32,11 +32,11 @@ def test_criterion_1_automorphism_orders_and_method_agreement():
     started = time.perf_counter()
     orders = {}
     for n in range(4, 8):
-        orders[n] = aut_via_compat_graph(complex_for(n))[0].order()
+        orders[n] = aut_via_compat_graph(complex_for(n)).order()
     graph_elapsed = time.perf_counter() - started
     expected = {4: 6, 5: 120, 6: 720, 7: 5040}
     agree = all(
-        aut_via_compat_graph(complex_for(n))[0].equals(aut_via_poset(complex_for(n)))
+        aut_via_compat_graph(complex_for(n)).equals(aut_via_poset(complex_for(n)))
         for n in range(4, 7)
     )
     ok = orders == expected and graph_elapsed < 60 and agree

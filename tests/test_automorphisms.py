@@ -32,6 +32,7 @@ from tropmoduli.automorphisms import (
     sn_image_group,
     sn_kernel,
 )
+from tropmoduli.cones import ConeComplex
 from tropmoduli.enumeration import EnvelopeError, all_splits, count_maximal
 from tropmoduli.groups import (
     PermutationGroup,
@@ -280,10 +281,15 @@ def test_petersen_graph():
     assert graph_automorphism_group(_nbrs(10, edges)).order() == 120
 
 
+def _graph_autos(cx):
+    """The graph route's generators as complex automorphisms."""
+    return [ComplexAutomorphism(cx, g) for g in aut_via_compat_graph(cx).generators]
+
+
 def test_generators_are_automorphisms():
     cx = complex_for(5)
     nbrs = cx.compat_neighbors()
-    group, _ = aut_via_compat_graph(cx)
+    group = aut_via_compat_graph(cx)
     for g in group.generators:
         for v in range(len(nbrs)):
             assert {g[u] for u in nbrs[v]} == set(nbrs[g[v]])
@@ -295,7 +301,7 @@ def test_generators_are_automorphisms():
 
 @pytest.mark.parametrize("n,order", [(3, 1), (4, 6), (5, 120), (6, 720)])
 def test_graph_method_orders(n, order):
-    assert aut_via_compat_graph(complex_for(n))[0].order() == order
+    assert aut_via_compat_graph(complex_for(n)).order() == order
 
 
 @pytest.mark.parametrize("n,order", [(3, 1), (4, 6), (5, 120), (6, 720), (7, 5040)])
@@ -308,7 +314,7 @@ def test_methods_agree_as_groups():
         cx = complex_for(n)
         poset_group = aut_via_poset(cx)
         assert len(poset_group.generators) <= 10
-        assert aut_via_compat_graph(cx)[0].equals(poset_group)
+        assert aut_via_compat_graph(cx).equals(poset_group)
 
 
 def test_poset_search_matches_the_reference_generators():
@@ -444,7 +450,7 @@ def test_cell_map_matches_tuple_route():
     # that the images are a dimension-preserving permutation of the cells
     for n in (4, 5, 6, 7):
         cx = complex_for(n)
-        group, _ = aut_via_compat_graph(cx)
+        group = aut_via_compat_graph(cx)
         for p in group.generators + tuple(group.random_elements(50, DEFAULT_SEED)):
             f = ComplexAutomorphism(cx, p)
             f.check_cells()
@@ -454,8 +460,7 @@ def test_cell_map_matches_tuple_route():
 def test_automorphisms_keep_only_their_ray_permutation():
     # the cell check caches nothing on the automorphism
     cx = complex_for(6)
-    _, autos = aut_via_compat_graph(cx)
-    for f in autos:
+    for f in _graph_autos(cx):
         reconstruct_sigma(f)
         assert set(vars(f)) == {"cx", "ray_perm"}
 
@@ -465,7 +470,7 @@ def test_cell_check_keeps_nothing_per_cell():
     # 32-byte int object per cell, as the poset search's does, and any
     # list holding an image per cell (119-bit ints at n = 8) would not
     cx = complex_for(8)
-    f = ComplexAutomorphism(cx, aut_via_compat_graph(cx)[0].generators[0])
+    f = ComplexAutomorphism(cx, aut_via_compat_graph(cx).generators[0])
     tracemalloc.start()
     try:
         f.check_cells()
@@ -497,17 +502,17 @@ def _recording_index(cx):
 def test_cell_checks_look_up_only_the_top_cells():
     cx = complex_for(7)
     view, bits = _recording_index(cx)
-    ComplexAutomorphism(view, aut_via_compat_graph(cx)[0].generators[0]).check_cells()
+    ComplexAutomorphism(view, aut_via_compat_graph(cx).generators[0]).check_cells()
     assert bits == {4: count_maximal(7)} == {4: 945}
     view, bits = _recording_index(complex_for(6))
     aut_via_poset(view)
     assert set(bits) == {3}
-    # the report's generators and its distinct sampled elements, one top
-    # cell pass each
+    # one top cell pass per distinct element the report judges, its
+    # generators and its sampled elements together
     view, bits = _recording_index(complex_for(6))
     report = main_theorem_report(view, DEFAULT_SEED, 100, poset=False)
-    group = aut_via_compat_graph(complex_for(6))[0]
-    checked = len(group.generators) + len(set(group.random_elements(100, DEFAULT_SEED)))
+    group = aut_via_compat_graph(complex_for(6))
+    checked = len({*group.generators, *group.random_elements(100, DEFAULT_SEED)})
     assert report["surjectivity"]["verdict"] == "PASS"
     assert bits == {3: checked * count_maximal(6)}
 
@@ -541,7 +546,7 @@ def _both_routes_raise(f):
 def test_reconstruct_round_trip_generators():
     for n in (5, 6):
         cx = complex_for(n)
-        for f in aut_via_compat_graph(cx)[1]:
+        for f in _graph_autos(cx):
             sigma = reconstruct_sigma(f)
             assert marking_ray_permutation(cx, sigma) == f.ray_perm
 
@@ -561,7 +566,7 @@ def _split_two_set_sigma(f):
 def test_reconstruct_matches_split_oracle():
     for n in (5, 6):
         cx = complex_for(n)
-        for f in aut_via_compat_graph(cx)[1]:
+        for f in _graph_autos(cx):
             assert reconstruct_sigma(f) == _split_two_set_sigma(f)
 
 
@@ -687,20 +692,26 @@ def test_cell_map_rejects_non_automorphism():
 
 def test_a_repeated_sample_is_checked_once_and_listed_per_draw(monkeypatch):
     # each distinct drawn element is reconstructed once and, when that
-    # passes, cell-checked once; failures, checked and ok count draws
+    # passes, cell-checked once after it; a drawn generator is judged by
+    # the reconstruction it came with.  Failures, checked and ok count
+    # draws.  A cell check is keyed by its element and the number of
+    # times that element was reconstructed before it.
     cx = complex_for(5)
     bad = _ray_swap(cx, [1, 3], [4, 5])
     good = marking_ray_permutation(cx, (2, 3, 1, 5, 4))
-    draws = [bad, good, bad, good, good]
+    generator = marking_ray_permutation(cx, (2, 1, 3, 4, 5))
+    draws = [bad, good, bad, generator, good, good]
     monkeypatch.setattr(PermutationGroup, "random_elements", lambda self, k, seed: draws)
     rebuilt = count_calls(monkeypatch, automorphisms, "reconstruct_sigma", lambda f: f.ray_perm)
-    checked = count_calls(monkeypatch, ComplexAutomorphism, "check_cells", lambda f: f.ray_perm)
-    group = PermutationGroup(len(cx.rays), (good,))
-    report = automorphisms._surjectivity_report(cx, group, [(2, 3, 1, 5, 4)], 5, DEFAULT_SEED)
+    checked = count_calls(
+        monkeypatch, ConeComplex, "unmapped_cell", lambda cx, p: (tuple(p), rebuilt[tuple(p)])
+    )
+    group = PermutationGroup(len(cx.rays), (generator,))
+    report = automorphisms._surjectivity_report(cx, group, [(2, 1, 3, 4, 5)], 6, DEFAULT_SEED)
     assert report["failures"] == [f"sample:{format_cycles(bad)}"] * 2
-    assert (report["checked"], report["ok"], report["verdict"]) == (6, 4, "FAIL")
+    assert (report["checked"], report["ok"], report["verdict"]) == (7, 5, "FAIL")
     assert rebuilt == {bad: 1, good: 1}
-    assert checked == {good: 1}
+    assert checked == {(good, 1): 1}
 
 
 def test_list_given_automorphism_is_normalised():
@@ -736,7 +747,7 @@ def test_report_samples_reach_odd_marking_permutations():
     # uniform sample must reach both halves
     for n in (5, 6):
         cx = complex_for(n)
-        sample = aut_via_compat_graph(cx)[0].random_elements(100, DEFAULT_SEED)
+        sample = aut_via_compat_graph(cx).random_elements(100, DEFAULT_SEED)
         sigmas = [reconstruct_sigma(ComplexAutomorphism(cx, p)) for p in sample]
         odd = [s for s in sigmas if sum(len(c) - 1 for c in perm_cycles([x - 1 for x in s])) % 2]
         assert 0 < len(odd) < len(sigmas)
@@ -744,7 +755,7 @@ def test_report_samples_reach_odd_marking_permutations():
 
 def test_reconstruct_samples_n7():
     cx = complex_for(7)
-    group, _ = aut_via_compat_graph(cx)
+    group = aut_via_compat_graph(cx)
     for perm in group.random_elements(10, seed=99):
         sigma = reconstruct_sigma(ComplexAutomorphism(cx, perm))
         assert marking_ray_permutation(cx, sigma) == perm
@@ -772,7 +783,7 @@ def test_chain_middle_edge_preserved():
     # on every 4-vertex chain, any automorphism sends the edge touching
     # no leaf to the edge touching no leaf
     cx = complex_for(6)
-    _, autos = aut_via_compat_graph(cx)
+    autos = _graph_autos(cx)
     for f in autos:
         f.check_cells()
     cell_maps = [(f, tuple_cell_map(f)) for f in autos]

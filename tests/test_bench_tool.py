@@ -1,12 +1,14 @@
 """tools/bench.py on one small run: what its child process records
 matches an in-process run of the same command, a child that fails is
-named, each tree's round wins are counted, and the CPU count is the
-bench's own affinity."""
+named, each tree's round wins are counted, the CPU count is the
+bench's own affinity, and each tree is named by its commit and dirty
+mark, or by the reason it has none."""
 
 import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -107,13 +109,74 @@ def test_bench_counts_the_rounds_each_tree_won(tmp_path):
     assert result["payload_mismatches"] == []
 
 
-def test_a_tied_round_counts_for_neither_tree():
+def load_bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_a_tied_round_counts_for_neither_tree():
+    bench = load_bench()
     rows = [
         {"round": k, "tree": tree, "run_s": s}
         for k, pair in enumerate([(1.0, 2.0), (2.0, 2.0), (3.0, 1.0)])
         for tree, s in zip("ab", pair)
     ]
     assert bench._rounds_won(rows) == {"a": 1, "b": 1}
+
+
+def git(tree, *args) -> str:
+    done = subprocess.run(
+        ["git", "-C", str(tree), "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+         "-c", "commit.gpgsign=false", *args],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return done.stdout.strip()
+
+
+def test_bench_names_each_tree(tmp_path):
+    # a checkout reads its commit and whether it has an uncommitted edit;
+    # a git archive copy, which has no .git, reads a null commit with the
+    # reason, as does a copy inside another checkout, whose HEAD is not
+    # the copy's
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    git(tree, "init", "-q")
+    git(tree, "add", "-A")
+    git(tree, "commit", "-q", "-m", "tree")
+    head = git(tree, "rev-parse", "HEAD")
+    bench = load_bench()
+    assert bench._checkout(tree) == {"commit": head, "dirty": False}
+
+    def archive_copy(to):
+        to.mkdir()
+        git(tree, "archive", "-o", str(tmp_path / "tree.tar"), "HEAD")
+        subprocess.run(["tar", "-xf", str(tmp_path / "tree.tar"), "-C", str(to)], check=True)
+        return to
+
+    copy = archive_copy(tmp_path / "copy")
+    init = tree / "src" / "tropmoduli" / "__init__.py"
+    init.write_text(init.read_text() + "# an uncommitted edit\n")
+    out = tmp_path / "bench.json"
+    subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "bench.py"), "-k", "1", "--run", "aut --n 4",
+            "--tree", f"tree={tree}", "--tree", f"copy={copy}", "--out", str(out),
+        ],
+        check=True,
+        capture_output=True,
+    )
+    assert json.loads(out.read_text())["trees"] == {
+        "tree": {"commit": head, "dirty": True, "bytecode_cache": False},
+        "copy": {"commit": None, "reason": "no .git in the tree", "bytecode_cache": False},
+    }
+    # an empty .git is no repository: git walks up to the enclosing one
+    nested = archive_copy(tree / "nested")
+    (nested / ".git").mkdir()
+    assert bench._checkout(nested) == {
+        "commit": None,
+        "reason": f"git names {tree.resolve()} as the checkout root",
+    }

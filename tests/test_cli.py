@@ -753,8 +753,8 @@ def test_count_formula_runs_the_brute_force_once_per_distinct_profile(monkeypatc
 
 def test_each_automorphism_fact_is_checked_once(monkeypatch):
     # one reconstruction per generator (4 + 5 at n = 5, 6) plus one per
-    # distinct sample (70 and 94 of the 100 draws at n = 5, 6); the poset
-    # search runs only when asked for
+    # distinct sample that is no generator (68 and 94 of the 100 draws at
+    # n = 5, 6); the poset search runs only when asked for
     from tropmoduli import automorphisms, cli
 
     calls = Counter()
@@ -772,7 +772,7 @@ def test_each_automorphism_fact_is_checked_once(monkeypatch):
     for module in (cli, automorphisms):
         counted("aut_via_poset", module)
     assert invoke("report", "--max-n", "6")[0] == EXIT_OK
-    assert calls["reconstruct_sigma"] == 173
+    assert calls["reconstruct_sigma"] == 171
     calls.clear()
     assert invoke("aut", "--n", "6", "--method", "graph")[0] == EXIT_OK
     assert calls == {"reconstruct_sigma": 5}
@@ -781,23 +781,41 @@ def test_each_automorphism_fact_is_checked_once(monkeypatch):
 
 
 def test_each_generator_cell_map_runs_once(monkeypatch):
-    # aut_via_compat_graph checks each generator's cells and the
-    # reconstruction reads rays only: 5 generators at n = 6 and 6 at
-    # n = 7, and the n = 4 generators (not reconstructed) are still
-    # checked; report also checks each distinct one of its 100 samples
-    # at n = 5, 6 (70 and 94 of them)
-    from tropmoduli.automorphisms import ComplexAutomorphism
+    # each distinct element is cell-checked once, keyed by n and by how
+    # often it was reconstructed before: the graph route checks its
+    # generators before any reconstruction (5 at n = 6, 6 at n = 7, and
+    # the n = 4 ones, which are never reconstructed), and report checks
+    # each distinct sample that is no generator after reconstructing it
+    # (68 and 94 of the 100 draws at n = 5, 6).  The poset search's own
+    # completions are not counted.
+    from tropmoduli import automorphisms
+    from tropmoduli.cones import ConeComplex
 
-    passes = count_calls(monkeypatch, ComplexAutomorphism, "check_cells", lambda f: f.cx.n)
+    rebuilt = count_calls(monkeypatch, automorphisms, "reconstruct_sigma", lambda f: f.ray_perm)
+    checked = count_calls(
+        monkeypatch, ConeComplex, "unmapped_cell", lambda cx, p: (cx.n, tuple(p), rebuilt[tuple(p)])
+    )
+    poset = automorphisms.aut_via_poset
+
+    def uncounted_poset(cx):
+        before = checked.copy()
+        group = poset(cx)
+        checked.clear()
+        checked.update(before)
+        return group
+
+    monkeypatch.setattr(automorphisms, "aut_via_poset", uncounted_poset)
     for argv, want in (
-        (("aut", "--n", "6", "--method", "graph"), {6: 5}),
-        (("aut", "--n", "4"), {4: 2}),
-        (("aut", "--n", "7"), {7: 6}),
-        (("report", "--max-n", "6"), {4: 2, 5: 74, 6: 99}),
+        (("aut", "--n", "6", "--method", "graph"), {(6, 0): 5}),
+        (("aut", "--n", "4"), {(4, 0): 2}),
+        (("aut", "--n", "7"), {(7, 0): 6}),
+        (("report", "--max-n", "6"), {(4, 0): 2, (5, 0): 4, (5, 1): 68, (6, 0): 5, (6, 1): 94}),
     ):
-        passes.clear()
+        rebuilt.clear()
+        checked.clear()
         assert invoke(*argv)[0] == EXIT_OK
-        assert passes == want, argv
+        assert set(checked.values()) == {1}, argv
+        assert Counter((n, before) for n, _, before in checked) == want, argv
 
 
 def _faulty_catalog(monkeypatch, fault):

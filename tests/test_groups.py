@@ -4,11 +4,13 @@ stabilizer chain with a brute-force element closure."""
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from tropmoduli import groups
+from tropmoduli.automorphisms import aut_via_compat_graph, aut_via_poset
 from tropmoduli.groups import (
     PermutationGroup,
     _StabilizerChain,
@@ -20,6 +22,8 @@ from tropmoduli.groups import (
     point_orbit,
     sims_group,
 )
+
+from shared import complex_for
 
 
 def cycle(degree, *points):
@@ -246,3 +250,21 @@ def test_random_elements_are_uniform():
 def test_rejects_non_permutations():
     with pytest.raises(ValueError):
         PermutationGroup(3, ((0, 0, 1),))
+
+
+def test_the_search_orbits_and_the_chain_share_no_orbit_walk(monkeypatch):
+    # a point_orbit that drops one orbit point shrinks each search's orbit
+    # product; the chain's transversals come from their own BFS, so both
+    # searches at n = 5 still meet the true order and raise
+    orbit = groups.point_orbit
+
+    def drops_a_point(point, gens):
+        found = orbit(point, gens)
+        return found - {max(found)} if len(found) > 1 else found
+
+    monkeypatch.setattr(groups, "point_orbit", drops_a_point)
+    cx = complex_for(5)
+    for search, name, order in ((aut_via_compat_graph, "graph", 18), (aut_via_poset, "poset", 45)):
+        message = f"{name} search at n=5: search order {order} disagrees with generated group order"
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)} 120$"):
+            search(cx)

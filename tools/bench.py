@@ -19,10 +19,13 @@ the number of rounds in which that tree had the least ``run_s`` (a tie
 counts for neither tree), so a claimed gain can be read as pair wins.
 The file also records the Python version, the number of CPUs the
 bench may run on (its affinity, not the host's count), each tree's
-commit and whether its package had a bytecode cache; children write
-none.  The exit status is 1 when two trees' payloads differ for one run,
-and 2, with no file written, when a child exits non-zero: the round, the
-tree, the run and the child's stderr go to stderr.
+commit and whether ``git status --porcelain`` listed anything before
+round 0 (``dirty``), or a null commit and its ``reason`` when the tree
+is no checkout root, and whether its package had a bytecode cache;
+children write none.  The exit status is 1 when two trees' payloads
+differ for one run, and 2, with no file written, when a child exits
+non-zero: the round, the tree, the run and the child's stderr go to
+stderr.
 """
 
 from __future__ import annotations
@@ -64,11 +67,25 @@ print(json.dumps({"exit": code, "run_s": run_s, "maxrss_kib": rss, "payload_sha2
 """
 
 
-def _commit(tree: Path) -> str | None:
-    done = subprocess.run(
-        ["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True
-    )
+def _git(tree: Path, *args: str) -> str | None:
+    done = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _checkout(tree: Path) -> dict:
+    """The tree's commit and whether ``git status --porcelain`` lists
+    anything, or a null commit with the reason when the tree is no
+    checkout root: git would otherwise name an enclosing repository's
+    HEAD."""
+    if not (tree / ".git").exists():
+        return {"commit": None, "reason": "no .git in the tree"}
+    top = _git(tree, "rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != tree:
+        return {"commit": None, "reason": f"git names {top} as the checkout root"}
+    return {
+        "commit": _git(tree, "rev-parse", "HEAD"),
+        "dirty": _git(tree, "status", "--porcelain") != "",
+    }
 
 
 def _one_run(tree: Path, argv: list[str]) -> dict:
@@ -123,6 +140,7 @@ def main(argv=None) -> int:
         if not (trees[label] / "src" / "tropmoduli").is_dir():
             parser.error(f"no src/tropmoduli under {path}")
     runs = args.run or list(RUNS)
+    checkouts = {label: _checkout(tree) for label, tree in trees.items()}
 
     records = []
     labels = list(trees)
@@ -162,7 +180,7 @@ def main(argv=None) -> int:
         "k": args.k,
         "trees": {
             label: {
-                "commit": _commit(tree),
+                **checkouts[label],
                 "bytecode_cache": (tree / "src" / "tropmoduli" / "__pycache__").is_dir(),
             }
             for label, tree in trees.items()
