@@ -9,6 +9,7 @@ builds its group, the chain started from the search's base.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,13 +104,14 @@ def point_orbit(point: int, gens: Sequence[Sequence[int]]) -> set[int]:
 class _StabilizerChain:
     """Deterministic Schreier-Sims from a starting base, which may be
     empty, redundant or too short: the base grows by the first point a
-    strong generator moves when it fixes the whole base.  Each round
-    builds every level's transversal and its inverses once, then sifts
-    each Schreier generator u_{s(x)}^-1 s u_x of level i from level i + 1
-    down, since it fixes base[:i+1]; tree edges (s u_x = u_{s(x)}) give
-    the identity and are skipped.  A non-identity residue becomes a
-    strong generator and starts the next round; a round that leaves no
-    residue proves the chain complete, whatever base it started from."""
+    strong generator moves when it fixes the whole base.  A round builds
+    the levels deepest first, each once, and sifts each Schreier
+    generator u_{s(x)}^-1 s u_x of level i through the levels below,
+    since it fixes base[:i+1]; tree edges (s u_x = u_{s(x)}) give the
+    identity and are skipped.  The first non-identity residue ends the
+    round, before the levels above are built, and becomes a strong
+    generator; a round that leaves no residue proves the chain complete,
+    whatever base it started from."""
 
     def __init__(self, degree: int, gens: Sequence[tuple[int, ...]], base: Sequence[int] = ()):
         """``gens`` must be distinct non-identity permutations."""
@@ -126,22 +128,16 @@ class _StabilizerChain:
         if all(g[p] == p for p in self.base):
             self.base.append(next(i for i in range(self.degree) if g[i] != i))
 
-    def _level_gens(self, i):
-        return [s for s in self.strong if all(s[p] == p for p in self.base[:i])]
-
-    def _recompute_transversals(self):
-        self.transversals: list[dict[int, tuple[int, ...]]] = [
-            _orbit_transversal(self.degree, self.base[i], self._level_gens(i))
-            for i in range(len(self.base))
-        ]
-        self._inverses = [{x: invert_perm(u) for x, u in t.items()} for t in self.transversals]
-
     def _first_residue(self):
-        """Rebuild the transversals and sift the Schreier generators, deepest
-        level first; the first non-identity residue, else None."""
-        self._recompute_transversals()
-        for i in reversed(range(len(self.base))):
-            trans, inverses, gens = self.transversals[i], self._inverses[i], self._level_gens(i)
+        """Build and sift the levels, deepest first; the first non-identity
+        residue, else None."""
+        depth = len(self.base)
+        self.transversals: list[dict[int, tuple[int, ...]]] = [{}] * depth
+        self._inverses = [{}] * depth
+        for i in reversed(range(depth)):
+            gens = [s for s in self.strong if all(s[p] == p for p in self.base[:i])]
+            trans = self.transversals[i] = _orbit_transversal(self.degree, self.base[i], gens)
+            inverses = self._inverses[i] = {x: invert_perm(u) for x, u in trans.items()}
             for x, rep in trans.items():
                 for s in gens:
                     su = compose_perms(s, rep)
@@ -161,12 +157,6 @@ class _StabilizerChain:
                     return g
                 g = compose_perms(inverses[x], g)
         return None if g == identity_perm(self.degree) else g
-
-    def order(self) -> int:
-        n = 1
-        for t in self.transversals:
-            n *= len(t)
-        return n
 
 
 @dataclass
@@ -191,7 +181,7 @@ class PermutationGroup:
         return _StabilizerChain(self.degree, self.generators)
 
     def order(self) -> int:
-        return self._chain.order()
+        return math.prod(len(t) for t in self._chain.transversals)
 
     def __contains__(self, p) -> bool:
         return self._chain._sift(check_perm(self.degree, p)) is None

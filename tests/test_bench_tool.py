@@ -1,8 +1,8 @@
 """tools/bench.py on one small run: what its child process records
-matches an in-process run of the same command, a child that fails is
-named, each tree's round wins are counted, the CPU count is the
-bench's own affinity, and each tree is named by its commit and dirty
-mark, or by the reason it has none."""
+matches an in-process run of the same command, a child that fails or
+a run the CLI rejects is named, each tree's round wins are counted,
+the CPU count is the bench's own affinity, and each tree is named by
+its commit and dirty mark, or by the reason it has none."""
 
 import hashlib
 import importlib.util
@@ -43,7 +43,7 @@ def test_bench_records_the_in_process_payload(tmp_path):
     code, stdout, _ = invoke("report", "--max-n", "4")
     text = json.dumps(json.loads(stdout)["payload"], sort_keys=True, separators=(",", ":"))
     assert record["payload_sha256"] == hashlib.sha256(text.encode()).hexdigest()
-    assert (record["exit"], code) == (0, 0)
+    assert code == 0 and "exit" not in record
     assert record["run_s"] < record["process_s"] and record["maxrss_kib"] > 0
     assert result["payload_mismatches"] == [] and set(result["trees"]) == {"here"}
     assert result["python"] and result["nproc"] >= 1
@@ -62,7 +62,7 @@ def test_bench_hashes_export_text_as_is(tmp_path):
     code, stdout, _ = invoke("complex", "--n", "4", "--dot", "hasse")
     assert stdout.startswith("digraph")
     assert record["payload_sha256"] == hashlib.sha256(stdout.encode()).hexdigest()
-    assert (record["exit"], code) == (0, 0)
+    assert code == 0
 
 
 def test_bench_names_a_failing_child(tmp_path):
@@ -84,6 +84,23 @@ def test_bench_names_a_failing_child(tmp_path):
     assert "round 0 tree broken run 'aut --n 4' failed: exit status 1" in done.stderr
     assert "ImportError: this tree does not import" in done.stderr
     assert "CalledProcessError" not in done.stderr
+
+
+def test_bench_names_a_run_the_cli_rejected(tmp_path):
+    # the CLI rejects n = 3 with exit status 2: the child exits with it
+    # and shows the CLI's error, so no timing of the rejection is kept
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "bench.py"), "-k", "1", "--run", "aut --n 3",
+            "--tree", f"here={ROOT}", "--out", str(out),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2 and not out.exists()
+    assert "round 0 tree here run 'aut --n 3' failed: exit status 2" in done.stderr
+    assert "error: --n must be >= 4" in done.stderr
 
 
 def test_bench_counts_the_rounds_each_tree_won(tmp_path):

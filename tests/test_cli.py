@@ -408,7 +408,9 @@ def test_poset_search_that_misses_generators_is_a_fail(monkeypatch):
     assert report["payload"]["poset_order"] < report["payload"]["order"] == 120
     code, report, _ = invoke_json("report", "--max-n", "5")
     assert code == EXIT_FAIL
-    assert _failed_checks(report) == ["aut n=5"]
+    assert [(c["name"], c["failures"]) for c in _failed_rows(report)] == [
+        ("aut n=5", ["methods_agree"])
+    ]
 
 
 def _drop_coset_reps(monkeypatch, rays, level):
@@ -519,8 +521,12 @@ def test_every_group_check_raise_has_a_fault_row():
     assert unreached_raises(groups, rows) == []
 
 
+def _failed_rows(report):
+    return [c for c in report["payload"]["checks"] if c["verdict"] == "FAIL"]
+
+
 def _failed_checks(report):
-    return [c["name"] for c in report["payload"]["checks"] if c["verdict"] == "FAIL"]
+    return [c["name"] for c in _failed_rows(report)]
 
 
 def test_a_wrong_f_vector_fails_its_enumeration_check(monkeypatch):
@@ -544,6 +550,7 @@ def test_a_wrong_kernel_fails_the_klein_kernel_check(monkeypatch):
     code, report, _ = invoke_json("report", "--max-n", "5")
     assert code == EXIT_FAIL
     assert _failed_checks(report) == ["aut n=4", "klein kernel n=4"]
+    assert _failed_rows(report)[0]["failures"] == ["kernel_is_klein"]
 
 
 def test_a_wrong_maximal_count_fails_its_enumeration_check(monkeypatch):
@@ -606,8 +613,8 @@ def test_a_wrong_genus2_result_fails_the_genus2_check(monkeypatch):
 
 def test_a_bad_sampled_element_fails_aut_n(monkeypatch):
     # a sample no marking permutation induces (the rays of {1,3} and {4,5}
-    # swapped) fails the surjectivity check, and with it aut n=5 alone
-    from tropmoduli import cli
+    # swapped) fails the surjectivity check, and with it aut n=5 alone,
+    # whose row names the check and the sample
     from tropmoduli.groups import PermutationGroup, format_cycles
 
     cx = complex_for(5)
@@ -615,18 +622,17 @@ def test_a_bad_sampled_element_fails_aut_n(monkeypatch):
     swap = list(range(len(cx.rays)))
     swap[a], swap[b] = b, a
     monkeypatch.setattr(PermutationGroup, "random_elements", lambda self, k, seed: [tuple(swap)])
-    reports = []
-
-    def recorded(*args):
-        reports.append(main_theorem_report(*args))
-        return reports[-1]
-
-    monkeypatch.setattr(cli, "main_theorem_report", recorded)
     code, report, _ = invoke_json("report", "--max-n", "5")
     assert code == EXIT_FAIL
-    assert _failed_checks(report) == ["aut n=5"]
-    assert [r["n"] for r in reports] == [4, 5]
-    assert reports[1]["surjectivity"]["failures"] == [f"sample:{format_cycles(swap)}"]
+    assert _failed_rows(report) == [
+        {
+            "name": "aut n=5",
+            "verdict": "FAIL",
+            "order": 120,
+            "expected": 120,
+            "failures": ["surjectivity", f"sample:{format_cycles(swap)}"],
+        }
+    ]
 
 
 BATTERY_FAULT_ROWS = (
@@ -869,9 +875,9 @@ def test_a_catalog_listing_a_cell_twice_fails_the_check():
 
 def test_order_check_sifts_each_schreier_generator_once(monkeypatch):
     # the cross-check's chain starts from the search's base, so at n = 7
-    # one round of transversals completes it: 126 Schreier generators
-    # are sifted (a chain restarted from level 0 makes 581 sifts and 5
-    # rounds)
+    # one round (one _first_residue call) completes it: 126 Schreier
+    # generators are sifted (a chain restarted from level 0 makes 581
+    # sifts and 5 rounds)
     from tropmoduli.groups import _StabilizerChain
 
     work = Counter()
@@ -885,11 +891,11 @@ def test_order_check_sifts_each_schreier_generator_once(monkeypatch):
 
         return wrapper
 
-    for name in ("_sift", "_recompute_transversals"):
+    for name in ("_sift", "_first_residue"):
         monkeypatch.setattr(_StabilizerChain, name, counted(name))
     assert invoke("aut", "--n", "7")[0] == EXIT_OK
     assert 0 < work["_sift"] <= 150
-    assert work["_recompute_transversals"] == 1
+    assert work["_first_residue"] == 1
 
 
 def test_genus2_lists_each_edge_group_once(monkeypatch):

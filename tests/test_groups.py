@@ -160,6 +160,30 @@ def test_chain_from_any_starting_base(degree, gens):
     assert_matches_closure(seeded(degree, tuple(complete.strong), complete.base), reference)
 
 
+def test_a_round_builds_each_level_at_most_once(monkeypatch):
+    # the default-base chain of the n = 7 graph generators makes 6 rounds
+    # and 332 sifts; a round builds the levels deepest first and stops at
+    # its first residue, so it walks 18 orbits, not 6 rounds' full 23
+    gens = aut_via_compat_graph(complex_for(7)).generators
+    work = Counter()
+
+    def counted(owner, name):
+        method = getattr(owner, name)
+
+        def wrapper(*args):
+            work[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(_StabilizerChain, "_first_residue")
+    counted(_StabilizerChain, "_sift")
+    counted(groups, "_orbit_transversal")
+    chain = _StabilizerChain(56, gens)
+    assert math.prod(len(t) for t in chain.transversals) == 5040
+    assert work == {"_first_residue": 6, "_sift": 332, "_orbit_transversal": 18}
+
+
 def test_sims_group_rejects_a_wrong_search_order():
     # a true search for S_4: at point p the transposition (p w) fixes the
     # points below p, so the orbit product 2 * 3 * 4 is the group's order

@@ -11,9 +11,9 @@ tree's ``src/`` and calls ``cli.run`` once.  A run records the time of
 that call, the wall time of the whole child process, its peak resident
 set (``ru_maxrss``), the sha256 of its payload (sorted keys, compact
 separators) or, for an export such as ``complex --dot``, of its text as
-is, and its exit status.  With several trees the runs are
-interleaved, and the tree that goes first alternates from round to
-round: the second run of a pair tends to read slower on a busy host.
+is.  With several trees the runs are interleaved, and the tree that
+goes first alternates from round to round: the second run of a pair
+tends to read slower on a busy host.
 The summary gives, per run and tree, the quartiles of ``run_s`` and
 the number of rounds in which that tree had the least ``run_s`` (a tie
 counts for neither tree), so a claimed gain can be read as pair wins.
@@ -24,8 +24,9 @@ round 0 (``dirty``), or a null commit and its ``reason`` when the tree
 is no checkout root, and whether its package had a bytecode cache;
 children write none.  The exit status is 1 when two trees' payloads
 differ for one run, and 2, with no file written, when a child exits
-non-zero: the round, the tree, the run and the child's stderr go to
-stderr.
+non-zero, as it does with the CLI's status when that is not 0: the
+round, the tree, the run and the child's stderr (the CLI's, when it
+ran) go to stderr.
 """
 
 from __future__ import annotations
@@ -54,16 +55,19 @@ CHILD = """\
 import hashlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from tropmoduli import cli
-out = io.StringIO()
+out, err = io.StringIO(), io.StringIO()
 started = time.perf_counter()
-code = cli.run(sys.argv[2:], stdout=out, stderr=io.StringIO())
+code = cli.run(sys.argv[2:], stdout=out, stderr=err)
 run_s = time.perf_counter() - started
+if code:  # a run the CLI rejected is no timing
+    sys.stderr.write(err.getvalue())
+    sys.exit(code)
 text = out.getvalue()
 if text.startswith("{"):  # a JSON report, not export text
     text = json.dumps(json.loads(text)["payload"], sort_keys=True, separators=(",", ":"))
 digest = hashlib.sha256(text.encode()).hexdigest()
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"exit": code, "run_s": run_s, "maxrss_kib": rss, "payload_sha256": digest}))
+print(json.dumps({"run_s": run_s, "maxrss_kib": rss, "payload_sha256": digest}))
 """
 
 
