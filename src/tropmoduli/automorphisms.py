@@ -409,7 +409,8 @@ def _surjectivity_report(cx, group, generator_sigmas, samples, seed) -> dict:
     :func:`reconstruct_sigma` requires the exact round trip (sigma's ray
     permutation equals the element's), so an element counts as ok exactly
     when both pass.  Each distinct element is judged once; failures are
-    still listed, and ``checked`` and ``ok`` still counted, per draw."""
+    still listed, and ``checked`` and ``ok`` still counted, per draw.
+    With no samples the generators alone are judged."""
     sample = group.random_elements(samples, seed)
     failed = {g: sigma is None for g, sigma in zip(group.generators, generator_sigmas)}
     failures = [f"generator:{format_cycles(g)}" for g, bad in failed.items() if bad]
@@ -422,9 +423,6 @@ def _surjectivity_report(cx, group, generator_sigmas, samples, seed) -> dict:
     failures += [f"sample:{format_cycles(p)}" for p in sample if failed[p]]
     checked = len(generator_sigmas) + len(sample)
     return {
-        "n": cx.n,
-        "generators": len(group.generators),
-        "samples": samples,
         "checked": checked,
         "ok": checked - len(failures),
         "failures": failures,
@@ -451,8 +449,10 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = 
     reconstructed and their cells checked too.  ``poset=False`` leaves
     out the poset search and its agreement check.  Each generator is
     reconstructed once, for both ``sigma_of_generator`` and the
-    surjectivity check.  A complex below n = 4 raises ``ValueError``
-    before any search."""
+    surjectivity check.  Only a FAIL report lists its ``failures``: the
+    false checks by name, in the order made, then the ``generator:…`` and
+    ``sample:…`` elements they failed on.  A complex below n = 4 raises
+    ``ValueError`` before any search."""
     n = cx.n
     expected = expected_order(n)
     group = aut_via_compat_graph(cx)
@@ -464,28 +464,24 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = 
         "rays": [list(s.side()) for s in cx.rays],
         "generators": [format_cycles(g) for g in group.generators],
     }
-    checks = [order == expected]
+    checks = {"order": order == expected}
 
     if poset:
         poset_group = aut_via_poset(cx)
-        agree = group.equals(poset_group)
-        report["methods_agree"] = agree
+        checks["methods_agree"] = report["methods_agree"] = group.equals(poset_group)
         report["poset_order"] = poset_group.order()
-        checks.append(agree)
 
     if n >= 5:
         sigmas = [_reconstructed(ComplexAutomorphism(cx, g)) for g in group.generators]
-        recon_ok = None not in sigmas
         report["sigma_of_generator"] = [None if s is None else list(s) for s in sigmas]
-        report["reconstruction_ok"] = recon_ok
-        checks.append(recon_ok)
+        checks["reconstruction_ok"] = report["reconstruction_ok"] = None not in sigmas
+        surj = _surjectivity_report(cx, group, sigmas, samples, seed)
         if samples:
-            surj = _surjectivity_report(cx, group, sigmas, samples, seed)
             report["surjectivity"] = surj
-            checks.append(surj["verdict"] == "PASS")
+            checks["surjectivity"] = surj["verdict"] == "PASS"
+        elements = surj["failures"]
     else:
-        image = sn_image_group(cx)
-        same = group.equals(image)
+        same = group.equals(sn_image_group(cx))
         kernel = sorted(sn_kernel(cx))
         klein = sorted(
             [
@@ -495,10 +491,13 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = 
                 (4, 3, 2, 1),
             ]
         )
-        report["marking_image_matches"] = same
+        checks["marking_image_matches"] = report["marking_image_matches"] = same
         report["kernel"] = [list(k) for k in kernel]
-        report["kernel_is_klein"] = kernel == klein
-        checks.extend([same, kernel == klein])
+        checks["kernel_is_klein"] = report["kernel_is_klein"] = kernel == klein
+        elements = []
 
-    report["verdict"] = "PASS" if all(checks) else "FAIL"
+    failures = [name for name, ok in checks.items() if not ok] + elements
+    report["verdict"] = "FAIL" if failures else "PASS"
+    if failures:
+        report["failures"] = failures
     return report

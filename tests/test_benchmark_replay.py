@@ -19,3 +19,9 @@ def test_battery_replay_passes():
 
 def test_aut_replay_passes():
     assert workloads.replay_aut(workloads.Replay(Tracer()), SEED) is True
+
+
+def test_each_workload_passes_its_own_check():
+    # each workload's correctness gate, on the live CLI output it times
+    for name, w in workloads.WORKLOADS.items():
+        assert (name, w.check(w.run(SEED))) == (name, [])

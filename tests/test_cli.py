@@ -489,10 +489,12 @@ def test_graph_search_that_misses_the_top_orbit_fails_aut_n(monkeypatch):
     assert (code, len(dropped)) == (EXIT_FAIL, 9)
     failed = [c for c in report["payload"]["checks"] if c["verdict"] == "FAIL"]
     assert [(c["name"], c["order"], c["expected"]) for c in failed] == [("aut n=5", 12, 120)]
+    assert failed[0]["failures"] == ["order", "methods_agree"]
     _drop_coset_reps(monkeypatch, 25, lambda path: 0)
     code, report, _ = invoke_json("aut", "--n", "6", "--method", "graph")
     assert (code, report["verdict"]) == (EXIT_FAIL, "FAIL")
     assert (report["payload"]["order"], report["payload"]["expected"]) == (72, 720)
+    assert report["payload"]["failures"] == ["order"]
 
 
 AUTOMORPHISM_FAULT_ROWS = (
@@ -635,6 +637,31 @@ def test_a_bad_sampled_element_fails_aut_n(monkeypatch):
     ]
 
 
+def test_a_failed_reconstruction_at_n7_names_each_generator(monkeypatch):
+    # no sample is drawn at n = 7, so the row's generator names come from
+    # the theorem report's own surjectivity check over the generators alone
+    from tropmoduli import automorphisms
+    from tropmoduli.groups import format_cycles
+
+    reconstructed = automorphisms._reconstructed
+    group = automorphisms.aut_via_compat_graph(complex_for(7))
+    names = [f"generator:{format_cycles(g)}" for g in group.generators]
+    monkeypatch.setattr(
+        automorphisms, "_reconstructed", lambda f: None if f.cx.n == 7 else reconstructed(f)
+    )
+    code, report, _ = invoke_json("report", "--max-n", "7")
+    assert code == EXIT_FAIL
+    assert _failed_rows(report) == [
+        {
+            "name": "aut n=7",
+            "verdict": "FAIL",
+            "order": 5040,
+            "expected": 5040,
+            "failures": ["reconstruction_ok", *names],
+        }
+    ]
+
+
 BATTERY_FAULT_ROWS = (
     test_poset_search_that_misses_generators_is_a_fail,
     test_graph_search_that_misses_the_top_orbit_fails_aut_n,
@@ -645,6 +672,7 @@ BATTERY_FAULT_ROWS = (
     test_a_wrong_kernel_fails_the_klein_kernel_check,
     test_a_wrong_genus2_result_fails_the_genus2_check,
     test_a_bad_sampled_element_fails_aut_n,
+    test_a_failed_reconstruction_at_n7_names_each_generator,
 )
 
 
