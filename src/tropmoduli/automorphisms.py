@@ -481,7 +481,8 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = 
             checks["surjectivity"] = surj["verdict"] == "PASS"
         elements = surj["failures"]
     else:
-        same = group.equals(sn_image_group(cx))
+        image = sn_image_group(cx)
+        same = group.equals(image)
         kernel = sorted(sn_kernel(cx))
         klein = sorted(
             [
