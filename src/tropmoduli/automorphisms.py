@@ -46,8 +46,9 @@ VERIFY_MIN_N = 4
 
 
 class ReconstructionError(RuntimeError):
-    """A step of the constructive marking-permutation recovery failed;
-    this would falsify the symmetric-group description of the group."""
+    """The marking permutation recovered from an automorphism does not
+    induce it; this would falsify the symmetric-group description of the
+    group."""
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +326,18 @@ def sn_image_group(cx: ConeComplex) -> PermutationGroup:
 def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
     """Recover the marking permutation inducing an automorphism (n >= 5).
 
-    Constructive, from the images of the n - 1 two-leg strata on
-    {1,j}: the image ray's mask, or its complement, is the image's
-    two-marking side.  Those of {1,2} and {1,3} overlap in a single
-    marking, which is sigma(1); each {1,j} must contain it and yields
-    sigma(j) as its other marking.  The candidate sigma is then verified
-    in one comparison of ray permutations against every ray; for n >= 5
-    a ray's two-marking side is unique, so this also covers every other
-    two-leg stratum.  Any failed step raises
-    :class:`ReconstructionError`, naming the first ray on which sigma and
-    the automorphism differ, as it would falsify the description of the
+    The candidate sigma is read off the images of the n - 1 two-leg
+    strata on {1,j}, each image ray's mask or, when that does not have
+    two bits, its complement: sigma(1) is the marking the sides of {1,2}
+    and {1,3} share, sigma(j) the other marking of the side of {1,j}.
+    It is accepted only when it is a permutation of the markings whose
+    ray permutation equals the automorphism's, and nothing else is
+    checked.  If tau induces the automorphism, each {1,j} side is
+    {tau(1), tau(j)} (for n >= 5 a ray's two-marking side is unique), so
+    the candidate is tau; and an accepted candidate induces it.  A
+    rejection raises :class:`ReconstructionError`, naming the first ray
+    on which sigma and the automorphism differ when sigma is a
+    permutation, as it would falsify the description of the
     automorphism group.  It reads the rays only.
     """
     cx = f.cx
@@ -349,34 +352,15 @@ def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
     for j in range(2, n + 1):
         # the ray of {1,j} stores the other side, full ^ {1,j}
         image = cx.rays[f.ray_perm[cx.ray_by_mask[full ^ 1 ^ 1 << (j - 1)]]].mask
-        if image.bit_count() != 2:
-            image ^= full
-        if image.bit_count() != 2:
-            raise ReconstructionError(
-                f"image of the 2-leg stratum {set((1, j))} has no 2-leg vertex; "
-                "leg counts are not preserved"
-            )
-        two.append(image)
+        two.append(image if image.bit_count() == 2 else image ^ full)
     common = two[0] & two[1]
-    if common.bit_count() != 1:
-        sides = [[i + 1 for i in range(n) if t >> i & 1] for t in two[:2]]
+    sigma = (common.bit_length(), *[(t ^ common).bit_length() for t in two])
+    try:  # marking_ray_permutation rejects a sigma that is no permutation
+        action = marking_ray_permutation(cx, sigma)
+    except ValueError:
         raise ReconstructionError(
-            "images of the 2-leg strata on {1,2} and {1,3} do not overlap "
-            f"in exactly one marking: {sides[0]} vs {sides[1]}"
-        )
-    images = [common.bit_length()]
-    for j, t in enumerate(two, 2):
-        if not t & common:
-            raise ReconstructionError(
-                f"image of the 2-leg stratum on {{1,{j}}} misses the image of 1"
-            )
-        images.append((t ^ common).bit_length())
-
-    # sigma is a permutation: the rays on {1,j} are distinct, so are their
-    # images, and distinct rays have distinct two-marking sides; each side
-    # holds sigma(1), so their other markings are distinct too
-    sigma = tuple(images)
-    action = marking_ray_permutation(cx, sigma)
+            f"recovered map {sigma} is not a permutation of the markings"
+        ) from None
     if action != f.ray_perm:
         r = next(r for r, (want, got) in enumerate(zip(action, f.ray_perm)) if want != got)
         raise ReconstructionError(
@@ -395,7 +379,7 @@ def _reconstructed(f: ComplexAutomorphism) -> tuple[int, ...] | None:
     :func:`reconstruct_sigma` rejects it."""
     try:
         return reconstruct_sigma(f)
-    except (ReconstructionError, ValueError):
+    except ReconstructionError:
         return None
 
 

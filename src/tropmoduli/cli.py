@@ -126,15 +126,18 @@ def _cmd_aut(args, log) -> dict:
     cx = build_complex(args.n)  # rejects n beyond the envelope before other work
     if args.method == "poset":
         group = aut_via_poset(cx)
-        expected = expected_order(args.n)
-        return {
+        order, expected = group.order(), expected_order(args.n)
+        payload = {
             "n": args.n,
             "method": "poset",
-            "order": group.order(),
+            "order": order,
             "expected": expected,
             "generators": [format_cycles(g) for g in group.generators],
-            "verdict": "PASS" if group.order() == expected else "FAIL",
+            "verdict": "PASS" if order == expected else "FAIL",
         }
+        if order != expected:  # only a FAIL report lists its failures
+            payload["failures"] = ["order"]
+        return payload
     return main_theorem_report(cx, args.seed, 0, poset=args.method == "both")
 
 

@@ -623,18 +623,17 @@ def test_reconstruct_rejects_non_automorphism():
 
 def test_reconstruct_rejects_a_lost_two_leg_vertex():
     # swapping the ray of {1,2} (stored side {3,4,5,6}) with {2,3,4} sends
-    # the 2-leg stratum on {1,2} to a ray with two 3-leg sides
+    # the 2-leg stratum on {1,2} to a ray with two 3-leg sides; its side
+    # {1,5,6} shares only 1 with {1,3}, so sigma(2) reads 6 twice
     cx = complex_for(6)
     a, b = ray_of(cx, [3, 4, 5, 6]), ray_of(cx, [2, 3, 4])
     perm = list(range(len(cx.rays)))
     perm[a], perm[b] = b, a
-    message = (
-        "image of the 2-leg stratum {1, 2} has no 2-leg vertex; "
-        "leg counts are not preserved"
-    )
     with pytest.raises(ReconstructionError) as excinfo:
         reconstruct_sigma(ComplexAutomorphism(cx, perm))
-    assert str(excinfo.value) == message
+    assert str(excinfo.value) == (
+        "recovered map (1, 6, 3, 4, 5, 6) is not a permutation of the markings"
+    )
     report = _one_generator_report(cx, tuple(perm))
     assert (report["checked"], report["ok"]) == (1, 0)
     assert report["failures"] == [f"generator:{format_cycles(perm)}"]
@@ -650,22 +649,66 @@ def _ray_swap(cx, side_a, side_b):
 
 def test_reconstruct_rejects_two_leg_images_without_one_common_marking():
     # the 2-leg stratum on {1,3} goes to {4,5}, which shares no marking
-    # with the image {1,2} of the untouched {1,2}
+    # with the image {1,2} of the untouched {1,2}, so sigma(1) reads 0
     cx = complex_for(5)
     with pytest.raises(ReconstructionError) as excinfo:
         reconstruct_sigma(ComplexAutomorphism(cx, _ray_swap(cx, [1, 3], [4, 5])))
     assert str(excinfo.value) == (
-        "images of the 2-leg strata on {1,2} and {1,3} do not overlap "
-        "in exactly one marking: [1, 2] vs [4, 5]"
+        "recovered map (0, 2, 5, 4, 5) is not a permutation of the markings"
     )
 
 
 def test_reconstruct_rejects_a_two_leg_image_missing_the_image_of_1():
-    # {1,2} and {1,3} are untouched, so sigma(1) = 1, and {1,4} goes to {2,3}
+    # {1,2} and {1,3} are untouched, so sigma(1) = 1, and {1,4} goes to
+    # {2,3}, so sigma(4) reads 3 as sigma(3) does
     cx = complex_for(5)
     with pytest.raises(ReconstructionError) as excinfo:
         reconstruct_sigma(ComplexAutomorphism(cx, _ray_swap(cx, [1, 4], [2, 3])))
-    assert str(excinfo.value) == "image of the 2-leg stratum on {1,4} misses the image of 1"
+    assert str(excinfo.value) == (
+        "recovered map (1, 2, 3, 3, 5) is not a permutation of the markings"
+    )
+
+
+def test_reconstruct_rejects_every_ray_transposition():
+    # no automorphism swaps two rays alone: 45 transpositions at n = 5
+    # (10 rays) and 300 at n = 6 (25 rays)
+    for n, count in ((5, 45), (6, 300)):
+        cx = complex_for(n)
+        swaps = list(itertools.combinations(range(len(cx.rays)), 2))
+        assert len(swaps) == count
+        for a, b in swaps:
+            perm = list(range(len(cx.rays)))
+            perm[a], perm[b] = b, a
+            with pytest.raises(ReconstructionError):
+                reconstruct_sigma(ComplexAutomorphism(cx, perm))
+
+
+def test_reconstruct_returns_an_inducing_sigma_or_raises_reconstruction_error():
+    # seeded ray permutations of three kinds at n = 5..7: uniform, the
+    # action of a random marking permutation, and that action with two
+    # rays swapped.  Each either reconstructs to a sigma whose action is
+    # the permutation or raises ReconstructionError, and nothing else.
+    rng = random.Random(DEFAULT_SEED)
+    for n in (5, 6, 7):
+        cx = complex_for(n)
+        rays = list(range(len(cx.rays)))
+        outcomes = Counter()
+        for _ in range(200):
+            uniform = rng.sample(rays, len(rays))
+            sigma = rng.sample(range(1, n + 1), n)
+            action = list(marking_ray_permutation(cx, sigma))
+            swapped = action.copy()
+            a, b = rng.sample(rays, 2)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            for perm in (uniform, action, swapped):
+                try:
+                    found = reconstruct_sigma(ComplexAutomorphism(cx, perm))
+                except ReconstructionError:
+                    outcomes["rejected"] += 1
+                    continue
+                assert marking_ray_permutation(cx, found) == tuple(perm)
+                outcomes["induced"] += 1
+        assert outcomes["induced"] >= 200 and outcomes["rejected"] >= 400
 
 
 def test_automorphism_rejects_a_ray_map_that_is_no_permutation():

@@ -413,6 +413,31 @@ def test_poset_search_that_misses_generators_is_a_fail(monkeypatch):
     ]
 
 
+def test_a_poset_only_order_fault_names_its_check(monkeypatch):
+    # aut --method poset judges the poset search's order alone; a search
+    # keeping only its first generator fails it, and the FAIL payload
+    # lists that check as every other theorem report does
+    from tropmoduli import cli
+    from tropmoduli.groups import PermutationGroup, format_cycles
+
+    search = cli.aut_via_poset
+    group = search(complex_for(5))
+    monkeypatch.setattr(
+        cli, "aut_via_poset", lambda cx: PermutationGroup(group.degree, group.generators[:1])
+    )
+    code, report, _ = invoke_json("aut", "--n", "5", "--method", "poset")
+    assert (code, report["verdict"]) == (EXIT_FAIL, "FAIL")
+    assert report["payload"] == {
+        "n": 5,
+        "method": "poset",
+        "order": 2,
+        "expected": 120,
+        "generators": [format_cycles(group.generators[0])],
+        "verdict": "FAIL",
+        "failures": ["order"],
+    }
+
+
 def _drop_coset_reps(monkeypatch, rays, level):
     """Make the graph search on ``rays`` rays find no coset representative
     at the level ``level(path)`` of its first path; returns the images dropped."""
