@@ -624,7 +624,7 @@ def test_reconstruct_rejects_non_automorphism():
 def test_reconstruct_rejects_a_lost_two_leg_vertex():
     # swapping the ray of {1,2} (stored side {3,4,5,6}) with {2,3,4} sends
     # the 2-leg stratum on {1,2} to a ray with two 3-leg sides; its side
-    # {1,5,6} shares only 1 with {1,3}, so sigma(2) reads 6 twice
+    # {1,5,6} shares only 1 with {1,3}, so sigma(2) is 6, as sigma(6) is
     cx = complex_for(6)
     a, b = ray_of(cx, [3, 4, 5, 6]), ray_of(cx, [2, 3, 4])
     perm = list(range(len(cx.rays)))
