@@ -16,6 +16,7 @@ violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -31,7 +32,6 @@ from .automorphisms import (
 from .cones import build_complex, star_count
 from .counting import brute_force_partition_count, lemma_power_sweep, per_vertex_partition_count
 from .enumeration import (
-    ENVELOPE_MAX_N,
     EnvelopeError,
     check_n,
     count_f_vector,
@@ -218,8 +218,7 @@ def _battery(max_n: int, seed: int, log) -> dict:
         raise ValueError(
             f"--max-n must be >= {VERIFY_MIN_N}: smaller runs check no automorphism group"
         )
-    if max_n > ENVELOPE_MAX_N:
-        raise EnvelopeError(f"report supports --max-n <= {ENVELOPE_MAX_N}, got {max_n}")
+    check_n(max_n)
     checks = []
 
     def add(name, ok, **details):
@@ -282,7 +281,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # usage errors, --help and --version go to the given streams too
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -90,32 +90,19 @@ class WeightedGraph:
 def weighted_graph_isomorphisms(
     g: WeightedGraph, h: WeightedGraph
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All isomorphism pairs (vertex map, edge map): weight-preserving
-    vertex bijections carrying the edge multiset, combined with every
-    bijection of parallel classes."""
-    if sorted(g.weights) != sorted(h.weights) or len(g.edges) != len(h.edges):
+    """All isomorphism pairs (vertex map, edge map): every weight-preserving
+    vertex bijection, then every edge bijection carrying each edge to an
+    edge with the image ends.  Brute force, sized for the genus-2 cells
+    (at most 2 vertices and 3 edges)."""
+    if g.num_vertices != h.num_vertices or len(g.edges) != len(h.edges):
         return
-    h_slots: dict[tuple[int, int], list[int]] = {}
-    for j, e in enumerate(h.edges):
-        h_slots.setdefault(e, []).append(j)
-    h_sizes = {k: len(v) for k, v in h_slots.items()}
     for vmap in itertools.permutations(range(g.num_vertices)):
         if any(g.weights[v] != h.weights[vmap[v]] for v in range(g.num_vertices)):
             continue
-        classes: dict[tuple[int, int], list[int]] = {}
-        for i, (u, v) in enumerate(g.edges):
-            a, b = vmap[u], vmap[v]
-            classes.setdefault((a, b) if a <= b else (b, a), []).append(i)
-        if {k: len(v) for k, v in classes.items()} != h_sizes:
-            continue
-        keys = sorted(classes)
-        pools = [itertools.permutations(h_slots[k]) for k in keys]
-        for choice in itertools.product(*pools):
-            emap = [0] * len(g.edges)
-            for key, targets in zip(keys, choice):
-                for i, j in zip(classes[key], targets):
-                    emap[i] = j
-            yield vmap, tuple(emap)
+        ends = [tuple(sorted((vmap[u], vmap[v]))) for u, v in g.edges]
+        for emap in itertools.permutations(range(len(g.edges))):
+            if all(h.edges[j] == e for j, e in zip(emap, ends)):
+                yield vmap, emap
 
 
 def contract_weighted_edge(g: WeightedGraph, edge_idx: int) -> WeightedGraph:

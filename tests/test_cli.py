@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from tropmoduli import __version__
 from tropmoduli.automorphisms import DEFAULT_SEED, main_theorem_report
 from tropmoduli.cli import EXIT_ENVELOPE, EXIT_FAIL, EXIT_OK, EXIT_USAGE
 from tropmoduli.counting import LEMMA_MAX_BOUND
@@ -114,6 +115,17 @@ def test_bad_usage_exit():
     assert code == EXIT_USAGE
     code, _, _ = invoke("no-such-command")
     assert code == EXIT_USAGE
+
+
+def test_argparse_output_goes_to_the_given_streams():
+    # usage errors, --help and --version land in run's stdout and stderr,
+    # not in the process's
+    code, out, err = invoke("aut", "--n", "x")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith("tropmoduli aut: error: argument --n: invalid int value: 'x'\n")
+    assert invoke("--version") == (EXIT_OK, f"{__version__}\n", "")
+    code, out, err = invoke("--help")
+    assert code == EXIT_OK and out.startswith("usage: tropmoduli") and err == ""
 
 
 def test_complex_json():

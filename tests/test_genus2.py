@@ -149,6 +149,23 @@ def test_theta_self_isomorphisms():
     assert len({emap for _, emap in pairs}) == 6
 
 
+def test_two_parallel_classes_self_isomorphisms():
+    # two loops at 0 and two edges 0-1: the identity vertex map with every
+    # swap within each class.  Edge maps are tried in permutation order,
+    # so (0, 3, 2, 1) comes second; a product over per-class permutations
+    # would give (2, 1, 0, 3) second.  Only the set and the first pair,
+    # which build_m2_complex reads, are relied on.
+    g = WeightedGraph((0, 0), ((0, 1), (0, 0), (0, 1), (0, 0)))
+    pairs = list(weighted_graph_isomorphisms(g, g))
+    assert pairs[0] == ((0, 1), (0, 1, 2, 3))
+    assert sorted(pairs) == [
+        ((0, 1), (0, 1, 2, 3)),
+        ((0, 1), (0, 3, 2, 1)),
+        ((0, 1), (2, 1, 0, 3)),
+        ((0, 1), (2, 3, 0, 1)),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # contraction and face arrows
 
@@ -199,6 +216,20 @@ def test_specialization_arrows_complete():
         "bridge_w1_w1": {"point_w2"},
         "point_w2": set(),
     }
+
+
+def test_retained_edge_maps_are_pinned():
+    # each arrow keeps the first isomorphism the search yields onto its
+    # face, so a change in which isomorphism comes first shows here
+    assert m2().arrows == (
+        (),
+        ((0, {}),),
+        ((0, {}),),
+        ((2, {1: 0}), (2, {0: 0})),
+        ((1, {1: 0}), (2, {0: 0})),
+        ((4, {1: 1, 2: 0}), (3, {0: 0, 2: 1}), (4, {0: 0, 1: 1})),
+        ((3, {1: 0, 2: 1}), (3, {0: 0, 2: 1}), (3, {0: 0, 1: 1})),
+    )
 
 
 def with_cells(monkeypatch, cells):
