@@ -374,46 +374,6 @@ def reconstruct_sigma(f: ComplexAutomorphism) -> tuple[int, ...]:
 # verification reports
 
 
-def _reconstructed(f: ComplexAutomorphism) -> tuple[int, ...] | None:
-    """The marking permutation inducing an automorphism, or None when
-    :func:`reconstruct_sigma` rejects it."""
-    try:
-        return reconstruct_sigma(f)
-    except ReconstructionError:
-        return None
-
-
-def _surjectivity_report(cx, group, generator_sigmas, samples, seed) -> dict:
-    """Check that every computed automorphism comes from a marking
-    permutation, given the generators' reconstructions (None where one
-    failed; the graph search checked their cells): each other distinct
-    element of a seeded sample is judged by the same two calls,
-    :func:`_reconstructed` and then, only if that gives a sigma,
-    :meth:`~tropmoduli.cones.ConeComplex.unmapped_cell`.
-    :func:`reconstruct_sigma` requires the exact round trip (sigma's ray
-    permutation equals the element's), so an element counts as ok exactly
-    when both pass.  Each distinct element is judged once; failures are
-    still listed, and ``checked`` and ``ok`` still counted, per draw.
-    With no samples the generators alone are judged."""
-    sample = group.random_elements(samples, seed)
-    failed = {g: sigma is None for g, sigma in zip(group.generators, generator_sigmas)}
-    failures = [f"generator:{format_cycles(g)}" for g, bad in failed.items() if bad]
-    for p in sample:
-        if p not in failed:
-            failed[p] = (
-                _reconstructed(ComplexAutomorphism(cx, p)) is None
-                or cx.unmapped_cell(p) is not None
-            )
-    failures += [f"sample:{format_cycles(p)}" for p in sample if failed[p]]
-    checked = len(generator_sigmas) + len(sample)
-    return {
-        "checked": checked,
-        "ok": checked - len(failures),
-        "failures": failures,
-        "verdict": "PASS" if not failures else "FAIL",
-    }
-
-
 def expected_order(n: int) -> int:
     """|Aut| by the theorem: S_3 at n = 4 (the marking action has the
     Klein four-group as kernel), S_n from n = 5 on.  The theorem says
@@ -429,13 +389,23 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = 
     graph/poset method agreement, marking-permutation reconstruction of
     every generator for n >= 5 (one ray comparison each; the graph search
     checked their cells), and the direct image-group comparison plus
-    Klein-kernel check at n = 4.  ``samples`` seeded group elements are
-    reconstructed and their cells checked too.  ``poset=False`` leaves
-    out the poset search and its agreement check.  Each generator is
-    reconstructed once, for both ``sigma_of_generator`` and the
-    surjectivity check.  Only a FAIL report lists its ``failures``: the
-    false checks by name, in the order made, then the ``generator:…`` and
-    ``sample:…`` elements they failed on.  A complex below n = 4 raises
+    Klein-kernel check at n = 4.  ``poset=False`` leaves out the poset
+    search and its agreement check.
+
+    For n >= 5 with ``samples`` > 0, a seeded sample of that many group
+    elements checks that every computed automorphism comes from a marking
+    permutation (``surjectivity``).  Each distinct element is judged
+    once: a generator by its own reconstruction, any other element by
+    :func:`reconstruct_sigma` and then, only if that gives a sigma,
+    :meth:`~tropmoduli.cones.ConeComplex.unmapped_cell`.  As
+    :func:`reconstruct_sigma` requires the exact round trip (sigma's ray
+    permutation equals the element's), an element counts as ok exactly
+    when both pass.  Failures are still listed, and ``checked`` and
+    ``ok`` still counted, per draw, after the generators.
+
+    Only a FAIL report lists its ``failures``: the false checks by name,
+    in the order made, then the ``generator:…`` and ``sample:…``
+    elements they failed on.  A complex below n = 4 raises
     ``ValueError`` before any search."""
     n = cx.n
     expected = expected_order(n)
@@ -456,14 +426,32 @@ def main_theorem_report(cx: ConeComplex, seed: int, samples: int, poset: bool = 
         report["poset_order"] = poset_group.order()
 
     if n >= 5:
-        sigmas = [_reconstructed(ComplexAutomorphism(cx, g)) for g in group.generators]
+
+        def sigma(p):
+            try:
+                return reconstruct_sigma(ComplexAutomorphism(cx, p))
+            except ReconstructionError:
+                return None
+
+        sigmas = [sigma(g) for g in group.generators]
         report["sigma_of_generator"] = [None if s is None else list(s) for s in sigmas]
         checks["reconstruction_ok"] = report["reconstruction_ok"] = None not in sigmas
-        surj = _surjectivity_report(cx, group, sigmas, samples, seed)
+        failed = {g: s is None for g, s in zip(group.generators, sigmas)}
+        elements = [f"generator:{format_cycles(g)}" for g, bad in failed.items() if bad]
         if samples:
-            report["surjectivity"] = surj
-            checks["surjectivity"] = surj["verdict"] == "PASS"
-        elements = surj["failures"]
+            sample = group.random_elements(samples, seed)
+            for p in sample:
+                if p not in failed:
+                    failed[p] = sigma(p) is None or cx.unmapped_cell(p) is not None
+            elements += [f"sample:{format_cycles(p)}" for p in sample if failed[p]]
+            checked = len(sigmas) + len(sample)
+            checks["surjectivity"] = not elements
+            report["surjectivity"] = {
+                "checked": checked,
+                "ok": checked - len(elements),
+                "failures": elements,
+                "verdict": "PASS" if not elements else "FAIL",
+            }
     else:
         image = sn_image_group(cx)
         same = group.equals(image)

@@ -72,10 +72,11 @@ class ConeComplex(StratumCatalog):
             for mask, c in zip(index, self.cell_rays):
                 yield [index[mask ^ (1 << r)] for r in c]
         except KeyError:
-            cells = enumerate(zip(index, self.cell_rays))
-            i, r = next((i, r) for i, (mask, c) in cells for r in c if mask ^ 1 << r not in index)
+            # every earlier cell passed, so the cell being read has the first missing face
+            r = next(r for r in c if mask ^ 1 << r not in index)
+            name = self.cell_name(index[mask])
             raise AssertionError(
-                f"contracting edge {self.ray_name(r)} of cell {self.cell_name(i)} gives no cell"
+                f"contracting edge {self.ray_name(r)} of cell {name} gives no cell"
             ) from None
 
     def unmapped_cell(self, ray_perm) -> int | None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Iterator, Sequence
 
 from .groups import PermutationGroup, compose_perms
@@ -305,19 +305,13 @@ def aut_m2(cx: M2Complex) -> M2SearchResult:
     edge_maps: list[tuple[int, ...]] = [()] * size
     checks = valid = 0
     keys = set()
-    classes: dict[tuple, tuple[int, ...]] = {}
-
-    def edge_class(k: int) -> tuple[int, ...]:
-        key = (k, cell_map[k], edge_maps[k])
-        if key not in classes:
-            classes[key] = _edge_class(cx, *key)
-        return classes[key]
+    edge_class = cache(partial(_edge_class, cx))
 
     def walk(i: int) -> None:
         nonlocal checks, valid
         if i == size:
             valid += 1
-            keys.add((tuple(cell_map), tuple(map(edge_class, range(size)))))
+            keys.add((tuple(cell_map), tuple(map(edge_class, range(size), cell_map, edge_maps))))
             return
         dim = cx.cells[i].dimension
         for i2, image in enumerate(cx.cells):

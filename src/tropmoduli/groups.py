@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -34,7 +35,8 @@ def identity_perm(degree: int) -> tuple[int, ...]:
 
 def compose_perms(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Composition applying b first: (a*b)[i] = a[b[i]]."""
-    return tuple(a[x] for x in b)
+    # itemgetter takes at least one index and returns a bare item for one
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[x] for x in b)
 
 
 def invert_perm(p: Sequence[int]) -> tuple[int, ...]:
@@ -162,7 +164,7 @@ class _StabilizerChain:
 @dataclass
 class PermutationGroup:
     """A permutation group given by generators, with exact order,
-    membership, and orbit queries."""
+    membership, equality and uniform sampling."""
 
     degree: int
     generators: tuple[tuple[int, ...], ...] = ()

@@ -604,12 +604,12 @@ def _type_breaking_swap(cx):
     return tuple(perm)
 
 
-def _one_generator_report(cx, perm):
-    """The theorem report's surjectivity section for the group one ray
-    permutation generates, with no samples."""
-    sigmas = [automorphisms._reconstructed(ComplexAutomorphism(cx, perm))]
+def _one_generator_report(monkeypatch, cx, perm, samples=0):
+    """The theorem report, without the poset search, when the graph
+    search finds the group one ray permutation generates."""
     group = PermutationGroup(len(cx.rays), (perm,))
-    return automorphisms._surjectivity_report(cx, group, sigmas, 0, DEFAULT_SEED)
+    monkeypatch.setattr(automorphisms, "aut_via_compat_graph", lambda cx: group)
+    return main_theorem_report(cx, DEFAULT_SEED, samples, poset=False)
 
 
 def test_reconstruct_rejects_non_automorphism():
@@ -621,7 +621,7 @@ def test_reconstruct_rejects_non_automorphism():
         reconstruct_sigma(f)
 
 
-def test_reconstruct_rejects_a_lost_two_leg_vertex():
+def test_reconstruct_rejects_a_lost_two_leg_vertex(monkeypatch):
     # swapping the ray of {1,2} (stored side {3,4,5,6}) with {2,3,4} sends
     # the 2-leg stratum on {1,2} to a ray with two 3-leg sides; its side
     # {1,5,6} shares only 1 with {1,3}, so sigma(2) is 6, as sigma(6) is
@@ -634,9 +634,14 @@ def test_reconstruct_rejects_a_lost_two_leg_vertex():
     assert str(excinfo.value) == (
         "recovered map (1, 6, 3, 4, 5, 6) is not a permutation of the markings"
     )
-    report = _one_generator_report(cx, tuple(perm))
-    assert (report["checked"], report["ok"]) == (1, 0)
-    assert report["failures"] == [f"generator:{format_cycles(perm)}"]
+    # with no sample the report judges the one generator, once, and names it
+    report = _one_generator_report(monkeypatch, cx, tuple(perm))
+    assert report["sigma_of_generator"] == [None]
+    assert report["failures"] == [
+        "order",
+        "reconstruction_ok",
+        f"generator:{format_cycles(perm)}",
+    ]
 
 
 def _ray_swap(cx, side_a, side_b):
@@ -736,7 +741,7 @@ def test_cell_map_rejects_non_automorphism():
 def test_a_repeated_sample_is_checked_once_and_listed_per_draw(monkeypatch):
     # each distinct drawn element is reconstructed once and, when that
     # passes, cell-checked once after it; a drawn generator is judged by
-    # the reconstruction it came with.  Failures, checked and ok count
+    # its own reconstruction, not again.  Failures, checked and ok count
     # draws.  A cell check is keyed by its element and the number of
     # times that element was reconstructed before it.
     cx = complex_for(5)
@@ -749,11 +754,10 @@ def test_a_repeated_sample_is_checked_once_and_listed_per_draw(monkeypatch):
     checked = count_calls(
         monkeypatch, ConeComplex, "unmapped_cell", lambda cx, p: (tuple(p), rebuilt[tuple(p)])
     )
-    group = PermutationGroup(len(cx.rays), (generator,))
-    report = automorphisms._surjectivity_report(cx, group, [(2, 1, 3, 4, 5)], 6, DEFAULT_SEED)
+    report = _one_generator_report(monkeypatch, cx, generator, samples=6)["surjectivity"]
     assert report["failures"] == [f"sample:{format_cycles(bad)}"] * 2
     assert (report["checked"], report["ok"], report["verdict"]) == (7, 5, "FAIL")
-    assert rebuilt == {bad: 1, good: 1}
+    assert rebuilt == {generator: 1, bad: 1, good: 1}
     assert checked == {(good, 1): 1}
 
 
@@ -766,10 +770,12 @@ def test_list_given_automorphism_is_normalised():
     assert f.ray_perm == perm
 
 
-def test_surjectivity_reports_a_failing_generator():
+def test_surjectivity_reports_a_failing_generator(monkeypatch):
+    # a sample that draws nothing still judges and counts the generators
     cx = complex_for(6)
     swap = _type_breaking_swap(cx)
-    report = _one_generator_report(cx, swap)
+    monkeypatch.setattr(PermutationGroup, "random_elements", lambda self, k, seed: [])
+    report = _one_generator_report(monkeypatch, cx, swap, samples=1)["surjectivity"]
     assert report["verdict"] == "FAIL"
     assert (report["checked"], report["ok"]) == (1, 0)
     assert len(report["failures"]) == 1

@@ -676,16 +676,20 @@ def test_a_bad_sampled_element_fails_aut_n(monkeypatch):
 
 def test_a_failed_reconstruction_at_n7_names_each_generator(monkeypatch):
     # no sample is drawn at n = 7, so the row's generator names come from
-    # the theorem report's own surjectivity check over the generators alone
+    # the theorem report's own judgement of the generators alone
     from tropmoduli import automorphisms
     from tropmoduli.groups import format_cycles
 
-    reconstructed = automorphisms._reconstructed
+    reconstruct = automorphisms.reconstruct_sigma
     group = automorphisms.aut_via_compat_graph(complex_for(7))
     names = [f"generator:{format_cycles(g)}" for g in group.generators]
-    monkeypatch.setattr(
-        automorphisms, "_reconstructed", lambda f: None if f.cx.n == 7 else reconstructed(f)
-    )
+
+    def fail_at_7(f):
+        if f.cx.n == 7:
+            raise automorphisms.ReconstructionError("forced")
+        return reconstruct(f)
+
+    monkeypatch.setattr(automorphisms, "reconstruct_sigma", fail_at_7)
     code, report, _ = invoke_json("report", "--max-n", "7")
     assert code == EXIT_FAIL
     assert _failed_rows(report) == [

@@ -56,6 +56,9 @@ def test_compose_applies_right_factor_first():
     a = cycle(3, 0, 1)
     b = cycle(3, 1, 2)
     assert compose_perms(a, b) == (1, 2, 0)
+    # degrees 0 and 1 give tuples too
+    assert compose_perms((), ()) == ()
+    assert compose_perms((0,), (0,)) == (0,)
 
 
 def test_invert():
