@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -35,8 +34,7 @@ def identity_perm(degree: int) -> tuple[int, ...]:
 
 def compose_perms(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Composition applying b first: (a*b)[i] = a[b[i]]."""
-    # itemgetter takes at least one index and returns a bare item for one
-    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[x] for x in b)
+    return tuple(a[x] for x in b)
 
 
 def invert_perm(p: Sequence[int]) -> tuple[int, ...]:

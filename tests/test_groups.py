@@ -56,7 +56,7 @@ def test_compose_applies_right_factor_first():
     a = cycle(3, 0, 1)
     b = cycle(3, 1, 2)
     assert compose_perms(a, b) == (1, 2, 0)
-    # degrees 0 and 1 give tuples too
+    # the genus-2 point cell composes degree-0 edge maps
     assert compose_perms((), ()) == ()
     assert compose_perms((0,), (0,)) == (0,)
 
