@@ -57,15 +57,13 @@ class WeightedGraph:
                 raise ValueError(f"edge ({u},{v}) has unknown endpoint")
             norm.append((u, v) if u <= v else (v, u))
         object.__setattr__(self, "edges", tuple(norm))
-        seen = {0}
-        queue = [0]
-        for x in queue:
+        reached = [0]
+        for x in reached:
             for u, v in self.edges:
                 for a, b in ((u, v), (v, u)):
-                    if a == x and b not in seen:
-                        seen.add(b)
-                        queue.append(b)
-        if len(seen) != V:
+                    if a == x and b not in reached:
+                        reached.append(b)
+        if len(reached) != V:
             raise ValueError("graph is not connected")
 
     @property
@@ -113,18 +111,17 @@ def contract_weighted_edge(g: WeightedGraph, edge_idx: int) -> WeightedGraph:
     if not 0 <= edge_idx < len(g.edges):
         raise ValueError(f"no edge with index {edge_idx}")
     u, v = g.edges[edge_idx]
-    rest = [e for i, e in enumerate(g.edges) if i != edge_idx]
+    rest = tuple(e for i, e in enumerate(g.edges) if i != edge_idx)
     if u == v:
-        weights = tuple(w + (1 if x == u else 0) for x, w in enumerate(g.weights))
-        return WeightedGraph(weights, tuple(rest))
-    relabel = {x: (x - 1 if x > v else x) for x in range(g.num_vertices)}
-    relabel[v] = relabel[u]
-    weights = []
+        return WeightedGraph(tuple(w + (x == u) for x, w in enumerate(g.weights)), rest)
+    # each kept vertex's position among the kept vertices; v goes to u's
+    pos, weights = {}, []
     for x, w in enumerate(g.weights):
-        if x == v:
-            continue
-        weights.append(w + (g.weights[v] if x == u else 0))
-    return WeightedGraph(tuple(weights), tuple((relabel[a], relabel[b]) for a, b in rest))
+        if x != v:
+            pos[x] = len(weights)
+            weights.append(w + g.weights[v] * (x == u))
+    pos[v] = pos[u]
+    return WeightedGraph(tuple(weights), tuple((pos[a], pos[b]) for a, b in rest))
 
 
 @dataclass(frozen=True)
@@ -269,15 +266,6 @@ def _check_cell(
     return None
 
 
-def _check_candidate(
-    cx: M2Complex, cell_map: tuple[int, ...], edge_maps: tuple[tuple[int, ...], ...]
-) -> M2Violation | None:
-    """The first face arrow a whole candidate (cell bijection plus
-    per-cell edge bijections) breaks, cells and edges in order."""
-    violations = (_check_cell(cx, cell_map, edge_maps, i) for i in range(len(cx.cells)))
-    return next((v for v in violations if v is not None), None)
-
-
 def _edge_class(cx: M2Complex, i: int, i2: int, phi: Sequence[int]) -> tuple[int, ...]:
     """The least element h∘phi∘g of the double coset of an edge bijection
     phi from cell i onto cell i2, g and h ranging over the two cells'
@@ -338,16 +326,13 @@ def bridge_loop_swap_violation(cx: M2Complex) -> M2Violation:
     """The named rejected candidate: fix every cell, swap the dumbbell's
     bridge with one of its loops.  Face checking rejects it because the
     bridge contracts to the figure eight while a loop contracts to the
-    lollipop."""
-    identity_cells = tuple(range(len(cx.cells)))
-    edge_maps = []
-    for cell in cx.cells:
-        m = list(range(cell.dimension))
-        if cell.name == "dumbbell":
-            # edges are (loop at 0, bridge, loop at 1): swap bridge and first loop
-            m[0], m[1] = m[1], m[0]
-        edge_maps.append(tuple(m))
-    violation = _check_candidate(cx, identity_cells, tuple(edge_maps))
-    if violation is None:
-        raise AssertionError("the bridge/loop swap was unexpectedly accepted")
-    return violation
+    lollipop.  The candidate is checked cell by cell, as `aut_m2` checks
+    its branches, and the first broken arrow is the witness."""
+    cells = range(len(cx.cells))
+    edge_maps = [tuple(range(c.dimension)) for c in cx.cells]
+    # edges are (loop at 0, bridge, loop at 1): swap bridge and first loop
+    edge_maps[cx.cell_index("dumbbell")] = (1, 0, 2)
+    for i in cells:
+        if (violation := _check_cell(cx, cells, edge_maps, i)) is not None:
+            return violation
+    raise AssertionError("the bridge/loop swap was unexpectedly accepted")

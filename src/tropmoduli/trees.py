@@ -76,10 +76,6 @@ class Split:
             mask ^= (1 << n) - 1
         return cls(n, mask)
 
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
     def side(self) -> tuple[int, ...]:
         """Markings of the stored (marking-1-free) side, ascending."""
         return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
@@ -216,29 +212,17 @@ def tree_from_splits(n: int, splits: Iterable[Split]) -> LeggedTree:
         if not splits_compatible(a, b):
             raise ValueError(f"incompatible splits {a} and {b}")
 
-    parents = []
-    for i, s in enumerate(ss):
-        best = 0  # vertex 0 is the root
-        best_size = None
-        for j, u in enumerate(ss):
-            if j != i and s.mask & u.mask == s.mask:
-                if best_size is None or u.size < best_size:
-                    best, best_size = j + 1, u.size
-        parents.append(best)
-
-    edges = tuple((i + 1, p) for i, p in enumerate(parents))
-    legs = []
-    for marking in range(1, n + 1):
-        if marking == 1:
-            legs.append(0)
-            continue
-        bit = 1 << (marking - 1)
-        holder, holder_size = 0, None
-        for i, s in enumerate(ss):
-            if s.mask & bit and (holder_size is None or s.size < holder_size):
-                holder, holder_size = i + 1, s.size
-        legs.append(holder)
+    # vertex 0 is the root and vertex j + 1 is split j.  The family is
+    # laminar, so a split's supersets and a marking's holders each form a
+    # chain, whose least member comes first in (size, mask) order: a
+    # split hangs from its first later superset, and marking m + 1 sits
+    # at its first holder (marking 1, which no side holds, at the root).
+    parents = [
+        next((j + 1 for j in range(i + 1, len(ss)) if s.mask & ss[j].mask == s.mask), 0)
+        for i, s in enumerate(ss)
+    ]
+    legs = tuple(next((j + 1 for j, s in enumerate(ss) if s.mask >> m & 1), 0) for m in range(n))
     # always stable: a childless split vertex keeps >= 2 legs, a one-child
     # vertex keeps the size difference, and branching vertices have
     # valence >= 3 already
-    return LeggedTree(n, len(ss) + 1, edges, tuple(legs))
+    return LeggedTree(n, len(ss) + 1, tuple(enumerate(parents, 1)), legs)

@@ -10,7 +10,7 @@ from tropmoduli.cli import EXIT_FAIL
 from tropmoduli.genus2 import (
     QuotientCell,
     WeightedGraph,
-    _check_candidate,
+    _check_cell,
     _edge_class,
     aut_m2,
     bridge_loop_swap_violation,
@@ -188,16 +188,53 @@ def test_contract_rejects_bad_index():
 
 
 def test_contraction_keeps_the_genus():
-    # every edge of every fixture cell, and of a few graphs whose other
-    # edges become loops or stay parallel when an edge is contracted
-    graphs = [c.graph for c in m2_cells()] + [
-        WeightedGraph((0, 0, 0), ((0, 1), (1, 2), (2, 0), (0, 1))),
-        WeightedGraph((1, 0, 2), ((0, 1), (1, 2), (1, 1), (2, 2))),
-        WeightedGraph((0, 3), ((0, 1), (0, 1), (0, 0))),
-    ]
-    for g in graphs:
-        for e in range(len(g.edges)):
-            assert contract_weighted_edge(g, e).genus == g.genus
+    # every edge of every fixture cell, of a few graphs whose other edges
+    # become loops or stay parallel when an edge is contracted, and of one
+    # whose contracted edge (0, 2) has a vertex numbered after it, so the
+    # later vertices move down: per graph, each edge's contraction as
+    # (weights, edges)
+    graphs = {
+        cell("point_w2").graph: [],
+        cell("bridge_w1_w1").graph: [((2,), ())],
+        cell("loop_w1").graph: [((2,), ())],
+        cell("figure_eight").graph: [((1,), ((0, 0),))] * 2,
+        cell("lollipop").graph: [((1, 1), ((0, 1),)), ((1,), ((0, 0),))],
+        cell("dumbbell").graph: [
+            ((1, 0), ((0, 1), (1, 1))),
+            ((0,), ((0, 0), (0, 0))),
+            ((0, 1), ((0, 0), (0, 1))),
+        ],
+        cell("theta").graph: [((0,), ((0, 0), (0, 0)))] * 3,
+        WeightedGraph((0, 0, 0), ((0, 1), (1, 2), (2, 0), (0, 1))): [
+            ((0, 0), ((0, 1), (0, 1), (0, 0))),
+            ((0, 0), ((0, 1), (0, 1), (0, 1))),
+            ((0, 0), ((0, 1), (0, 1), (0, 1))),
+            ((0, 0), ((0, 0), (0, 1), (0, 1))),
+        ],
+        WeightedGraph((1, 0, 2), ((0, 1), (1, 2), (1, 1), (2, 2))): [
+            ((1, 2), ((0, 1), (0, 0), (1, 1))),
+            ((1, 2), ((0, 1), (1, 1), (1, 1))),
+            ((1, 1, 2), ((0, 1), (1, 2), (2, 2))),
+            ((1, 0, 3), ((0, 1), (1, 2), (1, 1))),
+        ],
+        WeightedGraph((0, 3), ((0, 1), (0, 1), (0, 0))): [
+            ((3,), ((0, 0), (0, 0))),
+            ((3,), ((0, 0), (0, 0))),
+            ((1, 3), ((0, 1), (0, 1))),
+        ],
+        WeightedGraph((0, 1, 2, 0), ((0, 2), (2, 3), (1, 3), (1, 2), (0, 0))): [
+            ((2, 1, 0), ((0, 2), (1, 2), (0, 1), (0, 0))),
+            ((0, 1, 2), ((0, 2), (1, 2), (1, 2), (0, 0))),
+            ((0, 1, 2), ((0, 2), (1, 2), (1, 2), (0, 0))),
+            ((0, 3, 0), ((0, 1), (1, 2), (1, 2), (0, 0))),
+            ((1, 1, 2, 0), ((0, 2), (2, 3), (1, 3), (1, 2))),
+        ],
+    }
+    assert len(graphs) == len(m2_cells()) + 4
+    for g, expected in graphs.items():
+        contracted = [contract_weighted_edge(g, e) for e in range(len(g.edges))]
+        assert [(c.weights, c.edges) for c in contracted] == expected
+        assert all(c.genus == g.genus for c in contracted)
 
 
 def test_specialization_arrows_complete():
@@ -357,13 +394,19 @@ def test_each_edge_class_is_computed_once(monkeypatch):
     assert (result.candidates, result.valid, result.classes) == (65, 24, 1)
 
 
+def first_violation(cx, cell_map, edge_maps):
+    # a whole candidate checked cell by cell, cells and edges in order
+    violations = (_check_cell(cx, cell_map, edge_maps, i) for i in range(len(cx.cells)))
+    return next((v for v in violations if v is not None), None)
+
+
 def test_check_candidate_matches_reference():
     cx = m2()
     ref = reference_search(cx)
     assert ref.candidates == 1152
     accepted = []
     for cell_map, edge_maps in whole_candidates(cx):
-        violation = _check_candidate(cx, cell_map, edge_maps)
+        violation = first_violation(cx, cell_map, edge_maps)
         assert violation == check_candidate(cx, cell_map, edge_maps)
         if violation is None:
             accepted.append((cell_map, edge_maps))
@@ -398,12 +441,14 @@ def test_identity_candidate_is_accepted():
     cx = m2()
     cell_map = tuple(range(len(cx.cells)))
     edge_maps = tuple(tuple(range(c.dimension)) for c in cx.cells)
-    assert _check_candidate(cx, cell_map, edge_maps) is None
+    assert first_violation(cx, cell_map, edge_maps) is None
 
 
 def test_bridge_loop_swap_rejected_with_witness():
     w = bridge_loop_swap_violation(m2())
     assert w.cell == "dumbbell"
     assert {w.face, w.image_face} == {"figure_eight", "lollipop"}
-    text = w.describe()
-    assert "figure_eight" in text and "lollipop" in text
+    assert w.describe() == (
+        "contracting edge 0 of dumbbell gives lollipop, "
+        "but the image edge contracts to figure_eight"
+    )

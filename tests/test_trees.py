@@ -131,7 +131,7 @@ def test_caterpillar_splits_by_component_deletion():
         side = [j for j in range(1, 6) if t.legs[j - 1] in comp]
         expected.add(Split.from_side(5, side))
     assert set(forms.splits) == expected
-    assert {s.size for s in forms.splits} <= {2, 3}
+    assert {s.mask.bit_count() for s in forms.splits} <= {2, 3}
 
 
 def test_tree_from_splits_empty():
@@ -149,6 +149,19 @@ def test_tree_from_splits_chain():
     t = tree_from_splits(5, ss)
     assert canonical_form(t) == form_from_splits(5, ss)
     assert are_isomorphic(t, chain_tree(5, [(2, 3), (4,), (1, 5)]))
+
+
+def test_tree_from_splits_numbers_vertices_in_split_order():
+    # vertex 0 is the root, vertex j + 1 the j-th split in (size, mask)
+    # order: {2,3}, {5,6}, {2,3,4}; each split hangs from its least
+    # superset and each marking sits at its least holder.  The round trips
+    # only see the tree up to isomorphism, and expansions' children
+    # follow this numbering.
+    sides = ([2, 3, 4], [5, 6], [2, 3])
+    t = tree_from_splits(6, [Split.from_side(6, side) for side in sides])
+    assert t.num_vertices == 4
+    assert t.edges == ((1, 3), (0, 2), (0, 3))
+    assert t.legs == (0, 1, 1, 3, 2, 2)
 
 
 def test_tree_from_splits_rejects_incompatible():
