@@ -7,7 +7,7 @@ the markings into an unordered bipartition, recorded as a
 :class:`Split`; because stable legged trees are rigid, the sorted
 split set is a complete isomorphism invariant, the
 :class:`CanonicalForm`.  The package only goes from a canonical form
-to its tree (:func:`tree_from_splits`); the way back, from a tree to
+to its tree (:meth:`CanonicalForm.to_tree`); the way back, from a tree to
 its splits, is a test oracle.
 """
 
@@ -24,7 +24,6 @@ __all__ = [
     "CanonicalForm",
     "LeggedTree",
     "splits_compatible",
-    "tree_from_splits",
     "check_marking_perm",
 ]
 
@@ -117,7 +116,29 @@ class CanonicalForm:
                 raise ValueError(f"incompatible splits {a} and {b}")
 
     def to_tree(self) -> "LeggedTree":
-        return tree_from_splits(self.n, self.splits)
+        """Build the stable tree with these splits.
+
+        The normalized sides (all avoiding marking 1) form a laminar
+        family, so each split nests in a unique minimal strictly-larger
+        one; that nesting forest, hung from a root holding marking 1, is
+        the tree.  Inverse, up to isomorphism, of reading a stable tree's
+        split set.
+        """
+        n, ss = self.n, self.splits
+        # vertex 0 is the root and vertex j + 1 is split j.  The family is
+        # laminar, so a split's supersets and a marking's holders each form a
+        # chain, whose least member comes first in (size, mask) order: a
+        # split hangs from its first later superset, and marking m + 1 sits
+        # at its first holder (marking 1, which no side holds, at the root).
+        parents = [
+            next((j + 1 for j in range(i + 1, len(ss)) if s.mask & ss[j].mask == s.mask), 0)
+            for i, s in enumerate(ss)
+        ]
+        legs = tuple(next((j + 1 for j, s in enumerate(ss) if s.mask >> m & 1), 0) for m in range(n))
+        # always stable: a childless split vertex keeps >= 2 legs, a one-child
+        # vertex keeps the size difference, and branching vertices have
+        # valence >= 3 already
+        return LeggedTree(n, len(ss) + 1, tuple(enumerate(parents, 1)), legs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,35 +215,3 @@ class LeggedTree:
         return all(
             self.valence(v) + self.leg_count(v) >= 3 for v in range(self.num_vertices)
         )
-
-
-def tree_from_splits(n: int, splits: Iterable[Split]) -> LeggedTree:
-    """Build the stable tree realizing a pairwise-compatible split set.
-
-    The normalized sides (all avoiding marking 1) form a laminar family,
-    so each split nests in a unique minimal strictly-larger one; that
-    nesting forest, hung from a root holding marking 1, is the tree.
-    Inverse, up to isomorphism, of reading a stable tree's split set.
-    """
-    ss = sorted(set(splits), key=Split.sort_key)
-    for s in ss:
-        if s.n != n:
-            raise ValueError(f"split {s} has marking count {s.n}, expected {n}")
-    for a, b in itertools.combinations(ss, 2):
-        if not splits_compatible(a, b):
-            raise ValueError(f"incompatible splits {a} and {b}")
-
-    # vertex 0 is the root and vertex j + 1 is split j.  The family is
-    # laminar, so a split's supersets and a marking's holders each form a
-    # chain, whose least member comes first in (size, mask) order: a
-    # split hangs from its first later superset, and marking m + 1 sits
-    # at its first holder (marking 1, which no side holds, at the root).
-    parents = [
-        next((j + 1 for j in range(i + 1, len(ss)) if s.mask & ss[j].mask == s.mask), 0)
-        for i, s in enumerate(ss)
-    ]
-    legs = tuple(next((j + 1 for j, s in enumerate(ss) if s.mask >> m & 1), 0) for m in range(n))
-    # always stable: a childless split vertex keeps >= 2 legs, a one-child
-    # vertex keeps the size difference, and branching vertices have
-    # valence >= 3 already
-    return LeggedTree(n, len(ss) + 1, tuple(enumerate(parents, 1)), legs)

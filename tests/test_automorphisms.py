@@ -33,7 +33,7 @@ from tropmoduli.automorphisms import (
     sn_kernel,
 )
 from tropmoduli.cones import ConeComplex
-from tropmoduli.enumeration import EnvelopeError, all_splits, count_maximal
+from tropmoduli.enumeration import ENVELOPE_MAX_N, EnvelopeError, all_splits, count_maximal
 from tropmoduli.groups import (
     PermutationGroup,
     compose_perms,
@@ -361,9 +361,10 @@ def test_poset_search_keeps_nothing_per_cell():
 
 
 def test_poset_envelope():
-    # the envelope is the only cap: n = 9 stops when the complex is built
+    # the envelope is the only cap: the first n past it stops when the
+    # complex is built
     with pytest.raises(EnvelopeError):
-        aut_via_poset(complex_for(9))
+        aut_via_poset(complex_for(ENVELOPE_MAX_N + 1))
 
 
 # ---------------------------------------------------------------------------

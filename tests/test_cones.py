@@ -540,7 +540,7 @@ def test_dot_exports():
 
 
 def test_build_rejects_envelope():
-    from tropmoduli.enumeration import EnvelopeError
+    from tropmoduli.enumeration import ENVELOPE_MAX_N, EnvelopeError
 
     with pytest.raises(EnvelopeError):
-        build_complex(9)
+        build_complex(ENVELOPE_MAX_N + 1)

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from tropmoduli.enumeration import (
+    ENVELOPE_MAX_N,
     EnvelopeError,
     all_splits,
     count_f_vector,
@@ -114,7 +115,7 @@ def test_rejects_small_n():
 
 def test_rejects_beyond_envelope():
     with pytest.raises(EnvelopeError):
-        enumerate_strata(9)
+        enumerate_strata(ENVELOPE_MAX_N + 1)
 
 
 def test_count_maximal_values():

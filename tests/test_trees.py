@@ -12,7 +12,6 @@ from tropmoduli.trees import (
     Split,
     check_marking_perm,
     splits_compatible,
-    tree_from_splits,
 )
 
 from shared import catalog
@@ -98,7 +97,7 @@ def test_compatible_rejects_mismatched_n():
 
 
 # ---------------------------------------------------------------------------
-# canonical forms / tree_from_splits
+# canonical forms / CanonicalForm.to_tree
 
 
 def test_two_vertex_split_set():
@@ -134,39 +133,35 @@ def test_caterpillar_splits_by_component_deletion():
     assert {s.mask.bit_count() for s in forms.splits} <= {2, 3}
 
 
-def test_tree_from_splits_empty():
-    t = tree_from_splits(5, [])
+def test_to_tree_empty():
+    t = form_from_splits(5, []).to_tree()
     assert t.num_vertices == 1 and are_isomorphic(t, single_vertex_tree(5))
 
 
-def test_tree_from_splits_single():
-    t = tree_from_splits(5, [Split.from_side(5, [2, 3])])
+def test_to_tree_single():
+    t = form_from_splits(5, [Split.from_side(5, [2, 3])]).to_tree()
     assert are_isomorphic(t, two_vertex_tree(5, [2, 3]))
 
 
-def test_tree_from_splits_chain():
+def test_to_tree_chain():
     ss = [Split.from_side(5, [2, 3]), Split.from_side(5, [2, 3, 4])]
-    t = tree_from_splits(5, ss)
-    assert canonical_form(t) == form_from_splits(5, ss)
+    form = form_from_splits(5, ss)
+    t = form.to_tree()
+    assert canonical_form(t) == form
     assert are_isomorphic(t, chain_tree(5, [(2, 3), (4,), (1, 5)]))
 
 
-def test_tree_from_splits_numbers_vertices_in_split_order():
+def test_to_tree_numbers_vertices_in_split_order():
     # vertex 0 is the root, vertex j + 1 the j-th split in (size, mask)
     # order: {2,3}, {5,6}, {2,3,4}; each split hangs from its least
     # superset and each marking sits at its least holder.  The round trips
     # only see the tree up to isomorphism, and expansions' children
     # follow this numbering.
     sides = ([2, 3, 4], [5, 6], [2, 3])
-    t = tree_from_splits(6, [Split.from_side(6, side) for side in sides])
+    t = form_from_splits(6, [Split.from_side(6, side) for side in sides]).to_tree()
     assert t.num_vertices == 4
     assert t.edges == ((1, 3), (0, 2), (0, 3))
     assert t.legs == (0, 1, 1, 3, 2, 2)
-
-
-def test_tree_from_splits_rejects_incompatible():
-    with pytest.raises(ValueError):
-        tree_from_splits(5, [Split.from_side(5, [2, 3]), Split.from_side(5, [2, 4])])
 
 
 def _split(n, *side):
@@ -203,10 +198,6 @@ def _split(n, *side):
         (
             lambda: LeggedTree(3, 4, ((1, 2), (2, 3), (1, 3)), (1, 2, 3)),
             "underlying graph is not connected",
-        ),
-        (
-            lambda: tree_from_splits(5, [_split(6, 2, 3)]),
-            "split Split(6, {2,3}) has marking count 6, expected 5",
         ),
     ],
 )
@@ -408,7 +399,8 @@ def compatible_split_sets(draw):
 @given(compatible_split_sets())
 def test_round_trip_random_split_sets(ns):
     n, splits = ns
-    t = tree_from_splits(n, splits)
+    form = form_from_splits(n, splits)
+    t = form.to_tree()
     assert t.is_stable
-    assert canonical_form(t) == form_from_splits(n, splits)
+    assert canonical_form(t) == form
     assert len(t.edges) == len(set(splits))
