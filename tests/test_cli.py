@@ -57,6 +57,12 @@ def test_enumerate_dim_filter_and_csv():
     assert out.splitlines() == ["dim,splits", "1,2 3", "1,2 4", "1,3 4"]
 
 
+def test_enumerate_envelope_exit():
+    code, _, err = invoke("enumerate", "--n", str(ENVELOPE_MAX_N + 1))
+    assert code == EXIT_ENVELOPE
+    assert "envelope" in err
+
+
 def test_enumerate_bad_dim_is_usage_error():
     code, _, _ = invoke("enumerate", "--n", "4", "--dim", "7")
     assert code == EXIT_USAGE
@@ -170,6 +176,13 @@ def test_aut_n8():
     assert report["verdict"] == "PASS"
     assert report["payload"]["order"] == 40320
     assert report["payload"]["reconstruction_ok"]
+
+
+def test_aut_poset_envelope():
+    # the envelope is the only cap: n past it exits before any work
+    code, out, err = invoke("aut", "--n", str(ENVELOPE_MAX_N + 1), "--method", "poset")
+    assert code == EXIT_ENVELOPE
+    assert out == "" and "envelope" in err
 
 
 def test_count_formula():
@@ -1018,9 +1031,6 @@ def test_oversized_runs_exit_before_work():
         ("count", "--check", "lemma", "--bound", str(LEMMA_MAX_BOUND + 1)),
         ("report", "--max-n", too_big),
         ("aut", "--n", too_big),
-        # the envelope is the poset search's only cap too
-        ("aut", "--n", too_big, "--method", "poset"),
-        ("enumerate", "--n", too_big),
         ("count", "--check", "formula", "--n", too_big),
         ("complex", "--n", too_big),
     ):
