@@ -58,13 +58,15 @@ class ReconstructionError(RuntimeError):
 def _refine(adj, cells, new):
     """Refine an ordered partition to its fixpoint.  The partition is a
     list of cells, each an ascending list of vertices, and a cell's
-    position is its color.  Each round splits every cell by its members'
-    sorted (cell, neighbor count) pairs, counting neighbors only in the
-    cells the last round created, as popcounts on the adjacency bitmasks
-    ``adj``; the first round counts the cells at the positions ``new``
-    lists.  A split cell's parts take its place, ordered by pair list,
-    and an emptied cell is dropped; a round that creates no cell is the
-    fixpoint.  No cell given is changed: partitions share unsplit cells.
+    position is its color.  Each round groups every cell's members by
+    their vectors of neighbor counts, one count per cell the last round
+    created, taken as popcounts on the adjacency bitmasks ``adj``; the
+    first round counts the cells at the positions ``new`` lists.  A split
+    cell's parts take its place, each part ordered by its sorted nonzero
+    (cell, count) pairs, which a count vector determines, so every
+    partition is the one grouping by pair list gives; a round that
+    creates no cell is the fixpoint.  No cell given is changed:
+    partitions share unsplit cells.
 
     This gives the full signatures' order.  Two members of a cell agree
     on their count over each cell of the round before, so the first
@@ -76,7 +78,8 @@ def _refine(adj, cells, new):
     and its singleton: they are the only children of a split cell."""
     counted = [(c, cells[c]) for c in new]
     while counted:
-        masks = [(c, sum(1 << u for u in cell)) for c, cell in counted]
+        colors = [c for c, _ in counted]
+        masks = [sum(1 << u for u in cell) for _, cell in counted]
         out, counted = [], []
         for cell in cells:
             if len(cell) == 1:
@@ -85,12 +88,14 @@ def _refine(adj, cells, new):
             groups = {}
             for u in cell:
                 a = adj[u]
-                key = tuple([(c, k) for c, m in masks if (k := (a & m).bit_count())])
-                groups.setdefault(key, []).append(u)
-            keys = sorted(groups)
-            if len(keys) > 1:
-                counted += [(len(out) + i, groups[key]) for i, key in enumerate(keys)]
-            out += map(groups.__getitem__, keys)
+                groups.setdefault(tuple([(a & m).bit_count() for m in masks]), []).append(u)
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            order = sorted(groups, key=lambda counts: [p for p in zip(colors, counts) if p[1]])
+            parts = [groups[key] for key in order]
+            counted += [(len(out) + i, part) for i, part in enumerate(parts)]
+            out += parts
         cells = out
     return cells
 
@@ -105,15 +110,15 @@ def _refine_at(adj, cells, c, v):
 
 def _map_from_discrete(nbrs, ca, cb):
     """Vertex map pairing the cells at equal positions of two discrete
-    partitions, verified to preserve adjacency; None when cb is not
-    discrete or adjacency breaks."""
+    partitions, verified to preserve adjacency on the ascending neighbor
+    lists ``nbrs``; None when cb is not discrete or adjacency breaks."""
     if len(cb) < len(nbrs):
         return None
     perm = [0] * len(nbrs)
     for (a,), (b,) in zip(ca, cb):
         perm[a] = b
-    for v in range(len(nbrs)):
-        if {perm[u] for u in nbrs[v]} != set(nbrs[perm[v]]):
+    for nb, w in zip(nbrs, perm):
+        if sorted(map(perm.__getitem__, nb)) != nbrs[w]:
             return None
     return tuple(perm)
 
@@ -152,8 +157,10 @@ def graph_automorphism_group(neighbors: list[list[int]]) -> PermutationGroup:
     follows the path with backtracking, and a leaf map is kept only as an
     automorphism of the level's partition that sends the level's vertex
     to the candidate; no canonical-labeling dependency.  The adjacency
-    bitmasks that refinement counts on are built once here.
+    bitmasks that refinement counts on, and the ascending neighbor lists
+    the leaf check compares, are built once here.
     """
+    neighbors = [sorted(nb) for nb in neighbors]
     adj = [sum(1 << u for u in nb) for nb in neighbors]
     path = []
     cells = _refine(adj, [list(range(len(neighbors)))], (0,))

@@ -251,14 +251,18 @@ def check_contractions(cx: ConeComplex) -> tuple[tuple[tuple[int, int], ...], ..
         j, end = ptr[d + 1], bounds[d + 2]
         while j < end and (rays := cell_rays[j])[:-1] == cell_rays[p]:
             m = masks[rays[-1]]  # the largest clade, hung from the root
-            inside = [c for c in children if c & m]
-            cover = sum(inside)  # the root's children are disjoint
+            cover, rest = 0, []  # the root's children meeting M, summed, and the others
+            for c in children:
+                if c & m:
+                    cover += c  # the root's children are disjoint
+                else:
+                    rest.append(c)
             if cover & ~m:
                 raise AssertionError(f"a marking of cell {cx.cell_name(j)} sits on two vertices")
             if m & 1:
                 raise AssertionError(f"the tree of cell {cx.cell_name(j)} misses a marking")
-            own, k = (m ^ cover).bit_count(), len(inside)
-            rest = [c for c in children if not c & m] + [m]
+            own, k = (m ^ cover).bit_count(), len(children) - len(rest)
+            rest.append(m)
             if own + k < 2 or legs - own + len(rest) < 3:
                 raise AssertionError(f"cell {cx.cell_name(j)} has an unstable vertex")
             key = (id(profile), legs, len(children), own, k)

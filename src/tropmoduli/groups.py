@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -33,7 +34,11 @@ def identity_perm(degree: int) -> tuple[int, ...]:
 
 
 def compose_perms(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Composition applying b first: (a*b)[i] = a[b[i]]."""
+    """Composition applying b first: (a*b)[i] = a[b[i]].  Degrees 0 and 1
+    take the generator, as ``itemgetter`` returns a scalar for one index
+    and raises for none."""
+    if len(b) > 1:
+        return itemgetter(*b)(a)
     return tuple(a[x] for x in b)
 
 
@@ -116,6 +121,7 @@ class _StabilizerChain:
     def __init__(self, degree: int, gens: Sequence[tuple[int, ...]], base: Sequence[int] = ()):
         """``gens`` must be distinct non-identity permutations."""
         self.degree = degree
+        self._identity = identity_perm(degree)
         self.strong = list(gens)
         self.base = list(base)
         for g in self.strong:
@@ -156,7 +162,7 @@ class _StabilizerChain:
                 if x not in inverses:
                     return g
                 g = compose_perms(inverses[x], g)
-        return None if g == identity_perm(self.degree) else g
+        return None if g == self._identity else g
 
 
 @dataclass

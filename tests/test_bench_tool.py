@@ -1,8 +1,9 @@
 """tools/bench.py on one small run: what its child process records
 matches an in-process run of the same command, a child that fails or
-a run the CLI rejects is named, each tree's round wins are counted,
-the CPU count is the bench's own affinity, and each tree is named by
-its commit and dirty mark, or by the reason it has none."""
+a run the CLI rejects is named, each tree's round wins are counted, a
+control run is summarized beside the runs, the CPU count is the
+bench's own affinity, and each tree is named by its commit and dirty
+mark, or by the reason it has none."""
 
 import hashlib
 import importlib.util
@@ -124,6 +125,46 @@ def test_bench_counts_the_rounds_each_tree_won(tmp_path):
     summary = result["summary"]["aut --n 4"]
     assert {label: summary[label]["rounds_won"] for label in "ab"} == expected
     assert result["payload_mismatches"] == []
+
+
+def test_bench_summarizes_the_control_beside_the_runs(tmp_path):
+    # the control runs every round after the runs, on each tree, and its
+    # summary has the quartiles and round wins the runs have
+    out = tmp_path / "bench.json"
+    control = "count --check lemma --bound 4"
+    subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "bench.py"), "-k", "2", "--run", "aut --n 4",
+            "--control", control, "--tree", f"a={ROOT}", "--tree", f"b={ROOT}",
+            "--out", str(out),
+        ],
+        check=True,
+        capture_output=True,
+    )
+    result = json.loads(out.read_text())
+    assert result["control"] == control
+    assert list(result["summary"]) == ["aut --n 4", control]
+    summary = result["summary"][control]
+    assert set(summary) == {"a", "b"}
+    assert all(len(summary[label]["run_s_quartiles"]) == 3 for label in "ab")
+    assert sum(summary[label]["rounds_won"] for label in "ab") <= 2
+    assert [(r["round"], r["run"]) for r in result["runs"]][::2] == [
+        (0, "aut --n 4"), (0, control), (1, "aut --n 4"), (1, control)
+    ]
+    assert result["payload_mismatches"] == []
+
+
+def test_bench_rejects_a_control_that_is_a_run(tmp_path):
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "bench.py"), "--run", "aut --n 4",
+            "--control", "aut --n 4", "--out", str(tmp_path / "bench.json"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2 and not (tmp_path / "bench.json").exists()
+    assert "--control 'aut --n 4' is already a measured run" in done.stderr
 
 
 def load_bench():

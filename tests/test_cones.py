@@ -197,6 +197,12 @@ def test_contraction_check_names_a_marking_on_two_vertices():
         AssertionError, match=r"^a marking of cell \{2,3\} \| \{2,4,5\} sits on two vertices$"
     ):
         check_contractions(broken)
+    # two faults in one cell: the ray {2,3,4} given the side {1,2,4}
+    # crosses {2,3} and also holds marking 1; the crossing is checked first
+    with pytest.raises(
+        AssertionError, match=r"^a marking of cell \{2,3\} \| \{1,2,4\} sits on two vertices$"
+    ):
+        check_contractions(_with_ray(cx, [2, 3, 4], [1, 2, 4]))
 
 
 def _rays(cx, *sides):

@@ -1,6 +1,7 @@
 """Permutation groups: orders, membership, and agreement of the
 stabilizer chain with a brute-force element closure."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -10,7 +11,7 @@ from collections import Counter
 import pytest
 
 from tropmoduli import groups
-from tropmoduli.automorphisms import aut_via_compat_graph, aut_via_poset
+from tropmoduli.automorphisms import DEFAULT_SEED, aut_via_compat_graph, aut_via_poset
 from tropmoduli.groups import (
     PermutationGroup,
     _StabilizerChain,
@@ -185,6 +186,33 @@ def test_a_round_builds_each_level_at_most_once(monkeypatch):
     chain = _StabilizerChain(56, gens)
     assert math.prod(len(t) for t in chain.transversals) == 5040
     assert work == {"_first_residue": 6, "_sift": 332, "_orbit_transversal": 18}
+
+
+# per n, the sha256 of the graph group's chain and of its seeded sample
+GRAPH_GROUP_PINS = {
+    6: (
+        "4899a0968bc5f9d0313662d34a5df70bc655ac089c3778efd57dfd990d762781",
+        "1786652e29872cea6b3021b1c195d4a57b572a5ea5c0c20afb0b9119eb6c3f42",
+    ),
+    7: (
+        "a47537796e6d40247736c9bf119f93f41c2873b7341a51fa5900f5df7c9f4b74",
+        "c0a1791f1df71f952113b6000f611469af4d943444cccaa24d84c6ca17c1c3a7",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GRAPH_GROUP_PINS))
+def test_graph_group_chains_and_samples_are_pinned(n):
+    # the sha256 of the chain's base, strong generators and transversal
+    # sizes, and of the seeded sample, whose draws also read each
+    # transversal's order: a reordered product or sift moves a pin
+    chain_pin, sample_pin = GRAPH_GROUP_PINS[n]
+    group = aut_via_compat_graph(complex_for(n))
+    chain = group._chain
+    shape = (chain.base, chain.strong, [len(t) for t in chain.transversals])
+    assert hashlib.sha256(repr(shape).encode()).hexdigest() == chain_pin
+    sample = group.random_elements(100, DEFAULT_SEED)
+    assert hashlib.sha256(repr(sample).encode()).hexdigest() == sample_pin
 
 
 def test_sims_group_rejects_a_wrong_search_order():

@@ -5,6 +5,8 @@ Standard library only.  From the root of a checkout:
     python3 tools/bench.py --out BENCH.json
     python3 tools/bench.py -k 10 --tree parent=../old --tree change=. --out BENCH.json
     python3 tools/bench.py -k 1 --run "report --max-n 4" --out small.json
+    python3 tools/bench.py -k 10 --tree parent=../old --tree change=. \
+        --control "count --check lemma --bound 20" --out BENCH.json
 
 Each run is a fresh interpreter that imports ``tropmoduli.cli`` from the
 tree's ``src/`` and calls ``cli.run`` once.  A run records the time of
@@ -17,6 +19,10 @@ tends to read slower on a busy host.
 The summary gives, per run and tree, the quartiles of ``run_s`` and
 the number of rounds in which that tree had the least ``run_s`` (a tie
 counts for neither tree), so a claimed gain can be read as pair wins.
+``--control RUN`` adds one invocation that the change does not touch,
+run every round after the others and summarized beside them: the
+rounds a tree wins there are won on a path it did not change, so as
+many wins on a measured run are no evidence of a gain.
 The file also records the Python version, the number of CPUs the
 bench may run on (its affinity, not the host's count), each tree's
 commit and whether ``git status --porcelain`` listed anything before
@@ -131,10 +137,19 @@ def main(argv=None) -> int:
         "--run", action="append", metavar="ARGV",
         help="one CLI invocation, as a quoted string (default: the five end-to-end runs)",
     )
+    parser.add_argument(
+        "--control", metavar="ARGV",
+        help="one more invocation, run every round, that the compared trees do not change",
+    )
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.k < 1:
         parser.error("-k must be >= 1")
+    runs = args.run or list(RUNS)
+    if args.control is not None:
+        if args.control in runs:
+            parser.error(f"--control {args.control!r} is already a measured run")
+        runs = [*runs, args.control]
     trees = {}
     for spec in args.tree or ["change=."]:
         label, sep, path = spec.partition("=")
@@ -143,7 +158,6 @@ def main(argv=None) -> int:
         trees[label] = Path(path).resolve()
         if not (trees[label] / "src" / "tropmoduli").is_dir():
             parser.error(f"no src/tropmoduli under {path}")
-    runs = args.run or list(RUNS)
     checkouts = {label: _checkout(tree) for label, tree in trees.items()}
 
     records = []
@@ -182,6 +196,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "k": args.k,
+        "control": args.control,
         "trees": {
             label: {
                 **checkouts[label],
