@@ -25,8 +25,6 @@ from . import __version__
 from .automorphisms import (
     DEFAULT_SEED,
     VERIFY_MIN_N,
-    aut_via_poset,
-    expected_order,
     main_theorem_report,
 )
 from .cones import build_complex, star_count
@@ -39,7 +37,6 @@ from .enumeration import (
     enumerate_strata,
 )
 from .genus2 import aut_m2, bridge_loop_swap_violation, build_m2_complex
-from .groups import format_cycles
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism group of the complex")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("graph", "poset", "both"), default="graph")
+    p.add_argument("--method", choices=("graph", "both"), default="graph")
     p.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
         help="recorded in params only: aut draws no samples",
@@ -124,20 +121,6 @@ def _cmd_aut(args, log) -> dict:
             f"--n must be >= {VERIFY_MIN_N}: smaller runs check no automorphism group"
         )
     cx = build_complex(args.n)  # rejects n beyond the envelope before other work
-    if args.method == "poset":
-        group = aut_via_poset(cx)
-        order, expected = group.order(), expected_order(args.n)
-        payload = {
-            "n": args.n,
-            "method": "poset",
-            "order": order,
-            "expected": expected,
-            "generators": [format_cycles(g) for g in group.generators],
-            "verdict": "PASS" if order == expected else "FAIL",
-        }
-        if order != expected:  # only a FAIL report lists its failures
-            payload["failures"] = ["order"]
-        return payload
     return main_theorem_report(cx, args.seed, 0, poset=args.method == "both")
 
 
@@ -159,6 +142,10 @@ def _cmd_count(args, log) -> dict:
         raise ValueError("--check formula requires --n")
     if args.bound is not None:
         raise ValueError("--check formula takes no --bound")
+    if args.n < VERIFY_MIN_N:
+        raise ValueError(
+            f"--n must be >= {VERIFY_MIN_N}: smaller complexes have no cell to expand"
+        )
     cx = build_complex(args.n)
     mismatches, star_bad = _formula_mismatches(cx)
     return {

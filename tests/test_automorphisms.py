@@ -320,7 +320,7 @@ def test_methods_agree_as_groups():
 def test_poset_search_matches_the_reference_generators():
     # forward checking only drops branches the reference search abandons,
     # so each level finds the same first completion
-    for n in (4, 5, 6, 7):
+    for n in (4, 5, 6, 7, 8):
         cx = complex_for(n)
         assert aut_via_poset(cx).generators == reference_aut_via_poset(cx).generators
 

@@ -178,13 +178,6 @@ def test_aut_n8():
     assert report["payload"]["reconstruction_ok"]
 
 
-def test_aut_poset_envelope():
-    # the envelope is the only cap: n past it exits before any work
-    code, out, err = invoke("aut", "--n", str(ENVELOPE_MAX_N + 1), "--method", "poset")
-    assert code == EXIT_ENVELOPE
-    assert out == "" and "envelope" in err
-
-
 def test_count_formula():
     code, report, _ = invoke_json("count", "--n", "5", "--check", "formula")
     assert code == EXIT_OK
@@ -310,13 +303,7 @@ def test_payload_bytes_are_pinned():
     assert payload_sha256("aut", "--n", "8") == (
         "9e71f3ace983d095d2a717e70cb1313e11123e80bd359507cdf0aaa0f6f5c055"
     )
-    # the poset search's generators, alone and beside the graph search's
-    assert payload_sha256("aut", "--n", "7", "--method", "poset") == (
-        "7fec5bcb26d9ec2be67cb0a4d52c26c19c9d09da2a1f14fa7ef1702ba50694e3"
-    )
-    assert payload_sha256("aut", "--n", "8", "--method", "poset") == (
-        "af30b5864074874592c19c1747e6abbf164bc48546a2e2efa4d3ec67dcd42273"
-    )
+    # the poset search's generators beside the graph search's
     assert payload_sha256("aut", "--n", "7", "--method", "both") == (
         "ccc5ccb26e85e883a579c187efbbcf3ef0bdc9818f246a08b924c261a83f2b42"
     )
@@ -425,31 +412,6 @@ def test_poset_search_that_misses_generators_is_a_fail(monkeypatch):
     ]
 
 
-def test_a_poset_only_order_fault_names_its_check(monkeypatch):
-    # aut --method poset judges the poset search's order alone; a search
-    # keeping only its first generator fails it, and the FAIL payload
-    # lists that check as every other theorem report does
-    from tropmoduli import cli
-    from tropmoduli.groups import PermutationGroup, format_cycles
-
-    search = cli.aut_via_poset
-    group = search(complex_for(5))
-    monkeypatch.setattr(
-        cli, "aut_via_poset", lambda cx: PermutationGroup(group.degree, group.generators[:1])
-    )
-    code, report, _ = invoke_json("aut", "--n", "5", "--method", "poset")
-    assert (code, report["verdict"]) == (EXIT_FAIL, "FAIL")
-    assert report["payload"] == {
-        "n": 5,
-        "method": "poset",
-        "order": 2,
-        "expected": 120,
-        "generators": [format_cycles(group.generators[0])],
-        "verdict": "FAIL",
-        "failures": ["order"],
-    }
-
-
 def _drop_coset_reps(monkeypatch, rays, level):
     """Make the graph search on ``rays`` rays find no coset representative
     at the level ``level(path)`` of its first path; returns the images dropped."""
@@ -490,13 +452,17 @@ def test_poset_search_that_misses_one_generator_fails_its_order_check(monkeypatc
     # the first coset representative the poset search finds is dropped:
     # its orbit product shrinks, while the generators found above still
     # generate the whole group, so the order cross-check fires and names
-    # the search and n
+    # the search and n.  The graph search, which runs first and shares
+    # sims_group, keeps its levels.
     from tropmoduli import automorphisms
 
     sims_group = automorphisms.sims_group
     dropped = []
 
     def drop_first(find):
+        if getattr(find, "func", None) is automorphisms._coset_rep:
+            return find
+
         def faulty(w):
             g = find(w)
             if g is not None and not dropped:
@@ -510,7 +476,7 @@ def test_poset_search_that_misses_one_generator_fails_its_order_check(monkeypatc
         return sims_group(degree, ((v, images, drop_first(find)) for v, images, find in levels))
 
     monkeypatch.setattr(automorphisms, "sims_group", faulty_sims_group)
-    code, out, err = invoke("aut", "--n", "5", "--method", "poset")
+    code, out, err = invoke("aut", "--n", "5", "--method", "both")
     assert (code, out, len(dropped)) == (EXIT_FAIL, "", 1)
     assert one_check_failed(err) == (
         "check failed: poset search at n=5: search order 60 disagrees with generated group order 120"
@@ -830,22 +796,21 @@ def test_each_automorphism_fact_is_checked_once(monkeypatch):
     # one reconstruction per generator (4 + 5 at n = 5, 6) plus one per
     # distinct sample that is no generator (68 and 94 of the 100 draws at
     # n = 5, 6); the poset search runs only when asked for
-    from tropmoduli import automorphisms, cli
+    from tropmoduli import automorphisms
 
     calls = Counter()
 
-    def counted(name, module):
-        fn = getattr(module, name)
+    def counted(name):
+        fn = getattr(automorphisms, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(automorphisms, name, wrapper)
 
-    counted("reconstruct_sigma", automorphisms)
-    for module in (cli, automorphisms):
-        counted("aut_via_poset", module)
+    counted("reconstruct_sigma")
+    counted("aut_via_poset")
     assert invoke("report", "--max-n", "6")[0] == EXIT_OK
     assert calls["reconstruct_sigma"] == 171
     calls.clear()
@@ -1015,13 +980,17 @@ def test_empty_runs_are_usage_errors():
         ("report", "--max-n", "3"),
         ("aut", "--n", "3"),
         ("count", "--check", "formula", "--n", "5", "--bound", "20"),
+        ("count", "--check", "formula", "--n", "3"),
+        ("aut", "--n", "5", "--method", "poset"),
     ):
         code, out, err = invoke(*argv)
         assert code == EXIT_USAGE, argv
         assert out == "" and "error" in err
     # the flag that does not apply is named, not silently ignored
     assert "--n" in invoke("count", "--check", "lemma", "--n", "5")[2]
-    assert "--n" in invoke("aut", "--n", "3", "--method", "poset")[2]
+    assert "--n" in invoke("aut", "--n", "3")[2]
+    assert "--n" in invoke("count", "--check", "formula", "--n", "3")[2]
+    assert "--method" in invoke("aut", "--n", "5", "--method", "poset")[2]
     assert "--bound" in invoke("count", "--check", "formula", "--n", "5", "--bound", "20")[2]
 
 
@@ -1045,7 +1014,7 @@ def test_aut_checks_the_envelope_before_the_expected_order(monkeypatch):
     # to compute; the envelope must reject n before anything asks for it
     asked = []
     monkeypatch.setattr(math, "factorial", asked.append)
-    for method in ("graph", "poset", "both"):
+    for method in ("graph", "both"):
         code, out, err = invoke("aut", "--n", "1000000", "--method", method)
         assert code == EXIT_ENVELOPE, method
         assert out == "" and "envelope" in err

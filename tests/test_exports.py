@@ -202,7 +202,6 @@ GUARD_RUNS = [
     ["complex", "--n", "5", "--dot", "hasse"],
     ["complex", "--n", "5", "--dot", "compat"],
     ["aut", "--n", "5"],
-    ["aut", "--n", "5", "--method", "poset"],
     ["aut", "--n", "5", "--method", "both"],
     ["count", "--n", "5", "--check", "formula"],
     ["count", "--check", "lemma"],
