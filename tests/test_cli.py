@@ -187,7 +187,7 @@ def test_count_formula():
     assert report["payload"]["star_mismatches"] == []
 
 
-def test_count_formula_checks_stars_above_the_poset_cap():
+def test_count_formula_finds_no_mismatch_at_n7():
     code, report, _ = invoke_json("count", "--n", "7", "--check", "formula")
     assert code == EXIT_OK
     assert report["verdict"] == "PASS"

@@ -1,44 +1,36 @@
-"""The pytest configuration: every warning fails the run, and a failing
-hypothesis test still lets the later tests run."""
+"""The pytest configuration: every warning fails the run, and the suite
+imports nothing beyond the standard library, pytest and the package."""
 
-import subprocess
+import ast
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
-
-GIVEN_THEN_PLAIN = '''
-from hypothesis import given, strategies as st
-
-
-@given(st.integers())
-def test_fails(x):
-    assert x < 0
-
-
-def test_passes():
-    pass
-'''
-
-
-def test_a_failing_given_test_does_not_stop_the_run(tmp_path):
-    # hypothesis explains a failure by importing libcst, which warns
-    (tmp_path / "test_given.py").write_text(GIVEN_THEN_PLAIN)
-    argv = ["-c", str(PYPROJECT), "--rootdir", str(tmp_path), "-p", "no:cacheprovider"]
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", *argv, "test_given.py"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 1, result.stdout + result.stderr
-    assert "INTERNALERROR" not in result.stdout + result.stderr
-    assert "1 failed, 1 passed" in result.stdout.splitlines()[-1]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_other_deprecation_warnings_still_fail():
     with pytest.raises(DeprecationWarning):
         warnings.warn("some other API is deprecated", DeprecationWarning)
+
+
+def test_tests_import_only_stdlib_pytest_and_the_package():
+    local = {p.stem for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")}
+    allowed = set(sys.stdlib_module_names) | {"pytest", "tropmoduli"} | local
+    foreign = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    assert foreign == []

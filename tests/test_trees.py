@@ -1,11 +1,13 @@
 """Trees, splits, canonical forms: unit examples plus the structural
-round-trip and group-action properties."""
+round-trip and group-action properties, each checked exhaustively at the
+small n and on seeded draws above them."""
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from tropmoduli.automorphisms import DEFAULT_SEED
 from tropmoduli.trees import (
     CanonicalForm,
     LeggedTree,
@@ -208,11 +210,18 @@ def test_malformed_input_is_rejected(build, message):
 
 
 def test_round_trip_over_catalog():
-    for n in (4, 5, 6):
+    # every form at n = 4..7 (3,018), rebuilt from its splits listed in a
+    # seeded shuffled order
+    rng = random.Random(DEFAULT_SEED)
+    for n in (4, 5, 6, 7):
         for form in catalog(n).all_forms():
+            splits = list(form.splits)
+            rng.shuffle(splits)
+            assert form_from_splits(n, splits) == form
             t = form.to_tree()
             assert t.is_stable
             assert canonical_form(t) == form
+            assert len(t.edges) == len(splits)
 
 
 def test_distinct_edges_give_distinct_splits():
@@ -325,31 +334,42 @@ def test_transposition_fixing_split():
     assert canonical_form(t) == canonical_form(two_vertex_tree(4, [3, 4]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_action_is_left_action(data):
-    n = data.draw(st.integers(4, 6))
-    forms = list(catalog(n).all_forms())
-    form = data.draw(st.sampled_from(forms))
-    sigma = tuple(data.draw(st.permutations(range(1, n + 1))))
-    tau = tuple(data.draw(st.permutations(range(1, n + 1))))
-    t = form.to_tree()
-    one = apply_marking_permutation(compose_marking_perms(sigma, tau), t)
-    two = apply_marking_permutation(sigma, apply_marking_permutation(tau, t))
-    assert canonical_form(one) == canonical_form(two)
+def _random_perm(rng, n):
+    return tuple(rng.sample(range(1, n + 1), n))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_action_preserves_catalog(data):
-    n = data.draw(st.integers(4, 6))
-    cat = catalog(n)
-    sigma = tuple(data.draw(st.permutations(range(1, n + 1))))
-    for dim, forms in cat.by_dimension.items():
-        images = {
-            canonical_form(apply_marking_permutation(sigma, f.to_tree())) for f in forms
-        }
-        assert images == set(forms)
+def test_action_is_left_action():
+    # every (form, sigma, tau) at n = 4 (2,304), then 60 seeded triples
+    # at each of n = 5 and 6
+    triples = [
+        (form, sigma, tau)
+        for form in catalog(4).all_forms()
+        for sigma in itertools.permutations(range(1, 5))
+        for tau in itertools.permutations(range(1, 5))
+    ]
+    rng = random.Random(DEFAULT_SEED)
+    for n in (5, 6):
+        forms = catalog(n).cells
+        for _ in range(60):
+            triples.append((rng.choice(forms), _random_perm(rng, n), _random_perm(rng, n)))
+    for form, sigma, tau in triples:
+        t = form.to_tree()
+        one = apply_marking_permutation(compose_marking_perms(sigma, tau), t)
+        two = apply_marking_permutation(sigma, apply_marking_permutation(tau, t))
+        assert canonical_form(one) == canonical_form(two)
+
+
+def test_action_preserves_catalog():
+    # every sigma in S_4 and S_5, then 60 seeded ones at n = 6
+    rng = random.Random(DEFAULT_SEED)
+    sigmas = [(n, sigma) for n in (4, 5) for sigma in itertools.permutations(range(1, n + 1))]
+    sigmas += [(6, _random_perm(rng, 6)) for _ in range(60)]
+    for n, sigma in sigmas:
+        for forms in catalog(n).by_dimension.values():
+            images = {
+                canonical_form(apply_marking_permutation(sigma, f.to_tree())) for f in forms
+            }
+            assert images == set(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -373,34 +393,3 @@ def test_isomorphisms_respect_legs_exactly():
     t = two_vertex_tree(6, [2, 3, 4])  # both vertices carry 3 legs
     # the leg sets differ, so only the identity survives
     assert list(legged_isomorphisms(t, t)) == [(0, 1)]
-
-
-# ---------------------------------------------------------------------------
-# hypothesis: split systems from random compatible sets
-
-
-@st.composite
-def compatible_split_sets(draw):
-    n = draw(st.integers(4, 7))
-    pool = []
-    for size in range(2, n - 1):
-        pool.extend(itertools.combinations(range(2, n + 1), size))
-    chosen: list[Split] = []
-    for side in draw(st.permutations(pool)):
-        s = Split.from_side(n, side)
-        if all(splits_compatible(s, t) for t in chosen):
-            chosen.append(s)
-        if len(chosen) >= draw(st.integers(0, n - 3)):
-            break
-    return n, chosen
-
-
-@settings(max_examples=80, deadline=None)
-@given(compatible_split_sets())
-def test_round_trip_random_split_sets(ns):
-    n, splits = ns
-    form = form_from_splits(n, splits)
-    t = form.to_tree()
-    assert t.is_stable
-    assert canonical_form(t) == form
-    assert len(t.edges) == len(set(splits))
