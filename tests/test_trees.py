@@ -393,3 +393,41 @@ def test_isomorphisms_respect_legs_exactly():
     t = two_vertex_tree(6, [2, 3, 4])  # both vertices carry 3 legs
     # the leg sets differ, so only the identity survives
     assert list(legged_isomorphisms(t, t)) == [(0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# split systems from random compatible sets
+
+
+def _random_compatible_splits(rng, n):
+    """Sides of size 2..n-2 not holding marking 1, in a shuffled order,
+    kept greedily while compatible with those already kept, up to a drawn
+    count in 0..n-3."""
+    pool = [
+        side
+        for size in range(2, n - 1)
+        for side in itertools.combinations(range(2, n + 1), size)
+    ]
+    rng.shuffle(pool)
+    target = rng.randint(0, n - 3)
+    chosen: list[Split] = []
+    for side in pool:
+        if len(chosen) >= target:
+            break
+        s = Split.from_side(n, side)
+        if all(splits_compatible(s, t) for t in chosen):
+            chosen.append(s)
+    return chosen
+
+
+def test_round_trip_random_split_sets():
+    # 80 seeded compatible split sets at each of n = 4..7
+    rng = random.Random(DEFAULT_SEED)
+    for n in (4, 5, 6, 7):
+        for _ in range(80):
+            splits = _random_compatible_splits(rng, n)
+            form = form_from_splits(n, splits)
+            t = form.to_tree()
+            assert t.is_stable
+            assert canonical_form(t) == form
+            assert len(t.edges) == len(set(splits))
